@@ -1,63 +1,14 @@
-"""Model backends: role protocols, HTTP clients, and deterministic replay."""
+"""Model backends: role protocols, HTTP clients, and deterministic replay.
+
+Import adapters and helpers from their submodules: ``types`` (results,
+wire parsing, role protocols), ``http``, ``replay`` and ``extract``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extract import (
-    EXTRACT_EXAMPLES,
-    EXTRACT_QUESTION,
-    HeuristicTargetExtractor,
-    build_extract_prompt,
-    parse_target_dict,
-    resolve_target,
-)
-from .http import (
-    HttpClient,
-    HttpDetector,
-    HttpGrounder,
-    HttpMllm,
-    HttpSelector,
-    HttpTargetExtractor,
-)
-from .oracle import OracleSelector, parse_prompt_options
-from .replay import (
-    FIXTURE_HEADER,
-    ROLE_DETECT,
-    ROLE_EXTRACT,
-    ROLE_GENERATE,
-    ROLE_GROUND,
-    ROLE_SELECT,
-    FixtureStore,
-    ReplayDetector,
-    ReplayGrounder,
-    ReplayMllm,
-    ReplaySelector,
-    ReplayTargetExtractor,
-    fixture_key,
-    grounding_from_payload,
-    selection_from_payload,
-    write_fixture,
-)
-from .types import (
-    BackendError,
-    Detector,
-    FixtureMissError,
-    GenerativeGrounding,
-    Grounder,
-    GroundingResult,
-    ImageRef,
-    MllmGrounder,
-    SelectionResult,
-    Selector,
-    TargetExtractor,
-    box_to_pixels,
-    derive_confidence,
-    detections_from_payload,
-    parse_coordinate_box,
-    round_half_up,
-    scale_box,
-)
+from .types import BackendError, Detector, Grounder, MllmGrounder, Selector, TargetExtractor
 
 
 @dataclass(frozen=True)
@@ -77,53 +28,4 @@ class BackendBundle:
         return handle
 
 
-__all__ = [
-    "BackendBundle",
-    "BackendError",
-    "Detector",
-    "EXTRACT_EXAMPLES",
-    "EXTRACT_QUESTION",
-    "FIXTURE_HEADER",
-    "FixtureMissError",
-    "FixtureStore",
-    "GenerativeGrounding",
-    "Grounder",
-    "GroundingResult",
-    "HeuristicTargetExtractor",
-    "HttpClient",
-    "HttpDetector",
-    "HttpGrounder",
-    "HttpMllm",
-    "HttpSelector",
-    "HttpTargetExtractor",
-    "ImageRef",
-    "MllmGrounder",
-    "OracleSelector",
-    "ReplayDetector",
-    "ReplayGrounder",
-    "ReplayMllm",
-    "ReplaySelector",
-    "ReplayTargetExtractor",
-    "ROLE_DETECT",
-    "ROLE_EXTRACT",
-    "ROLE_GENERATE",
-    "ROLE_GROUND",
-    "ROLE_SELECT",
-    "SelectionResult",
-    "Selector",
-    "TargetExtractor",
-    "box_to_pixels",
-    "build_extract_prompt",
-    "derive_confidence",
-    "detections_from_payload",
-    "fixture_key",
-    "grounding_from_payload",
-    "parse_coordinate_box",
-    "parse_prompt_options",
-    "parse_target_dict",
-    "resolve_target",
-    "round_half_up",
-    "scale_box",
-    "selection_from_payload",
-    "write_fixture",
-]
+__all__ = ["BackendBundle"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from ..datamodel import ImageRef
-from ..geometry import BBox, Detection, box_to_pixels, round_half_up
+from ..geometry import BBox, Detection
 
 
 class BackendError(Exception):
@@ -37,12 +37,6 @@ class GroundingResult:
         scores = [d.score for d in self.detections]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("detections must be sorted by descending score")
-
-    def best(self) -> Detection | None:
-        return self.detections[0] if self.detections else None
-
-    def above(self, threshold: float) -> tuple[Detection, ...]:
-        return tuple(d for d in self.detections if d.score >= threshold)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 task-level or data-level failures were present,
-2 configuration or usage error.
+Exit codes: 0 success, 1 task-level or data-level failures were present
+(or a backend failed outside a run, e.g. during export-tuning), 2
+configuration or usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .backends.types import BackendError
 from .config import PIPELINES, ConfigError, load_config
 from .datamodel import DatasetError
 from .runner import cmd_export_tuning, cmd_report, cmd_run, cmd_validate
@@ -83,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DatasetError as exc:
+    except (DatasetError, BackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -62,6 +62,10 @@ class BackendSettings:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
         if self.coordinate_space is not None and self.coordinate_space <= 0:
             raise ConfigError(f"coordinate_space must be positive, got {self.coordinate_space}")
+        if self.kind == "replay" and self.coordinate_space is not None:
+            raise ConfigError(
+                "coordinate_space applies to http backends only; replay fixtures are in pixels"
+            )
         if self.cost_unit < 0:
             raise ConfigError(f"cost_unit must be >= 0, got {self.cost_unit}")
 
@@ -203,21 +207,13 @@ _TOP_KEYS = (
     "expected_counts",
 )
 
-# config sections that may not carry these internal fields
-_SFA_HIDDEN = ("force_level",)
-
 
 def config_from_dict(data: Mapping[str, Any], base_dir: str | Path = ".") -> RunConfig:
     if not isinstance(data, Mapping):
         raise ConfigError("config root must be a mapping")
     _check_keys(data, _TOP_KEYS, "config")
 
-    sfa_data = dict(data.get("sfa", {}))
-    _check_keys(
-        sfa_data,
-        tuple(f.name for f in fields(SfaParams) if f.name not in _SFA_HIDDEN),
-        "sfa",
-    )
+    sfa_params = _dataclass_from(SfaParams, data.get("sfa", {}), "sfa")
     crs_params = _dataclass_from(CrsParams, data.get("crs", {}), "crs")
 
     backends_data = data.get("backends", {})
@@ -230,11 +226,6 @@ def config_from_dict(data: Mapping[str, Any], base_dir: str | Path = ".") -> Run
         isinstance(v, str) for v in datasets.values()
     ):
         raise ConfigError("datasets must map split names to file paths")
-
-    try:
-        sfa_params = SfaParams(**sfa_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sfa: {exc}") from exc
 
     return RunConfig(
         pipeline=data.get("pipeline", "sfa"),
@@ -275,15 +266,13 @@ def config_to_dict(cfg: RunConfig, redact_secrets: bool = True) -> dict[str, Any
         if redact_secrets and entry.get("token"):
             entry["token"] = "***"
         backends[role] = entry
-    sfa_entry = asdict(cfg.sfa)
-    sfa_entry.pop("force_level", None)
     return {
         "pipeline": cfg.pipeline,
         "seed": cfg.seed,
         "output_dir": cfg.output_dir,
         "datasets": dict(sorted(cfg.datasets.items())),
         "backends": backends,
-        "sfa": sfa_entry,
+        "sfa": asdict(cfg.sfa),
         "crs": asdict(cfg.crs),
         "tuning": asdict(cfg.tuning),
         "metrics": {"ks": list(cfg.metrics.ks)},

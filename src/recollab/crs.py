@@ -15,14 +15,13 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
+from .backends import BackendBundle
+from .backends.types import BackendError, Grounder
 from .datamodel import RecTask, TaskSet, image_ref
 from .geometry import BBox, Detection, box_to_pixels, iou, nms
-from .prediction import Pathway, Prediction
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .backends import BackendBundle, Grounder
+from .prediction import FAILURE_NOTE_PREFIX, Pathway, Prediction
 
 logger = logging.getLogger(__name__)
 
@@ -74,9 +73,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.candidates)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.candidates)
 
     def with_none(self) -> CandidateSet:
         if self.none_label is not None:
@@ -194,15 +190,13 @@ def _miss(task: RecTask, note: str) -> Prediction:
     )
 
 
-def run_crs(task: RecTask, handles: "BackendBundle", params: CrsParams = CrsParams()) -> Prediction:
+def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams()) -> Prediction:
     """Full candidate-selection pass for one task.
 
     Backend failures surface as miss predictions so a batch run skips the
     task and keeps going; a None answer is an explicit rejection, scored
     with confidence 0 so ranking metrics place it below every accepted box.
     """
-    from .backends import BackendError
-
     image = image_ref(task)
     try:
         grounding = handles.require("grounder").ground(image, task.expression)
@@ -220,7 +214,7 @@ def run_crs(task: RecTask, handles: "BackendBundle", params: CrsParams = CrsPara
         sel = handles.require("selector").select(image, cp.text, cp.offered)
     except BackendError as exc:
         logger.warning("CRS backend failure on task %s: %s", task.id, exc)
-        return _miss(task, f"backend failure: {exc}")
+        return _miss(task, f"{FAILURE_NOTE_PREFIX}: {exc}")
 
     label = parse_choice(sel.raw_text, cp) if sel.raw_text else sel.label
     raw: dict[str, Any] = {"text": sel.raw_text, "label_prob": sel.label_prob}
@@ -328,7 +322,7 @@ def _build_sample(task: RecTask, cs: CandidateSet, seed: int, include_none: bool
 
 def export_tuning(
     ts: TaskSet,
-    grounder: "Grounder",
+    grounder: Grounder,
     *,
     k: int = DEFAULT_K,
     nms_threshold: float = DEFAULT_NMS_THRESHOLD,

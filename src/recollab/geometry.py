@@ -74,21 +74,19 @@ class Detection:
 
     box: BBox
     score: float
-    category: str | None = None
-    token_scores: tuple[TokenSpanScore, ...] | None = None
+    token_scores: tuple[TokenSpanScore, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score {self.score} outside [0, 1]")
-        if self.token_scores is not None:
-            object.__setattr__(self, "token_scores", tuple(self.token_scores))
-            spans = sorted(self.token_scores, key=lambda t: t.start)
-            for prev, cur in zip(spans, spans[1:]):
-                if cur.start < prev.end:
-                    raise ValueError(
-                        f"overlapping token spans ({prev.start}, {prev.end}) "
-                        f"and ({cur.start}, {cur.end})"
-                    )
+        object.__setattr__(self, "token_scores", tuple(self.token_scores))
+        spans = sorted(self.token_scores, key=lambda t: t.start)
+        for prev, cur in zip(spans, spans[1:]):
+            if cur.start < prev.end:
+                raise ValueError(
+                    f"overlapping token spans ({prev.start}, {prev.end}) "
+                    f"and ({cur.start}, {cur.end})"
+                )
 
 
 def iou(a: BBox, b: BBox) -> float:

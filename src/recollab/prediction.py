@@ -8,6 +8,10 @@ from typing import Any
 
 from .geometry import BBox
 
+# Note prefix marking a task whose backend call failed; the runner counts
+# these to set the exit status.
+FAILURE_NOTE_PREFIX = "backend failure"
+
 
 class Pathway(str, Enum):
     FAST = "fast"

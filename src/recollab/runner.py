@@ -13,32 +13,34 @@ import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from .backends import (
-    BackendBundle,
-    BackendError,
-    FixtureStore,
+from .backends import BackendBundle
+from .backends.http import (
     HttpClient,
     HttpDetector,
     HttpGrounder,
     HttpMllm,
     HttpSelector,
     HttpTargetExtractor,
+)
+from .backends.replay import (
+    FixtureStore,
     ReplayDetector,
     ReplayGrounder,
     ReplayMllm,
     ReplaySelector,
     ReplayTargetExtractor,
 )
+from .backends.types import BackendError
 from .config import BackendSettings, ConfigError, RunConfig, config_hash
 from .crs import export_tuning, run_crs, save_tuning
-from .datamodel import DatasetError, RecTask, image_ref, load_taskset, validate_counts
-from .metrics import EvalReport, ScoredPrediction, build_report, render_text
-from .prediction import Pathway, Prediction, RouteLevel
-from .sfa import run_sfa
+from .datamodel import DatasetError, RecTask, TaskSet, image_ref, load_taskset, validate_counts
+from .metrics import ScoredPrediction, build_report, render_text
+from .prediction import FAILURE_NOTE_PREFIX, Pathway, Prediction
+from .sfa import build_focus_prompt, ground_slow, run_sfa
 
 logger = logging.getLogger(__name__)
 
@@ -47,14 +49,6 @@ REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 LOG_VERSION = 1
 CRASH_ENV = "RECOLLAB_CRASH_AFTER"
-FAILURE_NOTE_PREFIX = "backend failure"
-
-REQUIRED_ROLES: Mapping[str, tuple[str, ...]] = {
-    "specialist": ("grounder",),
-    "mllm": ("mllm",),
-    "sfa": ("extractor", "detector", "grounder", "mllm"),
-    "crs": ("grounder", "selector"),
-}
 
 
 class BoundedHandle:
@@ -116,28 +110,6 @@ def build_backends(cfg: RunConfig) -> BackendBundle:
     return BackendBundle(**handles)
 
 
-def pathway_units(cfg: RunConfig) -> dict[str, float]:
-    """Cost units per task for each pathway the configured pipeline uses.
-
-    A pathway's unit is the sum of the cost units of every backend a task
-    on that pathway calls; totals in the report are counts times units.
-    """
-
-    def unit(*roles: str) -> float:
-        return sum(cfg.backends[r].cost_unit for r in roles if r in cfg.backends)
-
-    if cfg.pipeline == "specialist":
-        return {Pathway.FAST.value: unit("grounder")}
-    if cfg.pipeline == "mllm":
-        return {Pathway.SLOW.value: unit("mllm")}
-    if cfg.pipeline == "crs":
-        return {Pathway.CRS.value: unit("grounder", "selector")}
-    return {
-        Pathway.FAST.value: unit("extractor", "detector", "grounder"),
-        Pathway.SLOW.value: unit("extractor", "detector", "mllm"),
-    }
-
-
 def run_specialist_task(task: RecTask, handles: BackendBundle) -> ScoredPrediction:
     """Plain grounder baseline: top confidence box wins, full list ranked."""
     image = image_ref(task)
@@ -171,20 +143,58 @@ def run_specialist_task(task: RecTask, handles: BackendBundle) -> ScoredPredicti
 
 def run_mllm_task(task: RecTask, handles: BackendBundle, cfg: RunConfig) -> ScoredPrediction:
     """Vanilla generative baseline: base prompt, no routing, no focus."""
-    vanilla = replace(cfg.sfa, focus=False, force_level=RouteLevel.SLOW)
-    return ScoredPrediction.single(run_sfa(task, handles, vanilla))
+    prompt = build_focus_prompt(task.expression, "", replace(cfg.sfa, focus=False))
+    return ScoredPrediction.single(ground_slow(task, handles, prompt))
 
 
-def _worker_for(cfg: RunConfig, handles: BackendBundle) -> Callable[[RecTask], ScoredPrediction]:
-    if cfg.pipeline == "specialist":
-        return lambda task: run_specialist_task(task, handles)
-    if cfg.pipeline == "mllm":
-        return lambda task: run_mllm_task(task, handles, cfg)
-    if cfg.pipeline == "sfa":
-        return lambda task: ScoredPrediction.single(run_sfa(task, handles, cfg.sfa))
-    if cfg.pipeline == "crs":
-        return lambda task: ScoredPrediction.single(run_crs(task, handles, cfg.crs))
-    raise ConfigError(f"unknown pipeline {cfg.pipeline!r}")
+@dataclass(frozen=True)
+class PipelineSpec:
+    """One pipeline: the backend roles each pathway calls, and its per-task worker."""
+
+    pathways: Mapping[str, tuple[str, ...]]
+    worker: Callable[[RecTask, BackendBundle, RunConfig], ScoredPrediction]
+
+    @property
+    def roles(self) -> tuple[str, ...]:
+        """Every role some pathway calls, in first-use order."""
+        return tuple(dict.fromkeys(r for roles in self.pathways.values() for r in roles))
+
+
+# Workers look their task function up at call time, so replacing a module
+# attribute (e.g. to trace ``run_sfa``) takes effect here too.
+PIPELINE_SPECS: Mapping[str, PipelineSpec] = {
+    "specialist": PipelineSpec(
+        {Pathway.FAST.value: ("grounder",)},
+        lambda task, handles, cfg: run_specialist_task(task, handles),
+    ),
+    "mllm": PipelineSpec(
+        {Pathway.SLOW.value: ("mllm",)},
+        lambda task, handles, cfg: run_mllm_task(task, handles, cfg),
+    ),
+    "sfa": PipelineSpec(
+        {
+            Pathway.FAST.value: ("extractor", "detector", "grounder"),
+            Pathway.SLOW.value: ("extractor", "detector", "mllm"),
+        },
+        lambda task, handles, cfg: ScoredPrediction.single(run_sfa(task, handles, cfg.sfa)),
+    ),
+    "crs": PipelineSpec(
+        {Pathway.CRS.value: ("grounder", "selector")},
+        lambda task, handles, cfg: ScoredPrediction.single(run_crs(task, handles, cfg.crs)),
+    ),
+}
+
+
+def pathway_units(cfg: RunConfig) -> dict[str, float]:
+    """Cost units per task for each pathway the configured pipeline uses.
+
+    A pathway's unit is the sum of the cost units of every backend a task
+    on that pathway calls; totals in the report are counts times units.
+    """
+    return {
+        pathway: sum(cfg.backends[r].cost_unit for r in roles if r in cfg.backends)
+        for pathway, roles in PIPELINE_SPECS[cfg.pipeline].pathways.items()
+    }
 
 
 def _write_record(handle, record: Mapping[str, Any]) -> None:
@@ -242,22 +252,44 @@ def _crash_budget() -> int | None:
     return budget
 
 
-def _count_failures(preds: Mapping[str, ScoredPrediction]) -> int:
-    return sum(
-        1
-        for sp in preds.values()
-        if sp.prediction.note is not None and sp.prediction.note.startswith(FAILURE_NOTE_PREFIX)
+def _write_report(
+    cfg: RunConfig,
+    ts: TaskSet,
+    preds: Mapping[str, ScoredPrediction],
+    meta: Mapping[str, Any],
+    out_dir: Path,
+) -> int:
+    """Score the predictions, write and print the report.
+
+    Returns 1 when backend failures were logged, else 0.
+    """
+    failed = sum(
+        1 for sp in preds.values() if (sp.prediction.note or "").startswith(FAILURE_NOTE_PREFIX)
     )
-
-
-def _write_report(report: EvalReport, out_dir: Path) -> str:
+    report = build_report(
+        preds,
+        ts,
+        ks=cfg.metrics.ks,
+        unit_costs=pathway_units(cfg),
+        metadata={
+            "config_hash": meta.get("config_hash"),
+            "pipeline": meta.get("pipeline"),
+            "seed": meta.get("seed"),
+            "failed_tasks": failed,
+        },
+    )
     text = render_text(report)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / REPORT_JSON).write_text(
         json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
     (out_dir / REPORT_TEXT).write_text(text + "\n", encoding="utf-8")
-    return text
+    print(text)
+    if failed:
+        logger.warning("%d task(s) failed at the backend level", failed)
+        return 1
+    return 0
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -267,13 +299,13 @@ def cmd_run(cfg: RunConfig) -> int:
     (the run still completes), ConfigError propagates for exit 2.
     """
     cfg.check_paths()
-    for role in REQUIRED_ROLES[cfg.pipeline]:
+    spec = PIPELINE_SPECS[cfg.pipeline]
+    for role in spec.roles:
         if role not in cfg.backends:
             raise ConfigError(f"pipeline {cfg.pipeline!r} needs a {role!r} backend")
 
     ts = load_taskset(cfg.dataset_path("test"), "test")
     handles = build_backends(cfg)
-    worker = _worker_for(cfg, handles)
     expected_hash = config_hash(cfg)
 
     out_dir = cfg.resolve(cfg.output_dir)
@@ -300,19 +332,17 @@ def cmd_run(cfg: RunConfig) -> int:
     preds: dict[str, ScoredPrediction] = dict(done)
     with open(log_path, "a", encoding="utf-8") as log_file:
         if meta is None:
-            _write_record(
-                log_file,
-                {
-                    "record": "meta",
-                    "version": LOG_VERSION,
-                    "config_hash": expected_hash,
-                    "pipeline": cfg.pipeline,
-                    "seed": cfg.seed,
-                },
-            )
+            meta = {
+                "record": "meta",
+                "version": LOG_VERSION,
+                "config_hash": expected_hash,
+                "pipeline": cfg.pipeline,
+                "seed": cfg.seed,
+            }
+            _write_record(log_file, meta)
         written = 0
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(worker, task) for task in pending]
+            futures = [pool.submit(spec.worker, task, handles, cfg) for task in pending]
             for future in futures:
                 sp = future.result()
                 _write_record(log_file, {"record": "prediction", **sp.to_dict()})
@@ -322,24 +352,7 @@ def cmd_run(cfg: RunConfig) -> int:
                     logger.warning("crash hook: exiting after %d records", written)
                     os._exit(3)
 
-    failed = _count_failures(preds)
-    report = build_report(
-        preds,
-        ts,
-        ks=cfg.metrics.ks,
-        unit_costs=pathway_units(cfg),
-        metadata={
-            "config_hash": expected_hash,
-            "pipeline": cfg.pipeline,
-            "seed": cfg.seed,
-            "failed_tasks": failed,
-        },
-    )
-    print(_write_report(report, out_dir))
-    if failed:
-        logger.warning("%d task(s) failed at the backend level", failed)
-        return 1
-    return 0
+    return _write_report(cfg, ts, preds, meta, out_dir)
 
 
 def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
@@ -353,22 +366,7 @@ def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
     if meta.get("config_hash") != config_hash(cfg):
         raise ConfigError("prediction log was written under a different config")
     ts = load_taskset(cfg.dataset_path("test"), "test")
-    failed = _count_failures(preds)
-    report = build_report(
-        preds,
-        ts,
-        ks=cfg.metrics.ks,
-        unit_costs=pathway_units(cfg),
-        metadata={
-            "config_hash": meta.get("config_hash"),
-            "pipeline": meta.get("pipeline"),
-            "seed": meta.get("seed"),
-            "failed_tasks": failed,
-        },
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    print(_write_report(report, out_dir))
-    return 1 if failed else 0
+    return _write_report(cfg, ts, preds, meta, out_dir)
 
 
 def cmd_validate(cfg: RunConfig) -> int:

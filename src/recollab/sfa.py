@@ -14,14 +14,12 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from .backends import BackendBundle
+from .backends.types import BackendError, Detector, GroundingResult, derive_confidence
 from .datamodel import ImageRef, RecTask, image_ref
 from .geometry import Detection
-from .prediction import Pathway, Prediction, RouteDecision, RouteLevel
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .backends import BackendBundle, Detector, GroundingResult
+from .prediction import FAILURE_NOTE_PREFIX, Pathway, Prediction, RouteDecision, RouteLevel
 
 logger = logging.getLogger(__name__)
 
@@ -32,17 +30,12 @@ DEFAULT_FOCUS_SUFFIX = ", please focus on the {target}"
 
 @dataclass(frozen=True)
 class SfaParams:
-    """Routing threshold, focus switches, and the prompt templates.
-
-    ``force_level`` bypasses routing entirely (no RouteDecision is made);
-    it exists for baseline comparisons, not normal runs.
-    """
+    """Routing threshold, focus switches, and the prompt templates."""
 
     threshold: float = DEFAULT_ROUTE_THRESHOLD
     focus: bool = True
     grounding_prompt: str = DEFAULT_GROUNDING_PROMPT
     focus_suffix: str = DEFAULT_FOCUS_SUFFIX
-    force_level: RouteLevel | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
@@ -52,7 +45,7 @@ class SfaParams:
 def assess_route(
     image: ImageRef,
     target: str,
-    detector: "Detector",
+    detector: Detector,
     threshold: float = DEFAULT_ROUTE_THRESHOLD,
 ) -> RouteDecision:
     """Count detections of the target category at or above the threshold.
@@ -95,7 +88,7 @@ def find_target_span(query: str, target: str) -> tuple[int, int] | None:
     return None
 
 
-def target_focus_select(result: "GroundingResult", span: tuple[int, int] | None) -> Detection:
+def target_focus_select(result: GroundingResult, span: tuple[int, int] | None) -> Detection:
     """Pick the proposal whose target-token similarity is highest.
 
     Each proposal's aggregate is the max token score over spans
@@ -124,7 +117,61 @@ def target_focus_select(result: "GroundingResult", span: tuple[int, int] | None)
     return dets[best]
 
 
-def run_sfa(task: RecTask, handles: "BackendBundle", params: SfaParams = SfaParams()) -> Prediction:
+def _failure(
+    task: RecTask, exc: BackendError, pathway: Pathway, decision: RouteDecision | None
+) -> Prediction:
+    logger.warning("SFA backend failure on task %s: %s", task.id, exc)
+    return Prediction(
+        task_id=task.id,
+        box=None,
+        confidence=0.0,
+        pathway=pathway,
+        decision=decision,
+        note=f"{FAILURE_NOTE_PREFIX}: {exc}",
+    )
+
+
+def ground_slow(
+    task: RecTask, handles: BackendBundle, prompt: str, decision: RouteDecision | None = None
+) -> Prediction:
+    """Slow pathway: the MLLM answers ``prompt`` with generated coordinates.
+
+    A reply without usable coordinates is a rejection; a backend failure
+    is a miss. Either way the task keeps the slow pathway and ``decision``.
+    """
+    try:
+        answer = handles.require("mllm").ground_generative(image_ref(task), prompt)
+    except BackendError as exc:
+        return _failure(task, exc, Pathway.SLOW, decision)
+    raw = {"text": answer.raw_text}
+    if answer.box is None:
+        note = (
+            "malformed coordinates in generative answer"
+            if answer.malformed
+            else "no coordinates in generative answer"
+        )
+        return Prediction(
+            task_id=task.id,
+            box=None,
+            confidence=0.0,
+            pathway=Pathway.SLOW,
+            decision=decision,
+            raw=raw,
+            note=note,
+        )
+    confidence = derive_confidence(answer.coordinate_token_probs)
+    assert confidence is not None
+    return Prediction(
+        task_id=task.id,
+        box=answer.box,
+        confidence=confidence,
+        pathway=Pathway.SLOW,
+        decision=decision,
+        raw=raw,
+    )
+
+
+def run_sfa(task: RecTask, handles: BackendBundle, params: SfaParams = SfaParams()) -> Prediction:
     """Route one task and ground it on the chosen pathway.
 
     Backend failures become miss predictions (box absent, confidence 0,
@@ -132,91 +179,41 @@ def run_sfa(task: RecTask, handles: "BackendBundle", params: SfaParams = SfaPara
     routing completes are attributed to the slow pathway, the same
     conservative default the zero-detection rule uses.
     """
-    from .backends import BackendError, derive_confidence
-
     image = image_ref(task)
     decision: RouteDecision | None = None
     try:
-        target = ""
-        if params.force_level is None or params.focus:
-            target = handles.require("extractor").extract(task.expression)
-        if params.force_level is None:
-            decision = assess_route(image, target, handles.require("detector"), params.threshold)
-            level = decision.level
-        else:
-            level = params.force_level
-
-        if level is RouteLevel.FAST:
-            grounding = handles.require("grounder").ground(image, task.expression)
-            if not grounding.detections:
-                return Prediction(
-                    task_id=task.id,
-                    box=None,
-                    confidence=0.0,
-                    pathway=Pathway.FAST,
-                    decision=decision,
-                    note="grounder returned no detections",
-                )
-            if params.focus:
-                det = target_focus_select(grounding, find_target_span(task.expression, target))
-            else:
-                det = grounding.detections[0]
-            if det.score <= 0.0:
-                return Prediction(
-                    task_id=task.id,
-                    box=None,
-                    confidence=0.0,
-                    pathway=Pathway.FAST,
-                    decision=decision,
-                    note="selected detection has zero confidence",
-                )
-            return Prediction(
-                task_id=task.id,
-                box=det.box,
-                confidence=det.score,
-                pathway=Pathway.FAST,
-                decision=decision,
-            )
-
-        prompt = build_focus_prompt(task.expression, target, params)
-        answer = handles.require("mllm").ground_generative(image, prompt)
-        if answer.box is None:
-            note = (
-                "malformed coordinates in generative answer"
-                if answer.malformed
-                else "no coordinates in generative answer"
-            )
-            return Prediction(
-                task_id=task.id,
-                box=None,
-                confidence=0.0,
-                pathway=Pathway.SLOW,
-                decision=decision,
-                raw={"text": answer.raw_text},
-                note=note,
-            )
-        confidence = derive_confidence(answer.coordinate_token_probs)
-        assert confidence is not None
-        return Prediction(
-            task_id=task.id,
-            box=answer.box,
-            confidence=confidence,
-            pathway=Pathway.SLOW,
-            decision=decision,
-            raw={"text": answer.raw_text},
-        )
+        target = handles.require("extractor").extract(task.expression)
+        decision = assess_route(image, target, handles.require("detector"), params.threshold)
+        if decision.level is RouteLevel.SLOW:
+            prompt = build_focus_prompt(task.expression, target, params)
+            return ground_slow(task, handles, prompt, decision)
+        grounding = handles.require("grounder").ground(image, task.expression)
     except BackendError as exc:
-        logger.warning("SFA backend failure on task %s: %s", task.id, exc)
-        pathway = Pathway.SLOW
-        if decision is not None:
-            pathway = Pathway.FAST if decision.level is RouteLevel.FAST else Pathway.SLOW
-        elif params.force_level is RouteLevel.FAST:
-            pathway = Pathway.FAST
+        fast = decision is not None and decision.level is RouteLevel.FAST
+        return _failure(task, exc, Pathway.FAST if fast else Pathway.SLOW, decision)
+
+    if not grounding.detections:
         return Prediction(
             task_id=task.id,
             box=None,
             confidence=0.0,
-            pathway=pathway,
+            pathway=Pathway.FAST,
             decision=decision,
-            note=f"backend failure: {exc}",
+            note="grounder returned no detections",
         )
+    if params.focus:
+        det = target_focus_select(grounding, find_target_span(task.expression, target))
+    else:
+        det = grounding.detections[0]
+    if det.score <= 0.0:
+        return Prediction(
+            task_id=task.id,
+            box=None,
+            confidence=0.0,
+            pathway=Pathway.FAST,
+            decision=decision,
+            note="selected detection has zero confidence",
+        )
+    return Prediction(
+        task_id=task.id, box=det.box, confidence=det.score, pathway=Pathway.FAST, decision=decision
+    )

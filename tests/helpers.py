@@ -9,7 +9,10 @@ recall rule by rank counting instead of sorting.
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,8 +23,10 @@ from recollab import (
     Polarity,
     RecTask,
     TaskSet,
+    iou,
 )
-from recollab.datamodel import Difficulty, NegEdit, NegFacet, NegLocus, Split
+from recollab.backends.types import SelectionResult
+from recollab.datamodel import Difficulty, ImageRef, NegEdit, NegFacet, NegLocus, Split
 
 GRID_LO = 0.0
 GRID_HI = 32.0
@@ -186,12 +191,58 @@ class SlotGrounder:
     """Deterministic grounder proposing the five slot boxes for any query."""
 
     def ground(self, image, expression):
-        from recollab.backends import GroundingResult
+        from recollab.backends.types import GroundingResult
 
         dets = tuple(
             Detection(box=box, score=score) for box, score in zip(SLOT_BOXES, SLOT_SCORES)
         )
         return GroundingResult(detections=dets, query=expression)
+
+
+_OPTION_LINE = re.compile(
+    r"^\s*([A-Z])\.\s*\[\[\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\]\s*$"
+)
+
+
+def parse_prompt_options(prompt: str) -> dict[str, BBox]:
+    """Recover the label -> box map from rendered option lines."""
+    options: dict[str, BBox] = {}
+    for line in prompt.splitlines():
+        match = _OPTION_LINE.match(line)
+        if match:
+            label = match.group(1)
+            coords = [float(g) for g in match.groups()[1:]]
+            options[label] = BBox(*coords)
+    return options
+
+
+@dataclass(frozen=True)
+class OracleSelector:
+    """Selector that picks the max-IoU option against a per-image ground-truth table.
+
+    A diagnostic, not a model: running candidate selection with it scores
+    exactly the fraction of tasks whose offered options contain a good
+    enough box (the candidate-generation ceiling). Images without an entry
+    (negatives) get the rejection label when one is offered. Images must
+    map 1:1 to tasks for the answer to be exact.
+    """
+
+    gt_by_image: Mapping[str, BBox]
+
+    def select(self, image: ImageRef, prompt: str, offered: Sequence[str]) -> SelectionResult:
+        if not offered:
+            raise ValueError("no option labels offered")
+        options = parse_prompt_options(prompt)
+        box_labels = [label for label in offered if label in options]
+        none_labels = [label for label in offered if label not in options]
+        gt = self.gt_by_image.get(image.image_id)
+        if gt is None or not box_labels:
+            label = none_labels[-1] if none_labels else offered[-1]
+        else:
+            label = max(box_labels, key=lambda lb: iou(options[lb], gt))
+        return SelectionResult(
+            label=label, label_prob=1.0, raw_text=label, offered=tuple(offered)
+        )
 
 
 def slot_gt(slot: int, inset: float = 5.0) -> BBox:

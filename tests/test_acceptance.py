@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from recollab.backends import BackendBundle
-from recollab.backends.oracle import OracleSelector
 from recollab.backends.replay import ROLE_GROUND, FixtureStore, ReplayGrounder, write_fixture
 from recollab.backends.types import GroundingResult
 from recollab.crs import CrsParams, export_tuning, generate_candidates, run_crs, save_tuning
@@ -51,6 +50,7 @@ from recollab.sfa import assess_route, find_target_span, target_focus_select
 from helpers import (
     SLOT_BOXES,
     SLOT_SCORES,
+    OracleSelector,
     SlotGrounder,
     brute_auroc,
     brute_nms,

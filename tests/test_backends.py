@@ -11,43 +11,47 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from recollab import BBox, Detection, TokenSpanScore, iou
-from recollab.backends import (
-    BackendError,
-    FixtureMissError,
-    FixtureStore,
-    GenerativeGrounding,
-    GroundingResult,
+from recollab.backends.extract import (
     HeuristicTargetExtractor,
+    build_extract_prompt,
+    parse_target_dict,
+)
+from recollab.backends.http import (
     HttpClient,
     HttpDetector,
     HttpMllm,
     HttpSelector,
     HttpTargetExtractor,
-    OracleSelector,
-    ReplayDetector,
-    ReplayMllm,
-    ReplaySelector,
-    ReplayTargetExtractor,
-    SelectionResult,
-    build_extract_prompt,
-    derive_confidence,
-    detections_from_payload,
-    parse_coordinate_box,
-    parse_prompt_options,
-    parse_target_dict,
-    scale_box,
-    write_fixture,
 )
 from recollab.backends.replay import (
     ROLE_DETECT,
     ROLE_EXTRACT,
     ROLE_GENERATE,
     ROLE_SELECT,
+    FixtureStore,
+    ReplayDetector,
+    ReplayMllm,
+    ReplaySelector,
+    ReplayTargetExtractor,
     fixture_key,
     grounding_from_payload,
     selection_from_payload,
+    write_fixture,
+)
+from recollab.backends.types import (
+    BackendError,
+    FixtureMissError,
+    GenerativeGrounding,
+    GroundingResult,
+    SelectionResult,
+    derive_confidence,
+    detections_from_payload,
+    parse_coordinate_box,
+    scale_box,
 )
 from recollab.datamodel import ImageRef
+
+from helpers import OracleSelector, parse_prompt_options
 
 IMG = ImageRef(image_id="img-1", width=640, height=480)
 
@@ -187,11 +191,8 @@ def test_grounding_result_validates_order():
     b = Detection(box=BBox(0, 0, 1, 1), score=0.9)
     with pytest.raises(ValueError):
         GroundingResult(detections=(a, b))
-    result = GroundingResult(detections=(b, a))
-    assert result.best() == b
-    assert result.above(0.5) == (b,)
-    assert result.above(0.2) == (b, a)  # inclusive threshold
-    assert GroundingResult(detections=()).best() is None
+    assert GroundingResult(detections=(b, a)).detections == (b, a)
+    assert GroundingResult(detections=()).detections == ()
 
 
 def test_generative_grounding_invariants():
@@ -321,7 +322,7 @@ def test_replay_detector_and_validation(tmp_path):
     )
     detector = ReplayDetector(store=FixtureStore(root=tmp_path))
     result = detector.detect(IMG, "dog")
-    assert result.best().score == 0.75
+    assert result.detections[0].score == 0.75
     with pytest.raises(ValueError):
         detector.detect(IMG, "")
 
@@ -513,7 +514,7 @@ def test_http_extractor_sends_prompt():
     assert "the red mug" in server.seen[0]["body"]["prompt"]
 
 
-# ----------------------------------------------------------------- oracle
+# ------------------------------------------- oracle (test-only, see helpers)
 
 
 def test_parse_prompt_options():

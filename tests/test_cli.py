@@ -17,11 +17,16 @@ from pathlib import Path
 import pytest
 import yaml
 
-from recollab.backends import BackendBundle, BackendError
-from recollab.config import ConfigError, load_config
+from recollab.backends import BackendBundle
+from recollab.backends.replay import ROLE_GENERATE, FixtureStore, write_fixture
+from recollab.backends.types import BackendError
+from recollab.cli import main
+from recollab.config import PIPELINES, ConfigError, load_config
+from recollab.datamodel import load_taskset
 from recollab.geometry import BBox, Detection
 from recollab.runner import (
     LOG_NAME,
+    PIPELINE_SPECS,
     REPORT_JSON,
     REPORT_TEXT,
     BoundedHandle,
@@ -29,6 +34,7 @@ from recollab.runner import (
     read_log,
     run_specialist_task,
 )
+from recollab.sfa import SfaParams, build_focus_prompt
 
 from helpers import build_export_corpus, build_sfa_corpus, make_positive
 
@@ -135,6 +141,15 @@ def test_pathway_units_sum_backend_costs(tmp_path):
     assert pathway_units(_cfg_with_costs(tmp_path, "specialist")) == {"fast": 1.0}
     assert pathway_units(_cfg_with_costs(tmp_path, "mllm")) == {"slow": 10.0}
     assert pathway_units(_cfg_with_costs(tmp_path, "crs")) == {"crs": 3.0}
+
+
+def test_pipeline_registry_covers_exactly_the_config_pipelines():
+    assert tuple(PIPELINE_SPECS) == PIPELINES
+    # a pipeline needs every role any of its pathways calls
+    assert PIPELINE_SPECS["sfa"].roles == ("extractor", "detector", "grounder", "mllm")
+    assert PIPELINE_SPECS["mllm"].roles == ("mllm",)
+    assert PIPELINE_SPECS["specialist"].roles == ("grounder",)
+    assert PIPELINE_SPECS["crs"].roles == ("grounder", "selector")
 
 
 # ---------------------------------------------------------- bounded handle
@@ -398,6 +413,33 @@ def test_run_pipeline_override(tmp_path):
     assert all(r["pathway"] == "fast" for r in records[1:])
 
 
+def test_run_mllm_pipeline_end_to_end(tmp_path, monkeypatch):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    # the baseline sends the base prompt without the focus clause
+    base = SfaParams(focus=False)
+    for task in load_taskset(tmp_path / "test.jsonl", "test"):
+        prompt = build_focus_prompt(task.expression, "", base)
+        answer = {"text": "[[100, 100, 200, 200]]", "coordinate_token_probs": [0.9] * 4}
+        write_fixture(tmp_path / "fixtures", ROLE_GENERATE, task.image, prompt, answer)
+    roles_read = []
+    original_get = FixtureStore.get
+
+    def recording_get(self, role, image_id, query):
+        roles_read.append(role)
+        return original_get(self, role, image_id, query)
+
+    monkeypatch.setattr(FixtureStore, "get", recording_get)
+    assert main(["run", "-c", str(cfg_path), "--pipeline", "mllm"]) == 0
+
+    records = read_records(tmp_path / "out" / LOG_NAME)
+    assert records[0]["pipeline"] == "mllm"
+    preds = records[1:]
+    assert len(preds) == 6
+    assert all(r["pathway"] == "slow" and r["decision"] is None for r in preds)
+    assert all(r["box"] == [100.0, 100.0, 200.0, 200.0] for r in preds)
+    assert roles_read == [ROLE_GENERATE] * 6
+
+
 def test_run_seed_override_changes_config_hash(tmp_path):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
     proc = run_cli("run", "-c", cfg_path, "--seed", "11", "--output-dir", "out-a")
@@ -500,6 +542,14 @@ def test_export_tuning_is_deterministic(tmp_path):
     bytes_a = (tmp_path / "a" / "out" / "tuning.jsonl").read_bytes()
     bytes_b = (tmp_path / "b" / "out" / "tuning.jsonl").read_bytes()
     assert bytes_a == bytes_b
+
+
+def test_export_tuning_backend_failure_exits_1(tmp_path, capsys):
+    cfg_path = build_export_corpus(tmp_path)
+    for fixture in (tmp_path / "fixtures").iterdir():
+        fixture.unlink()
+    assert main(["export-tuning", "-c", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: no fixture for role='ground'")
 
 
 # ------------------------------------------------------------ CLI: parsing

@@ -1,5 +1,8 @@
 """Config loading, validation, env overrides, and identity hashing."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from recollab.config import (
@@ -92,6 +95,13 @@ def test_backend_settings_validation():
         BackendSettings(kind="http", endpoint="http://x", coordinate_space=0)
     with pytest.raises(ConfigError, match="cost_unit"):
         BackendSettings(kind="replay", fixtures="f", cost_unit=-1)
+
+
+def test_replay_backend_rejects_coordinate_space():
+    # replay adapters never rescale, so the setting would be silently ignored
+    with pytest.raises(ConfigError, match="coordinate_space"):
+        BackendSettings(kind="replay", fixtures="f", coordinate_space=1000)
+    assert BackendSettings(kind="http", endpoint="http://x", coordinate_space=1000)
 
 
 def test_tuning_and_metrics_validation():
@@ -214,3 +224,14 @@ def test_expected_counts_round_trip():
     assert cfg.expected_counts["test"]["pairs"] == 18321
     with pytest.raises(ConfigError):
         config_from_dict({"expected_counts": {"dev": {}}})
+
+
+def test_example_config_hash_is_pinned(monkeypatch):
+    # logs written under the example config must stay reportable
+    for key in list(os.environ):
+        if key.startswith("RECOLLAB_"):
+            monkeypatch.delenv(key)
+    example = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+    assert config_hash(load_config(example)) == (
+        "82770fac159d0a5a7f55cf54f85187ccbd3a61bbe151d2982cb45b2b54610af3"
+    )

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from recollab import BBox, Detection, Pathway, TaskSet, iou
-from recollab.backends import BackendBundle, BackendError, GroundingResult, SelectionResult
+from recollab.backends import BackendBundle
+from recollab.backends.types import BackendError, GroundingResult, SelectionResult
 from recollab.crs import (
     CandidateSet,
     CrsParams,
@@ -119,7 +120,7 @@ def test_generate_candidates_suppresses_then_truncates():
     ]
     cs = generate_candidates(dets, k=5, nms_thr=0.7)
     assert len(cs) == 5
-    assert cs.labels() == ("A", "B", "C", "D", "E")
+    assert [label for label, _ in cs.candidates] == ["A", "B", "C", "D", "E"]
     assert cs.candidates[0][1].box == BBox(0, 0, 100, 100)
     assert all(d.box != BBox(2, 2, 102, 102) for _, d in cs.candidates)
 
@@ -136,7 +137,7 @@ def test_generate_candidates_nms_threshold_one_is_pure_top_k():
 
 def test_generate_candidates_fewer_than_k():
     cs = generate_candidates([det(0, 0, 10, 10, 0.5)], k=5)
-    assert cs.labels() == ("A",)
+    assert [label for label, _ in cs.candidates] == ["A"]
     assert len(generate_candidates([], k=5)) == 0
     with pytest.raises(ValueError):
         generate_candidates([], k=0)

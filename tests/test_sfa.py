@@ -5,18 +5,23 @@ import random
 import pytest
 
 from recollab import BBox, Detection, Pathway, RouteLevel, TokenSpanScore
-from recollab.backends import (
-    BackendBundle,
+from recollab.backends import BackendBundle
+from recollab.backends.replay import (
+    ROLE_DETECT,
+    ROLE_EXTRACT,
+    ROLE_GENERATE,
+    ROLE_GROUND,
     FixtureStore,
-    GroundingResult,
     ReplayDetector,
     ReplayGrounder,
     ReplayMllm,
     ReplayTargetExtractor,
     write_fixture,
 )
-from recollab.backends.replay import ROLE_DETECT, ROLE_EXTRACT, ROLE_GENERATE, ROLE_GROUND
+from recollab.backends.types import GroundingResult
+from recollab.config import RunConfig
 from recollab.datamodel import ImageRef
+from recollab.runner import run_mllm_task
 from recollab.sfa import (
     DEFAULT_GROUNDING_PROMPT,
     SfaParams,
@@ -162,6 +167,16 @@ def test_target_focus_select_falls_back_on_missing_token_scores():
     bird = _det(BBox(0, 0, 30, 30), 0.7, [(0, 3, 0.9)])
     result = GroundingResult(detections=(cow, bird), query="q")
     assert target_focus_select(result, (0, 3)) == cow
+
+
+def test_target_focus_select_falls_back_on_default_token_scores():
+    # detections built without token scores (e.g. from a payload that
+    # omits them) take the overall-argmax fallback, not a TypeError
+    cow = Detection(box=BBox(50, 0, 90, 40), score=0.8)
+    bird = Detection(box=BBox(0, 0, 30, 30), score=0.7)
+    assert cow.token_scores == ()
+    result = GroundingResult(detections=(cow, bird), query="the bird")
+    assert target_focus_select(result, (4, 8)) == cow
 
 
 def test_target_focus_select_empty_raises():
@@ -366,10 +381,10 @@ def test_run_sfa_detector_outage_is_a_miss(tmp_path):
     assert pred.decision is None
 
 
-def test_run_sfa_forced_slow_skips_routing(tmp_path):
+def test_run_mllm_task_skips_routing(tmp_path):
     expression = "the dog behind the fence"
-    params = SfaParams(focus=False, force_level=RouteLevel.SLOW)
-    prompt = build_focus_prompt(expression, "", params)
+    # the baseline sends the base prompt: no routing, no focus clause
+    prompt = build_focus_prompt(expression, "", SfaParams(focus=False))
     write_fixture(
         tmp_path,
         ROLE_GENERATE,
@@ -377,34 +392,21 @@ def test_run_sfa_forced_slow_skips_routing(tmp_path):
         prompt,
         {"text": "[[5, 5, 50, 50]]", "coordinate_token_probs": [0.5] * 4},
     )
-    # neither extract nor detect fixtures exist; forcing must not need them
-    pred = run_sfa(_task(expression), _bundle(tmp_path), params)
+    # neither extract nor detect fixtures exist; the baseline must not need them
+    sp = run_mllm_task(_task(expression), _bundle(tmp_path), RunConfig(pipeline="mllm"))
+    pred = sp.prediction
     assert pred.pathway is Pathway.SLOW
     assert pred.decision is None
     assert pred.box == BBox(5, 5, 50, 50)
+    assert pred.confidence == pytest.approx(0.5)
 
 
-def test_run_sfa_forced_fast_uses_grounder(tmp_path):
-    expression = "the dog"
-    write_fixture(
-        tmp_path,
-        ROLE_GROUND,
-        "img-task",
-        expression,
-        {"detections": [{"box": [1, 1, 9, 9], "score": 0.6}]},
-    )
-    params = SfaParams(focus=False, force_level=RouteLevel.FAST)
-    pred = run_sfa(_task(expression), _bundle(tmp_path), params)
-    assert pred.pathway is Pathway.FAST
-    assert pred.decision is None
-    assert pred.confidence == 0.6
-
-
-def test_run_sfa_forced_fast_failure_attributes_fast(tmp_path):
-    params = SfaParams(focus=False, force_level=RouteLevel.FAST)
-    pred = run_sfa(_task("the dog"), _bundle(tmp_path), params)
-    assert pred.note.startswith("backend failure")
-    assert pred.pathway is Pathway.FAST
+def test_run_mllm_task_failure_is_a_slow_miss(tmp_path):
+    sp = run_mllm_task(_task("the dog"), _bundle(tmp_path), RunConfig(pipeline="mllm"))
+    assert sp.prediction.box is None
+    assert sp.prediction.pathway is Pathway.SLOW
+    assert sp.prediction.decision is None
+    assert sp.prediction.note.startswith("backend failure")
 
 
 def test_run_sfa_missing_backend_is_a_miss(tmp_path):
@@ -419,3 +421,6 @@ def test_run_sfa_missing_backend_is_a_miss(tmp_path):
     pred = run_sfa(_task(expression), bundle)
     assert pred.note.startswith("backend failure")
     assert "grounder" in pred.note
+    # routing finished (one confident detection), so the miss is charged to fast
+    assert pred.pathway is Pathway.FAST
+    assert pred.decision.level is RouteLevel.FAST
