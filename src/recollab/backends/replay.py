@@ -67,12 +67,13 @@ class FixtureStore:
     def get(self, role: str, image_id: str, query: str) -> dict[str, Any]:
         key = fixture_key(role, image_id, query)
         path = self.root / f"{key}.json"
-        if not path.exists():
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
             raise FixtureMissError(
                 f"no fixture for role={role!r} image={image_id!r} query={query!r} "
                 f"(key {key}) under {self.root}"
-            )
-        text = path.read_text(encoding="utf-8")
+            ) from None
         header, _, rest = text.partition("\n")
         if header != FIXTURE_HEADER:
             raise BackendError(f"fixture {path} has unsupported header {header!r}")

@@ -1,9 +1,12 @@
 """Run orchestration.
 
-One coordinator thread submits tasks to a worker pool; per-backend
-semaphores bound in-flight calls; results are written to an append-only
-prediction log in submission order, which makes repeat runs byte-identical
-and lets an interrupted run resume by skipping already-logged task ids.
+A run whose backends all replay fixtures executes each task on the calling
+thread. A run that calls any HTTP backend overlaps model calls on a worker
+pool, fed through an in-order window a few tasks per worker deep;
+per-backend semaphores bound in-flight calls. Either way results are
+written to an append-only prediction log in dataset order, which makes
+repeat runs byte-identical and lets an interrupted run resume by skipping
+already-logged task ids.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ import json
 import logging
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .backends import BackendBundle
 from .backends.http import (
@@ -49,6 +54,10 @@ REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 LOG_VERSION = 1
 CRASH_ENV = "RECOLLAB_CRASH_AFTER"
+# Tasks a pooled run keeps submitted per worker thread: enough that workers
+# stay busy while the head of the window waits on a slow call, few enough
+# that an interrupted run abandons little work.
+WINDOW_PER_WORKER = 4
 
 
 class BoundedHandle:
@@ -292,6 +301,46 @@ def _write_report(
     return 0
 
 
+def _pool_size(cfg: RunConfig, spec: PipelineSpec) -> int:
+    """Worker threads for a run; 0 runs every task on the calling thread.
+
+    Replay calls are Python work under the interpreter lock, so threads
+    only add contention; HTTP calls wait on the network, and the pool
+    overlaps them up to the largest ``concurrency`` among the called roles.
+    """
+    settings = [cfg.backends[role] for role in spec.roles]
+    if all(s.kind == "replay" for s in settings):
+        return 0
+    return max(s.concurrency for s in settings)
+
+
+def _predict(
+    work: Callable[[RecTask], ScoredPrediction], tasks: Iterable[RecTask], pool_size: int
+) -> Iterator[ScoredPrediction]:
+    """Yield ``work(task)`` for each task, in task order.
+
+    With ``pool_size`` 0 each task runs on the calling thread. Otherwise
+    ``pool_size`` threads run them, submitted at most
+    ``WINDOW_PER_WORKER * pool_size`` ahead of the result being consumed.
+    When ``work`` raises or the generator is closed early, tasks not yet
+    started are cancelled and the running ones waited for.
+    """
+    if not pool_size:
+        yield from map(work, tasks)
+        return
+    window: deque[Future[ScoredPrediction]] = deque()
+    pool = ThreadPoolExecutor(max_workers=pool_size)
+    try:
+        for task in tasks:
+            if len(window) == WINDOW_PER_WORKER * pool_size:
+                yield window.popleft().result()
+            window.append(pool.submit(work, task))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_run(cfg: RunConfig) -> int:
     """Evaluate the configured pipeline over the test split.
 
@@ -327,10 +376,12 @@ def cmd_run(cfg: RunConfig) -> int:
 
     pending = [task for task in ts if task.id not in done]
     crash_after = _crash_budget()
-    pool_size = max([s.concurrency for s in cfg.backends.values()] or [1])
+    results = _predict(
+        lambda task: spec.worker(task, handles, cfg), pending, _pool_size(cfg, spec)
+    )
 
     preds: dict[str, ScoredPrediction] = dict(done)
-    with open(log_path, "a", encoding="utf-8") as log_file:
+    with open(log_path, "a", encoding="utf-8") as log_file, closing(results):
         if meta is None:
             meta = {
                 "record": "meta",
@@ -341,16 +392,13 @@ def cmd_run(cfg: RunConfig) -> int:
             }
             _write_record(log_file, meta)
         written = 0
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(spec.worker, task, handles, cfg) for task in pending]
-            for future in futures:
-                sp = future.result()
-                _write_record(log_file, {"record": "prediction", **sp.to_dict()})
-                preds[sp.prediction.task_id] = sp
-                written += 1
-                if crash_after is not None and written >= crash_after:
-                    logger.warning("crash hook: exiting after %d records", written)
-                    os._exit(3)
+        for sp in results:
+            _write_record(log_file, {"record": "prediction", **sp.to_dict()})
+            preds[sp.prediction.task_id] = sp
+            written += 1
+            if crash_after is not None and written >= crash_after:
+                logger.warning("crash hook: exiting after %d records", written)
+                os._exit(3)
 
     return _write_report(cfg, ts, preds, meta, out_dir)
 

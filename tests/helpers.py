@@ -8,9 +8,13 @@ recall rule by rank counting instead of sorting.
 
 from __future__ import annotations
 
+import json
 import random
 import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -430,3 +434,55 @@ def build_export_corpus(root, n_pos=12, n_neg=4, *, positives=10, negatives=3):
     config_path = root / "export.yaml"
     config_path.write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
     return config_path
+
+
+# ------------------------------------------------------------------- http
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = json.loads(self.rfile.read(length)) if length else {}
+        self.server.seen.append(
+            {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
+        )
+        if self.server.script:
+            status, payload = self.server.script.pop(0)
+        elif self.server.reply is not None:
+            status, payload = 200, self.server.reply(body)
+        else:
+            status, payload = 200, self.server.default
+        if isinstance(payload, bytes):
+            data = payload
+        else:
+            data = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def http_server(script=None, default=None, reply=None):
+    """A loopback JSON server on its own thread; yields (server, url).
+
+    Each POST is answered from ``script`` (a list of (status, payload)
+    consumed in order), then by ``reply(body)``, then with ``default``.
+    Requests are recorded in ``server.seen``.
+    """
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.script = list(script or [])
+    server.seen = []
+    server.default = default if default is not None else {}
+    server.reply = reply
+    thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -3,10 +3,7 @@
 import json
 import math
 import random
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -51,7 +48,7 @@ from recollab.backends.types import (
 )
 from recollab.datamodel import ImageRef
 
-from helpers import OracleSelector, parse_prompt_options
+from helpers import OracleSelector, http_server, parse_prompt_options
 
 IMG = ImageRef(image_id="img-1", width=640, height=480)
 
@@ -385,46 +382,6 @@ def test_replay_selector(tmp_path):
 
 
 # ------------------------------------------------------------------- http
-
-
-class _Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
-        self.server.seen.append(
-            {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
-        )
-        if self.server.script:
-            status, payload = self.server.script.pop(0)
-        else:
-            status, payload = 200, self.server.default
-        if isinstance(payload, bytes):
-            data = payload
-        else:
-            data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@contextmanager
-def http_server(script=None, default=None):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    server.script = list(script or [])
-    server.seen = []
-    server.default = default if default is not None else {}
-    thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
-    thread.start()
-    try:
-        yield server, f"http://127.0.0.1:{server.server_address[1]}/"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_http_detector_round_trip():

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from recollab import runner
 from recollab.backends import BackendBundle
 from recollab.backends.replay import ROLE_GENERATE, FixtureStore, write_fixture
 from recollab.backends.types import BackendError
@@ -24,6 +25,7 @@ from recollab.cli import main
 from recollab.config import PIPELINES, ConfigError, load_config
 from recollab.datamodel import load_taskset
 from recollab.geometry import BBox, Detection
+from recollab.prediction import Pathway, Prediction
 from recollab.runner import (
     LOG_NAME,
     PIPELINE_SPECS,
@@ -36,7 +38,7 @@ from recollab.runner import (
 )
 from recollab.sfa import SfaParams, build_focus_prompt
 
-from helpers import build_export_corpus, build_sfa_corpus, make_positive
+from helpers import build_export_corpus, build_sfa_corpus, http_server, make_positive
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -377,6 +379,111 @@ def test_run_resume_truncates_torn_tail(tmp_path):
     assert len(records) == 1 + 8
     task_ids = [r["task_id"] for r in records[1:]]
     assert len(set(task_ids)) == 8
+
+
+def test_replay_only_run_executes_inline_with_the_pooled_bytes(tmp_path, monkeypatch):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=6)
+    threads = []
+    real_run_sfa = runner.run_sfa
+
+    def recording_run_sfa(task, handles, params):
+        threads.append(threading.current_thread())
+        return real_run_sfa(task, handles, params)
+
+    monkeypatch.setattr(runner, "run_sfa", recording_run_sfa)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    assert set(threads) == {threading.current_thread()}
+    inline = (tmp_path / "out" / LOG_NAME).read_bytes()
+
+    shutil.rmtree(tmp_path / "out")
+    threads.clear()
+    monkeypatch.setattr(runner, "_pool_size", lambda cfg, spec: 4)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    assert len(threads) == 12 and threading.current_thread() not in threads
+    assert (tmp_path / "out" / LOG_NAME).read_bytes() == inline
+
+
+def test_run_with_an_http_role_overlaps_its_calls(tmp_path):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=6)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    replayed = read_records(tmp_path / "out" / LOG_NAME)[1:]
+    shutil.rmtree(tmp_path / "out")
+
+    store = FixtureStore(tmp_path / "fixtures")
+    lock = threading.Lock()
+    in_flight = peak = 0
+
+    def reply(body):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        time.sleep(0.05)
+        with lock:
+            in_flight -= 1
+        return store.get(ROLE_GENERATE, body["image"], body["prompt"])
+
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    with http_server(reply=reply) as (server, url):
+        config["backends"]["mllm"] = {"kind": "http", "endpoint": url, "concurrency": 4}
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["run", "-c", str(cfg_path)]) == 0
+    assert len(server.seen) == 9  # the slow-routed tasks
+    assert peak > 1
+    assert read_records(tmp_path / "out" / LOG_NAME)[1:] == replayed
+
+
+@pytest.mark.parametrize("stop", ["worker_raises", "interrupt_in_write_loop"])
+def test_stopped_pooled_run_abandons_queued_tasks(tmp_path, monkeypatch, stop):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=100)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    # never contacted: the stand-in worker below makes no backend call
+    config["backends"]["mllm"] = {"kind": "http", "endpoint": "http://127.0.0.1:9/"}
+    config["backends"]["grounder"]["concurrency"] = pool = 3
+    for role in ("extractor", "detector", "mllm"):
+        config["backends"][role]["concurrency"] = 1
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    cfg = load_config(cfg_path)
+    stop_at = 20
+    failing_id = list(load_taskset(tmp_path / "test.jsonl", "test"))[stop_at].id
+    lock = threading.Lock()
+    stopped = threading.Event()
+    started_after_stop = []
+
+    def worker(task, handles, params):
+        with lock:
+            if stopped.is_set():
+                started_after_stop.append(task.id)
+        time.sleep(0.001)
+        if stop == "worker_raises" and task.id == failing_id:
+            stopped.set()
+            raise RuntimeError("worker failed")
+        return Prediction(task_id=task.id, box=None, confidence=0.0, pathway=Pathway.SLOW)
+
+    monkeypatch.setattr(runner, "run_sfa", worker)
+    expected: type[BaseException] = RuntimeError
+    if stop == "interrupt_in_write_loop":
+        expected = KeyboardInterrupt
+        real_write = runner._write_record
+        written = 0
+
+        def interrupted_write(handle, record):
+            nonlocal written
+            if record["record"] == "prediction":
+                if written == stop_at:
+                    stopped.set()
+                    raise KeyboardInterrupt
+                written += 1
+            real_write(handle, record)
+
+        monkeypatch.setattr(runner, "_write_record", interrupted_write)
+
+    with pytest.raises(expected):
+        runner.cmd_run(cfg)
+    assert stopped.is_set()
+    assert len(started_after_stop) <= runner.WINDOW_PER_WORKER * pool + pool
+    # every result consumed before the stop is in the log
+    assert len(read_records(tmp_path / "out" / LOG_NAME)) == 1 + stop_at
 
 
 def test_run_refuses_log_from_other_config(tmp_path):
