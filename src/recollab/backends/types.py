@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from ..datamodel import ImageRef
-from ..geometry import BBox, Detection
+from ..geometry import BBox, Detection, TokenSpanScore
 
 
 class BackendError(Exception):
@@ -167,7 +167,7 @@ def detections_from_payload(payload: Mapping[str, object], query: str = "") -> G
         raise BackendError("detection payload missing 'detections' list")
     dets: list[Detection] = []
     for entry in raw:
-        if not isinstance(entry, Mapping):
+        if not isinstance(entry, dict):
             raise BackendError("detection entry is not an object")
         try:
             box = BBox.from_list(entry["box"])
@@ -182,10 +182,8 @@ def detections_from_payload(payload: Mapping[str, object], query: str = "") -> G
     return GroundingResult(detections=tuple(dets[i] for i in order), query=query)
 
 
-def _token_score_from(entry: object):
-    from ..geometry import TokenSpanScore
-
-    if not isinstance(entry, Mapping):
+def _token_score_from(entry: object) -> TokenSpanScore:
+    if not isinstance(entry, dict):
         raise ValueError("token score entry is not an object")
     return TokenSpanScore(
         start=int(entry["start"]), end=int(entry["end"]), score=float(entry["score"])

@@ -191,6 +191,8 @@ def _backend_from(role: str, data: Mapping[str, Any]) -> BackendSettings:
     token = _env_override(role, "token")
     if token:
         merged["token"] = token
+    if role in ("extractor", "selector") and merged.get("coordinate_space") is not None:
+        raise ConfigError(f"backends.{role}: coordinate_space applies to box-returning roles")
     return _dataclass_from(BackendSettings, merged, f"backends.{role}")
 
 

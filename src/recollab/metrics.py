@@ -11,6 +11,10 @@ Three metrics, all ratios of per-item indicators:
 * AUROC over confidences: the probability a positive sample outranks a
   negative one, ties counted half.
 
+Each positive and each pair is scored once, as the rank of its first box
+above the fixed IoU bar (``NO_HIT`` if none); a hit at k is ``rank < k``,
+so every P@k and R@k value is a count over the same ranks.
+
 The report breaks these down by difficulty and negative taxonomy, adds
 pathway counts and cost units, and states every cell's denominator.
 """
@@ -18,17 +22,19 @@ pathway counts and cost units, and states every cell's denominator.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .datamodel import Difficulty, EvalPair, Polarity, RecTask, TaskSet, pair_negatives
+from .datamodel import EvalPair, RecTask, TaskSet, pair_negatives
 from .geometry import BBox, iou
 from .prediction import Prediction
 
 logger = logging.getLogger(__name__)
 
 IOU_THRESHOLD = 0.5
+NO_HIT = math.inf  # rank of an item with no box above the IoU bar: a miss at every k
 DEFAULT_KS = (1, 5)
 
 COST_PROVENANCE = (
@@ -82,99 +88,89 @@ class ScoredPrediction:
         )
 
 
-def _hits_top_k(sp: ScoredPrediction | None, gt: BBox, k: int, iou_thr: float) -> bool:
-    if sp is None:
-        return False
-    return any(iou(box, gt) > iou_thr for box, _ in sp.ranked_boxes[:k])
+def _hit_rank(sp: ScoredPrediction | None, gt: BBox | None) -> float:
+    """Index of the first ranked box strictly above the IoU bar; NO_HIT if none."""
+    if sp is not None:
+        assert gt is not None
+        for rank, (box, _) in enumerate(sp.ranked_boxes):
+            if iou(box, gt) > IOU_THRESHOLD:
+                return rank
+    return NO_HIT
 
 
-def precision_at_k(
+def _positive_ranks(
+    preds: Mapping[str, ScoredPrediction], positives: Iterable[RecTask]
+) -> dict[str, float]:
+    """Hit rank of each positive by task id; a missing prediction is a miss."""
+    return {task.id: _hit_rank(preds.get(task.id), task.gt_box) for task in positives}
+
+
+def _pair_ranks(
+    pairs: Sequence[EvalPair],
     preds: Mapping[str, ScoredPrediction],
-    ts: TaskSet,
-    k: int,
-    iou_thr: float = IOU_THRESHOLD,
-) -> float:
+    pos_ranks: Mapping[str, float],
+) -> list[float | None]:
+    """Each pair's hit rank among both members' pooled boxes; None when dropped.
+
+    Pooled, boxes sort by confidence descending, the positive's first on
+    ties, then in each member's order: the positive's first hit keeps its
+    own earlier boxes ahead and gains every negative box of higher confidence.
+    """
+    ranks: list[float | None] = []
+    for pair in pairs:
+        pos_sp = preds.get(pair.positive.id)
+        neg_sp = preds.get(pair.negative.id)
+        if pos_sp is None or neg_sp is None:
+            ranks.append(None)
+            continue
+        rank = pos_ranks[pair.positive.id]
+        if rank != NO_HIT:
+            conf = pos_sp.ranked_boxes[int(rank)][1]
+            rank += sum(1 for _, other in neg_sp.ranked_boxes if other > conf)
+        ranks.append(rank)
+    return ranks
+
+
+def _hits(ranks: Iterable[float], k: int) -> int:
+    return sum(1 for rank in ranks if rank < k)
+
+
+def precision_at_k(preds: Mapping[str, ScoredPrediction], ts: TaskSet, k: int) -> float:
     """Fraction of positives with a top-k box strictly above the IoU bar."""
     positives = ts.positives()
     if not positives:
         raise ValueError("no positive tasks to score")
-    hits = 0
     for task in positives:
-        sp = preds.get(task.id)
-        if sp is None:
+        if task.id not in preds:
             logger.warning("no prediction for positive task %s; counting a miss", task.id)
-        assert task.gt_box is not None
-        if _hits_top_k(sp, task.gt_box, k, iou_thr):
-            hits += 1
-    return hits / len(positives)
-
-
-def _pair_hit(
-    pair: EvalPair,
-    preds: Mapping[str, ScoredPrediction],
-    k: int,
-    iou_thr: float,
-) -> bool | None:
-    """Top-k hit indicator for one pooled pair; None when a member is missing."""
-    pos_sp = preds.get(pair.positive.id)
-    neg_sp = preds.get(pair.negative.id)
-    if pos_sp is None or neg_sp is None:
-        return None
-    gt = pair.positive.gt_box
-    assert gt is not None
-    # sort key: confidence desc, then positive-sample boxes, then input order
-    pooled: list[tuple[float, int, int, float]] = []
-    for idx, (box, conf) in enumerate(pos_sp.ranked_boxes):
-        pooled.append((-conf, 0, idx, iou(box, gt)))
-    for idx, (_, conf) in enumerate(neg_sp.ranked_boxes):
-        pooled.append((-conf, 1, idx, 0.0))
-    pooled.sort(key=lambda entry: entry[:3])
-    return any(entry[3] > iou_thr for entry in pooled[:k])
+    ranks = _positive_ranks(preds, positives)
+    return _hits(ranks.values(), k) / len(ranks)
 
 
 def recall_at_k(
-    pairs: Sequence[EvalPair],
-    preds: Mapping[str, ScoredPrediction],
-    k: int,
-    iou_thr: float = IOU_THRESHOLD,
+    pairs: Sequence[EvalPair], preds: Mapping[str, ScoredPrediction], k: int
 ) -> float:
     """Hit fraction over pairs after pooling both members' ranked boxes."""
-    hits = 0
-    used = 0
-    for pair in pairs:
-        hit = _pair_hit(pair, preds, k, iou_thr)
-        if hit is None:
+    positives = {pair.positive.id: pair.positive for pair in pairs}.values()
+    ranks = _pair_ranks(pairs, preds, _positive_ranks(preds, positives))
+    for pair, rank in zip(pairs, ranks):
+        if rank is None:
             logger.warning(
-                "pair (%s, %s) missing a prediction; dropped",
-                pair.positive.id,
-                pair.negative.id,
+                "pair (%s, %s) missing a prediction; dropped", pair.positive.id, pair.negative.id
             )
-            continue
-        used += 1
-        hits += hit
-    if used == 0:
+    used = [rank for rank in ranks if rank is not None]
+    if not used:
         raise ValueError("no scorable pairs")
-    return hits / used
-
-
-def _auroc_counts(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> tuple[int, int]:
-    ordered = sorted(neg_scores)
-    wins = 0
-    ties = 0
-    for score in pos_scores:
-        lo = bisect_left(ordered, score)
-        hi = bisect_right(ordered, score)
-        wins += lo
-        ties += hi - lo
-    return wins, ties
+    return _hits(used, k) / len(used)
 
 
 def auroc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
     """P(pos > neg) + half P(pos = neg), by exact counting."""
     if not pos_scores or not neg_scores:
         raise ValueError("auroc undefined on empty score lists")
-    wins, ties = _auroc_counts(pos_scores, neg_scores)
-    return (wins + 0.5 * ties) / (len(pos_scores) * len(neg_scores))
+    value = _auroc_cell(pos_scores, neg_scores).value
+    assert value is not None
+    return value
 
 
 @dataclass(frozen=True)
@@ -272,110 +268,93 @@ class EvalReport:
         }
 
 
-def _precision_cell(
-    preds: Mapping[str, ScoredPrediction],
-    tasks: Sequence[RecTask],
-    k: int,
-    iou_thr: float,
-) -> Cell:
-    if not tasks:
+def _hit_cell(ranks: Sequence[float], k: int) -> Cell:
+    if not ranks:
         return _absent()
-    hits = sum(
-        1 for t in tasks if t.gt_box is not None and _hits_top_k(preds.get(t.id), t.gt_box, k, iou_thr)
-    )
-    return Cell(value=hits / len(tasks), numerator=hits, denominator=len(tasks))
-
-
-def _recall_cell(
-    preds: Mapping[str, ScoredPrediction],
-    pairs: Sequence[EvalPair],
-    k: int,
-    iou_thr: float,
-) -> Cell:
-    indicators = [_pair_hit(pair, preds, k, iou_thr) for pair in pairs]
-    usable = [ind for ind in indicators if ind is not None]
-    if len(usable) < len(indicators):
-        logger.warning("%d pairs dropped for missing predictions", len(indicators) - len(usable))
-    if not usable:
-        return _absent()
-    hits = sum(usable)
-    return Cell(value=hits / len(usable), numerator=hits, denominator=len(usable))
+    hits = _hits(ranks, k)
+    return Cell(value=hits / len(ranks), numerator=hits, denominator=len(ranks))
 
 
 def _auroc_cell(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> Cell:
     pairs = len(pos_scores) * len(neg_scores)
     if pairs == 0:
         return _absent(pairs)
-    wins, ties = _auroc_counts(pos_scores, neg_scores)
+    ordered = sorted(neg_scores)
+    wins = ties = 0
+    for score in pos_scores:
+        lo = bisect_left(ordered, score)
+        wins += lo
+        ties += bisect_right(ordered, score) - lo
     numerator = wins + 0.5 * ties
     return Cell(value=numerator / pairs, numerator=numerator, denominator=pairs)
 
 
 def _confidence(preds: Mapping[str, ScoredPrediction], task: RecTask) -> float:
     sp = preds.get(task.id)
-    if sp is None:
-        return 0.0
-    return sp.prediction.confidence
+    return 0.0 if sp is None else sp.prediction.confidence
+
+
+def _kind_key(task: RecTask) -> str | None:
+    return task.negative_kind.key() if task.negative_kind else None
+
+
+def _grouped(items: Iterable[tuple[str | None, Any]]) -> dict[str, list[Any]]:
+    """Values by group key, keys sorted; items without a key are left out."""
+    groups: dict[str, list[Any]] = {}
+    for key, value in items:
+        if key is not None:
+            groups.setdefault(key, []).append(value)
+    return {key: groups[key] for key in sorted(groups)}
 
 
 def build_report(
     preds: Mapping[str, ScoredPrediction],
     ts: TaskSet,
     *,
-    pairs: Sequence[EvalPair] | None = None,
     ks: Sequence[int] = DEFAULT_KS,
     unit_costs: Mapping[str, float] | None = None,
     metadata: Mapping[str, Any] | None = None,
-    iou_thr: float = IOU_THRESHOLD,
 ) -> EvalReport:
-    """Assemble every cell; groups with no members stay absent."""
-    if pairs is None:
-        pairs = pair_negatives(ts)
+    """Assemble every cell; groups with no members stay absent.
 
+    Group keys come in a fixed order: overall, then difficulties for
+    precision, negative kinds for recall, and polarities then negative kinds
+    for AUROC. Difficulty and polarity values sort in their enum order.
+    """
     positives = ts.positives()
     negatives = ts.negatives()
+    pairs = pair_negatives(ts)
 
-    precision: dict[int, dict[str, Cell]] = {}
-    for k in ks:
-        groups: dict[str, Cell] = {
-            "overall": _precision_cell(preds, positives, k, iou_thr)
-        }
-        for level in Difficulty:
-            members = [t for t in positives if t.difficulty is level]
-            if members:
-                groups[level.value] = _precision_cell(preds, members, k, iou_thr)
-        precision[k] = groups
+    pos_ranks = _positive_ranks(preds, positives)
+    precision_groups = {
+        "overall": list(pos_ranks.values()),
+        **_grouped(
+            (t.difficulty.value if t.difficulty else None, pos_ranks[t.id]) for t in positives
+        ),
+    }
 
-    recall: dict[int, dict[str, Cell]] = {}
-    for k in ks:
-        groups = {"overall": _recall_cell(preds, pairs, k, iou_thr)}
-        by_kind: dict[str, list[EvalPair]] = {}
-        for pair in pairs:
-            kind = pair.negative.negative_kind
-            if kind is not None:
-                by_kind.setdefault(kind.key(), []).append(pair)
-        for key in sorted(by_kind):
-            groups[key] = _recall_cell(preds, by_kind[key], k, iou_thr)
-        recall[k] = groups
+    pair_ranks = _pair_ranks(pairs, preds, pos_ranks)
+    dropped = pair_ranks.count(None)
+    if dropped:
+        logger.warning("%d pairs dropped for missing predictions", dropped)
+    # a kind whose pairs were all dropped still gets its (absent) cell
+    by_kind = _grouped((_kind_key(p.negative), rank) for p, rank in zip(pairs, pair_ranks))
+    recall_groups = {
+        key: [rank for rank in ranks if rank is not None]
+        for key, ranks in {"overall": pair_ranks, **by_kind}.items()
+    }
+
+    precision = {k: {g: _hit_cell(r, k) for g, r in precision_groups.items()} for k in ks}
+    recall = {k: {g: _hit_cell(r, k) for g, r in recall_groups.items()} for k in ks}
 
     pos_scores = [_confidence(preds, t) for t in positives]
-    auroc_cells: dict[str, Cell] = {
-        "overall": _auroc_cell(pos_scores, [_confidence(preds, t) for t in negatives])
+    neg_scores = [_confidence(preds, t) for t in negatives]
+    auroc_groups = {
+        "overall": neg_scores,
+        **_grouped((t.polarity.value, score) for t, score in zip(negatives, neg_scores)),
+        **_grouped((_kind_key(t), score) for t, score in zip(negatives, neg_scores)),
     }
-    for polarity in (Polarity.NEGATIVE_EXPRESSION, Polarity.NEGATIVE_IMAGE):
-        members = [t for t in negatives if t.polarity is polarity]
-        if members:
-            auroc_cells[polarity.value] = _auroc_cell(
-                pos_scores, [_confidence(preds, t) for t in members]
-            )
-    by_kind_tasks: dict[str, list[RecTask]] = {}
-    for task in negatives:
-        if task.negative_kind is not None:
-            by_kind_tasks.setdefault(task.negative_kind.key(), []).append(task)
-    for key in sorted(by_kind_tasks):
-        auroc_cells[key] = _auroc_cell(
-            pos_scores, [_confidence(preds, t) for t in by_kind_tasks[key]]
-        )
+    auroc_cells = {g: _auroc_cell(pos_scores, scores) for g, scores in auroc_groups.items()}
 
     counts: dict[str, int] = {}
     for sp in preds.values():

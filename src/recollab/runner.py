@@ -301,6 +301,19 @@ def _write_report(
     return 0
 
 
+def _require_image_sizes(cfg: RunConfig, ts: TaskSet, roles: Iterable[str]) -> None:
+    """Refuse tasks without ``width``/``height`` when a called role rescales boxes to them."""
+    scaled = [role for role in roles if cfg.backends[role].coordinate_space is not None]
+    if not scaled:
+        return
+    unsized = [t.id for t in ts if "width" not in t.extras or "height" not in t.extras]
+    if unsized:
+        raise ConfigError(
+            f"{len(unsized)} task(s) have no width/height, needed to rescale the "
+            f"{', '.join(scaled)} replies from coordinate_space (first: {unsized[0]})"
+        )
+
+
 def _pool_size(cfg: RunConfig, spec: PipelineSpec) -> int:
     """Worker threads for a run; 0 runs every task on the calling thread.
 
@@ -354,6 +367,7 @@ def cmd_run(cfg: RunConfig) -> int:
             raise ConfigError(f"pipeline {cfg.pipeline!r} needs a {role!r} backend")
 
     ts = load_taskset(cfg.dataset_path("test"), "test")
+    _require_image_sizes(cfg, ts, spec.roles)
     handles = build_backends(cfg)
     expected_hash = config_hash(cfg)
 
@@ -450,6 +464,7 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
     if "grounder" not in cfg.backends:
         raise ConfigError("export-tuning needs a grounder backend")
     ts = load_taskset(cfg.dataset_path("train"), "train")
+    _require_image_sizes(cfg, ts, ("grounder",))
     handles = build_backends(cfg)
     samples = export_tuning(
         ts,

@@ -181,6 +181,12 @@ def test_detections_from_payload_rejects_garbage():
         detections_from_payload({"detections": [{"score": 0.5}]})
     with pytest.raises(BackendError):
         detections_from_payload({"detections": [{"box": [5, 0, 1, 1], "score": 0.5}]})
+    with pytest.raises(BackendError, match="not an object"):
+        detections_from_payload({"detections": [[0, 0, 1, 1]]})
+    with pytest.raises(BackendError, match="not an object"):
+        detections_from_payload(
+            {"detections": [{"box": [0, 0, 1, 1], "score": 0.5, "token_scores": [[0, 1, 0.5]]}]}
+        )
 
 
 def test_grounding_result_validates_order():

@@ -19,7 +19,7 @@ import yaml
 
 from recollab import runner
 from recollab.backends import BackendBundle
-from recollab.backends.replay import ROLE_GENERATE, FixtureStore, write_fixture
+from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore, write_fixture
 from recollab.backends.types import BackendError
 from recollab.cli import main
 from recollab.config import PIPELINES, ConfigError, load_config
@@ -576,6 +576,40 @@ def test_run_requires_backends_for_pipeline(tmp_path):
     assert "mllm" in proc.stderr
 
 
+def test_run_refuses_unsized_tasks_for_a_rescaling_role(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    replayed = read_records(tmp_path / "out" / LOG_NAME)[1:]
+    shutil.rmtree(tmp_path / "out")
+    capsys.readouterr()
+
+    store = FixtureStore(tmp_path / "fixtures")
+
+    def reply(body):
+        return store.get(ROLE_GROUND, body["image"], body["query"])
+
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    with http_server(reply=reply) as (server, url):
+        config["backends"]["grounder"] = {"kind": "http", "endpoint": url, "coordinate_space": 1000}
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["run", "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "6 task(s) have no width/height" in err
+        assert "grounder" in err and "(first: pos-00000)" in err
+        assert server.seen == [] and not (tmp_path / "out").exists()
+
+        # a 1000x1000 image in a 0..1000 grid: the replies come back unscaled
+        dataset = tmp_path / "test.jsonl"
+        records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+        dataset.write_text(
+            "".join(json.dumps({**r, "width": 1000, "height": 1000}) + "\n" for r in records),
+            encoding="utf-8",
+        )
+        assert main(["run", "-c", str(cfg_path)]) == 0
+    assert server.seen
+    assert read_records(tmp_path / "out" / LOG_NAME)[1:] == replayed
+
+
 # ------------------------------------------------------------- CLI: report
 
 
@@ -657,6 +691,18 @@ def test_export_tuning_backend_failure_exits_1(tmp_path, capsys):
         fixture.unlink()
     assert main(["export-tuning", "-c", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: no fixture for role='ground'")
+
+
+def test_export_tuning_refuses_unsized_tasks_for_a_rescaling_grounder(tmp_path, capsys):
+    cfg_path = build_export_corpus(tmp_path, n_pos=3, n_neg=1, positives=3, negatives=1)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    with http_server() as (server, url):
+        config["backends"]["grounder"] = {"kind": "http", "endpoint": url, "coordinate_space": 1000}
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["export-tuning", "-c", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "4 task(s) have no width/height" in err and "grounder" in err
+    assert server.seen == []
 
 
 # ------------------------------------------------------------ CLI: parsing

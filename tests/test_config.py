@@ -102,6 +102,12 @@ def test_replay_backend_rejects_coordinate_space():
     with pytest.raises(ConfigError, match="coordinate_space"):
         BackendSettings(kind="replay", fixtures="f", coordinate_space=1000)
     assert BackendSettings(kind="http", endpoint="http://x", coordinate_space=1000)
+    # extractor and selector replies carry no boxes, so there is nothing to rescale
+    entry = {"kind": "http", "endpoint": "http://x", "coordinate_space": 1000}
+    for role in ("extractor", "selector"):
+        with pytest.raises(ConfigError, match=f"backends.{role}: coordinate_space"):
+            config_from_dict({"backends": {role: entry}})
+    config_from_dict({"backends": {"detector": entry, "grounder": entry, "mllm": entry}})
 
 
 def test_tuning_and_metrics_validation():

@@ -19,7 +19,15 @@ from recollab import (
     recall_at_k,
     render_text,
 )
-from recollab.datamodel import Difficulty, Split
+from recollab.datamodel import (
+    Difficulty,
+    NegativeKind,
+    NegEdit,
+    NegFacet,
+    NegLocus,
+    Polarity,
+    Split,
+)
 from recollab.metrics import COST_PROVENANCE, Cell, PathwayStats
 
 from helpers import (
@@ -421,3 +429,129 @@ def test_report_to_dict_and_render():
     assert "AUROC" in text
     assert "supplied by configuration" in text
     assert "/16)" in text  # denominators are visible
+
+
+# ------------------------------------------------- report against references
+
+# kinds a negative expression can carry; flip edits exist only on negative images
+EXPRESSION_KINDS = (
+    NegativeKind(edit=NegEdit.REPLACE, facet=NegFacet.OBJECT, locus=NegLocus.L1),
+    NegativeKind(edit=NegEdit.SWAP, facet=NegFacet.ATTRIBUTE, locus=NegLocus.L2),
+    NegativeKind(edit=NegEdit.REPLACE, facet=NegFacet.RELATION, locus=NegLocus.L2),
+)
+IMAGE_KINDS = EXPRESSION_KINDS[:2] + (
+    NegativeKind(edit=NegEdit.FLIP, facet=NegFacet.RELATION, locus=NegLocus.L1),
+)
+# carried by one pair only, whose negative has no prediction: an absent cell
+DROPPED_KIND = NegativeKind(edit=NegEdit.SWAP, facet=NegFacet.RELATION, locus=NegLocus.L2)
+
+
+def seeded_report_fixture(seed, n_pos=40):
+    """Positives of every difficulty (and none), negatives of both polarities
+    and several kinds, coarse confidences that tie, missing predictions."""
+    rng = random.Random(seed)
+    conf_pool = [0.2, 0.4, 0.6, 0.8]
+    tasks, preds = [], {}
+
+    def predict(task):
+        if rng.random() >= 0.1:
+            preds[task.id] = sp_for(task.id, random_ranked(rng, GT, conf_pool))
+
+    n_neg = 0
+    for i in range(n_pos):
+        pos = make_positive(i, difficulty=rng.choice([*Difficulty, None]))
+        tasks.append(pos)
+        predict(pos)
+        for _ in range(rng.randint(0, 2)):
+            polarity = rng.choice([Polarity.NEGATIVE_EXPRESSION, Polarity.NEGATIVE_IMAGE])
+            kinds = IMAGE_KINDS if polarity is Polarity.NEGATIVE_IMAGE else EXPRESSION_KINDS
+            neg = make_negative(n_neg, pos, polarity=polarity, kind=rng.choice(kinds))
+            n_neg += 1
+            tasks.append(neg)
+            predict(neg)
+    tasks.append(make_negative(n_neg, tasks[0], kind=DROPPED_KIND))
+    return TaskSet.build(Split.TEST, tasks), preds
+
+
+def reference_report(ts, preds, ks):
+    """(numerator, denominator) per cell, by direct counting: top-k slices for
+    precision, rank counting for recall, all-pairs counting for AUROC."""
+    positives, negatives, pairs = ts.positives(), ts.negatives(), pair_negatives(ts)
+
+    def top_k_hit(task, k):
+        sp = preds.get(task.id)
+        if sp is None:
+            return False
+        return any(iou(box, task.gt_box) > 0.5 for box, _ in sp.ranked_boxes[:k])
+
+    def pair_hit(pair, k):
+        pos_boxes = preds[pair.positive.id].ranked_boxes
+        neg_boxes = preds[pair.negative.id].ranked_boxes
+        pos_entries = [(conf, iou(box, pair.positive.gt_box)) for box, conf in pos_boxes]
+        return rank_pair_hit(pos_entries, [conf for _, conf in neg_boxes], k)
+
+    def count(hits):
+        return (sum(hits), len(hits)) if hits else (None, 0)
+
+    pos_groups = {"overall": positives}
+    for level in Difficulty:
+        if any(t.difficulty is level for t in positives):
+            pos_groups[level.value] = [t for t in positives if t.difficulty is level]
+    kinds = sorted({p.negative.negative_kind.key() for p in pairs})
+    pair_groups = {"overall": pairs}
+    for key in kinds:
+        pair_groups[key] = [p for p in pairs if p.negative.negative_kind.key() == key]
+    scorable = {
+        g: [p for p in members if p.positive.id in preds and p.negative.id in preds]
+        for g, members in pair_groups.items()
+    }
+    precision = {
+        k: {g: count([top_k_hit(t, k) for t in members]) for g, members in pos_groups.items()}
+        for k in ks
+    }
+    recall = {
+        k: {g: count([pair_hit(p, k) for p in members]) for g, members in scorable.items()}
+        for k in ks
+    }
+
+    def confidence(task):
+        return preds[task.id].prediction.confidence if task.id in preds else 0.0
+
+    neg_groups = {"overall": negatives}
+    for polarity in (Polarity.NEGATIVE_EXPRESSION, Polarity.NEGATIVE_IMAGE):
+        neg_groups[polarity.value] = [t for t in negatives if t.polarity is polarity]
+    for key in kinds:
+        neg_groups[key] = [t for t in negatives if t.negative_kind.key() == key]
+    pos_scores = [confidence(t) for t in positives]
+    aurocs = {}
+    for g, members in neg_groups.items():
+        scores = [confidence(t) for t in members]
+        aurocs[g] = (brute_auroc(pos_scores, scores), len(pos_scores) * len(scores))
+    return precision, recall, aurocs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_report_cells_match_brute_force_counting(seed):
+    ts, preds = seeded_report_fixture(seed)
+    ks = (1, 2, 5)
+    want_precision, want_recall, want_auroc = reference_report(ts, preds, ks)
+    report = build_report(preds, ts, ks=ks)
+
+    kinds = sorted({t.negative_kind.key() for t in ts.negatives()})
+    assert DROPPED_KIND.key() in kinds and len(kinds) >= 4
+    assert {t.difficulty for t in ts.positives()} >= set(Difficulty)
+    assert any(t.id not in preds for t in ts.positives())
+    for k in ks:
+        assert list(report.precision[k]) == ["overall", "L1", "L2", "L3"]
+        assert list(report.recall[k]) == ["overall", *kinds]
+        cells = {g: (c.numerator, c.denominator) for g, c in report.precision[k].items()}
+        assert cells == want_precision[k]
+        cells = {g: (c.numerator, c.denominator) for g, c in report.recall[k].items()}
+        assert cells == want_recall[k]
+    assert not report.recall[1][DROPPED_KIND.key()].present
+
+    assert list(report.auroc_cells) == ["overall", "negative_expression", "negative_image", *kinds]
+    for group, cell in report.auroc_cells.items():
+        value, denominator = want_auroc[group]
+        assert (cell.value, cell.denominator) == (value, denominator)
+        assert cell.numerator == pytest.approx(value * denominator)
