@@ -35,7 +35,6 @@ from .datamodel import (
 from .geometry import BBox, Detection, TokenSpanScore, iou, nms
 from .metrics import (
     EvalReport,
-    ScoredPrediction,
     auroc,
     build_report,
     precision_at_k,
@@ -67,7 +66,6 @@ __all__ = [
     "RouteDecision",
     "RouteLevel",
     "RunConfig",
-    "ScoredPrediction",
     "SfaParams",
     "Split",
     "TaskSet",

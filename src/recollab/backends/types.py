@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, Sequence
 
 from ..datamodel import ImageRef
 from ..geometry import BBox, Detection, TokenSpanScore
@@ -81,27 +81,22 @@ class SelectionResult:
             raise ValueError(f"label {self.label!r} not among offered {self.offered}")
 
 
-@runtime_checkable
 class TargetExtractor(Protocol):
     def extract(self, expression: str) -> str: ...
 
 
-@runtime_checkable
 class Detector(Protocol):
     def detect(self, image: ImageRef, class_name: str) -> GroundingResult: ...
 
 
-@runtime_checkable
 class Grounder(Protocol):
     def ground(self, image: ImageRef, expression: str) -> GroundingResult: ...
 
 
-@runtime_checkable
 class MllmGrounder(Protocol):
     def ground_generative(self, image: ImageRef, prompt: str) -> GenerativeGrounding: ...
 
 
-@runtime_checkable
 class Selector(Protocol):
     def select(self, image: ImageRef, prompt: str, offered: Sequence[str]) -> SelectionResult: ...
 

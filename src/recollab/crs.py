@@ -21,7 +21,8 @@ from .backends import BackendBundle
 from .backends.types import BackendError, Grounder
 from .datamodel import RecTask, TaskSet, image_ref
 from .geometry import BBox, Detection, box_to_pixels, iou, nms
-from .prediction import FAILURE_NOTE_PREFIX, Pathway, Prediction
+from .metrics import IOU_THRESHOLD
+from .prediction import Pathway, Prediction
 
 logger = logging.getLogger(__name__)
 
@@ -184,12 +185,6 @@ class CrsParams:
             raise ValueError(f"nms threshold out of [0, 1]: {self.nms_threshold}")
 
 
-def _miss(task: RecTask, note: str) -> Prediction:
-    return Prediction(
-        task_id=task.id, box=None, confidence=0.0, pathway=Pathway.CRS, note=note
-    )
-
-
 def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams()) -> Prediction:
     """Full candidate-selection pass for one task.
 
@@ -202,7 +197,7 @@ def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams
         grounding = handles.require("grounder").ground(image, task.expression)
         cs = generate_candidates(grounding.detections, k=params.k, nms_thr=params.nms_threshold)
         if not cs.candidates and not params.include_none:
-            return _miss(task, "no candidates survived")
+            return Prediction.miss(task.id, Pathway.CRS, "no candidates survived")
         cp = build_choice_prompt(
             task.expression,
             cs,
@@ -213,21 +208,16 @@ def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams
         )
         sel = handles.require("selector").select(image, cp.text, cp.offered)
     except BackendError as exc:
-        logger.warning("CRS backend failure on task %s: %s", task.id, exc)
-        return _miss(task, f"{FAILURE_NOTE_PREFIX}: {exc}")
+        return Prediction.backend_failure(task.id, Pathway.CRS, exc)
 
     label = parse_choice(sel.raw_text, cp) if sel.raw_text else sel.label
     raw: dict[str, Any] = {"text": sel.raw_text, "label_prob": sel.label_prob}
     if label is None:
-        return _miss(task, f"unparseable selector answer: {sel.raw_text[:80]!r}")
+        note = f"unparseable selector answer: {sel.raw_text[:80]!r}"
+        return Prediction.miss(task.id, Pathway.CRS, note)
     if label == cp.none_label:
-        return Prediction(
-            task_id=task.id,
-            box=None,
-            confidence=0.0,
-            pathway=Pathway.CRS,
-            raw=dict(raw, label=label),
-            note="rejected via None option",
+        return Prediction.miss(
+            task.id, Pathway.CRS, "rejected via None option", raw=dict(raw, label=label)
         )
     return Prediction(
         task_id=task.id,
@@ -291,9 +281,9 @@ class TuningSample:
         )
 
 
-def candidate_hit(cs: CandidateSet, gt: BBox, iou_thr: float = 0.5) -> bool:
-    """True when some candidate box beats the IoU threshold against GT."""
-    return any(iou(det.box, gt) > iou_thr for _, det in cs.candidates)
+def candidate_hit(cs: CandidateSet, gt: BBox) -> bool:
+    """True when some candidate box beats the metrics' IoU bar against GT."""
+    return any(iou(det.box, gt) > IOU_THRESHOLD for _, det in cs.candidates)
 
 
 def _sample_rng(seed: int, task_id: str) -> random.Random:

@@ -15,6 +15,9 @@ from typing import Any, Iterator, Mapping
 
 from .geometry import BBox
 
+# Pixel size assumed for a task whose extras carry no width/height.
+DEFAULT_IMAGE_SIZE = (1000, 1000)
+
 
 class Split(str, Enum):
     TRAIN = "train"
@@ -81,10 +84,10 @@ class ImageRef:
             raise ValueError(f"image size must be positive, got {self.width}x{self.height}")
 
 
-def image_ref(task: RecTask, default_size: tuple[int, int] = (1000, 1000)) -> ImageRef:
-    """ImageRef for a task; pixel size comes from extras, else a default grid."""
-    width = task.extras.get("width", default_size[0])
-    height = task.extras.get("height", default_size[1])
+def image_ref(task: RecTask) -> ImageRef:
+    """ImageRef for a task; pixel size comes from extras, else ``DEFAULT_IMAGE_SIZE``."""
+    width = task.extras.get("width", DEFAULT_IMAGE_SIZE[0])
+    height = task.extras.get("height", DEFAULT_IMAGE_SIZE[1])
     return ImageRef(image_id=task.image, width=int(width), height=int(height))
 
 

@@ -11,6 +11,11 @@ Three metrics, all ratios of per-item indicators:
 * AUROC over confidences: the probability a positive sample outranks a
   negative one, ties counted half.
 
+Every metric reads ``prediction.Prediction`` records keyed by task id:
+P@k and R@k their ``ranked_boxes``, AUROC their ``confidence``. A task
+with no record counts as a miss at confidence 0 (P@k, AUROC) or drops
+its pair (R@k).
+
 Each positive and each pair is scored once, as the rank of its first box
 above the fixed IoU bar (``NO_HIT`` if none); a hit at k is ``rank < k``,
 so every P@k and R@k value is a count over the same ranks.
@@ -43,63 +48,18 @@ COST_PROVENANCE = (
 )
 
 
-@dataclass(frozen=True)
-class ScoredPrediction:
-    """A prediction plus every box the model would offer, best first.
-
-    Single-output pipelines carry one ranked box (or none for a
-    rejection); box-regression baselines carry their full ranked list.
-    """
-
-    prediction: Prediction
-    ranked_boxes: tuple[tuple[BBox, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "ranked_boxes", tuple((box, float(conf)) for box, conf in self.ranked_boxes)
-        )
-        confs = [conf for _, conf in self.ranked_boxes]
-        if any(a < b for a, b in zip(confs, confs[1:])):
-            raise ValueError("ranked_boxes confidences must be non-increasing")
-
-    @classmethod
-    def single(cls, prediction: Prediction) -> ScoredPrediction:
-        if prediction.box is None:
-            return cls(prediction=prediction, ranked_boxes=())
-        return cls(
-            prediction=prediction, ranked_boxes=((prediction.box, prediction.confidence),)
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        record = self.prediction.to_dict()
-        record["ranked_boxes"] = [
-            {"box": box.as_list(), "confidence": conf} for box, conf in self.ranked_boxes
-        ]
-        return record
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> ScoredPrediction:
-        return cls(
-            prediction=Prediction.from_dict(dict(data)),
-            ranked_boxes=tuple(
-                (BBox.from_list(entry["box"]), float(entry["confidence"]))
-                for entry in data.get("ranked_boxes", ())
-            ),
-        )
-
-
-def _hit_rank(sp: ScoredPrediction | None, gt: BBox | None) -> float:
+def _hit_rank(pred: Prediction | None, gt: BBox | None) -> float:
     """Index of the first ranked box strictly above the IoU bar; NO_HIT if none."""
-    if sp is not None:
+    if pred is not None:
         assert gt is not None
-        for rank, (box, _) in enumerate(sp.ranked_boxes):
+        for rank, (box, _) in enumerate(pred.ranked_boxes):
             if iou(box, gt) > IOU_THRESHOLD:
                 return rank
     return NO_HIT
 
 
 def _positive_ranks(
-    preds: Mapping[str, ScoredPrediction], positives: Iterable[RecTask]
+    preds: Mapping[str, Prediction], positives: Iterable[RecTask]
 ) -> dict[str, float]:
     """Hit rank of each positive by task id; a missing prediction is a miss."""
     return {task.id: _hit_rank(preds.get(task.id), task.gt_box) for task in positives}
@@ -107,7 +67,7 @@ def _positive_ranks(
 
 def _pair_ranks(
     pairs: Sequence[EvalPair],
-    preds: Mapping[str, ScoredPrediction],
+    preds: Mapping[str, Prediction],
     pos_ranks: Mapping[str, float],
 ) -> list[float | None]:
     """Each pair's hit rank among both members' pooled boxes; None when dropped.
@@ -118,15 +78,15 @@ def _pair_ranks(
     """
     ranks: list[float | None] = []
     for pair in pairs:
-        pos_sp = preds.get(pair.positive.id)
-        neg_sp = preds.get(pair.negative.id)
-        if pos_sp is None or neg_sp is None:
+        pos_pred = preds.get(pair.positive.id)
+        neg_pred = preds.get(pair.negative.id)
+        if pos_pred is None or neg_pred is None:
             ranks.append(None)
             continue
         rank = pos_ranks[pair.positive.id]
         if rank != NO_HIT:
-            conf = pos_sp.ranked_boxes[int(rank)][1]
-            rank += sum(1 for _, other in neg_sp.ranked_boxes if other > conf)
+            conf = pos_pred.ranked_boxes[int(rank)][1]
+            rank += sum(1 for _, other in neg_pred.ranked_boxes if other > conf)
         ranks.append(rank)
     return ranks
 
@@ -135,7 +95,7 @@ def _hits(ranks: Iterable[float], k: int) -> int:
     return sum(1 for rank in ranks if rank < k)
 
 
-def precision_at_k(preds: Mapping[str, ScoredPrediction], ts: TaskSet, k: int) -> float:
+def precision_at_k(preds: Mapping[str, Prediction], ts: TaskSet, k: int) -> float:
     """Fraction of positives with a top-k box strictly above the IoU bar."""
     positives = ts.positives()
     if not positives:
@@ -147,9 +107,7 @@ def precision_at_k(preds: Mapping[str, ScoredPrediction], ts: TaskSet, k: int) -
     return _hits(ranks.values(), k) / len(ranks)
 
 
-def recall_at_k(
-    pairs: Sequence[EvalPair], preds: Mapping[str, ScoredPrediction], k: int
-) -> float:
+def recall_at_k(pairs: Sequence[EvalPair], preds: Mapping[str, Prediction], k: int) -> float:
     """Hit fraction over pairs after pooling both members' ranked boxes."""
     positives = {pair.positive.id: pair.positive for pair in pairs}.values()
     ranks = _pair_ranks(pairs, preds, _positive_ranks(preds, positives))
@@ -289,9 +247,9 @@ def _auroc_cell(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> Cel
     return Cell(value=numerator / pairs, numerator=numerator, denominator=pairs)
 
 
-def _confidence(preds: Mapping[str, ScoredPrediction], task: RecTask) -> float:
-    sp = preds.get(task.id)
-    return 0.0 if sp is None else sp.prediction.confidence
+def _confidence(preds: Mapping[str, Prediction], task: RecTask) -> float:
+    pred = preds.get(task.id)
+    return 0.0 if pred is None else pred.confidence
 
 
 def _kind_key(task: RecTask) -> str | None:
@@ -308,7 +266,7 @@ def _grouped(items: Iterable[tuple[str | None, Any]]) -> dict[str, list[Any]]:
 
 
 def build_report(
-    preds: Mapping[str, ScoredPrediction],
+    preds: Mapping[str, Prediction],
     ts: TaskSet,
     *,
     ks: Sequence[int] = DEFAULT_KS,
@@ -357,8 +315,8 @@ def build_report(
     auroc_cells = {g: _auroc_cell(pos_scores, scores) for g, scores in auroc_groups.items()}
 
     counts: dict[str, int] = {}
-    for sp in preds.values():
-        counts[sp.prediction.pathway.value] = counts.get(sp.prediction.pathway.value, 0) + 1
+    for pred in preds.values():
+        counts[pred.pathway.value] = counts.get(pred.pathway.value, 0) + 1
     pathways = PathwayStats(counts=counts, unit_costs=dict(unit_costs or {}))
 
     return EvalReport(

@@ -1,12 +1,22 @@
-"""Per-task pipeline outputs: routing decisions and predictions."""
+"""Per-task pipeline outputs: routing decisions and prediction records.
+
+A ``Prediction`` is the one record every pipeline writes per task and
+every metric reads: the chosen box (absent for a rejection or a failed
+task), its confidence, the pathway, and every box the model would offer,
+best first. Misses and backend failures are built here, so the note that
+marks a failed task has one spelling.
+"""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 from .geometry import BBox
+
+logger = logging.getLogger(__name__)
 
 # Note prefix marking a task whose backend call failed; the runner counts
 # these to set the exit status.
@@ -72,9 +82,12 @@ class RouteDecision:
 class Prediction:
     """A pipeline's answer for one task.
 
-    A missing box is a rejection (or a failed task, see ``note``).
+    A missing box is a rejection (or a failed task, see ``failed``).
     Confidence 0 is reserved for exactly those cases: a present box must
-    carry a nonzero confidence.
+    carry a nonzero confidence. ``ranked_boxes`` lists every box the model
+    would offer, confidence non-increasing; it defaults to the one chosen
+    box, or to none for a rejection. Box-regression baselines pass their
+    full ranked list.
     """
 
     task_id: str
@@ -84,16 +97,55 @@ class Prediction:
     decision: RouteDecision | None = None
     raw: Any = None
     note: str | None = None
+    ranked_boxes: tuple[tuple[BBox, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
         if self.box is not None and self.confidence == 0.0:
             raise ValueError("a present box requires a nonzero confidence")
+        if self.ranked_boxes is None:
+            ranked = () if self.box is None else ((self.box, float(self.confidence)),)
+        else:
+            ranked = tuple((box, float(conf)) for box, conf in self.ranked_boxes)
+            confs = [conf for _, conf in ranked]
+            if any(a < b for a, b in zip(confs, confs[1:])):
+                raise ValueError("ranked_boxes confidences must be non-increasing")
+        object.__setattr__(self, "ranked_boxes", ranked)
+
+    @classmethod
+    def miss(
+        cls,
+        task_id: str,
+        pathway: Pathway,
+        note: str,
+        *,
+        decision: RouteDecision | None = None,
+        raw: Any = None,
+    ) -> Prediction:
+        """A box-less answer: confidence 0, no ranked boxes, ``note`` says why."""
+        return cls(task_id, None, 0.0, pathway, decision=decision, raw=raw, note=note)
+
+    @classmethod
+    def backend_failure(
+        cls,
+        task_id: str,
+        pathway: Pathway,
+        exc: Exception,
+        decision: RouteDecision | None = None,
+    ) -> Prediction:
+        """A miss for a task whose backend call raised; logged as a warning."""
+        logger.warning("backend failure on task %s (%s pathway): %s", task_id, pathway.value, exc)
+        return cls.miss(task_id, pathway, f"{FAILURE_NOTE_PREFIX}: {exc}", decision=decision)
 
     @property
     def rejected(self) -> bool:
         return self.box is None
+
+    @property
+    def failed(self) -> bool:
+        """True for a task whose backend call failed."""
+        return (self.note or "").startswith(FAILURE_NOTE_PREFIX)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -104,6 +156,9 @@ class Prediction:
             "decision": self.decision.to_dict() if self.decision else None,
             "raw": self.raw,
             "note": self.note,
+            "ranked_boxes": [
+                {"box": box.as_list(), "confidence": conf} for box, conf in self.ranked_boxes
+            ],
         }
 
     @classmethod
@@ -118,4 +173,8 @@ class Prediction:
             decision=RouteDecision.from_dict(decision) if decision else None,
             raw=data.get("raw"),
             note=data.get("note"),
+            ranked_boxes=tuple(
+                (BBox.from_list(entry["box"]), float(entry["confidence"]))
+                for entry in data.get("ranked_boxes", ())
+            ),
         )

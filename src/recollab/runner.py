@@ -43,8 +43,9 @@ from .backends.types import BackendError
 from .config import BackendSettings, ConfigError, RunConfig, config_hash
 from .crs import export_tuning, run_crs, save_tuning
 from .datamodel import DatasetError, RecTask, TaskSet, image_ref, load_taskset, validate_counts
-from .metrics import ScoredPrediction, build_report, render_text
-from .prediction import FAILURE_NOTE_PREFIX, Pathway, Prediction
+from .metrics import build_report, render_text
+from .prediction import FAILURE_NOTE_PREFIX  # noqa: F401 - bench/run.py imports it from here
+from .prediction import Pathway, Prediction
 from .sfa import build_focus_prompt, ground_slow, run_sfa
 
 logger = logging.getLogger(__name__)
@@ -119,41 +120,39 @@ def build_backends(cfg: RunConfig) -> BackendBundle:
     return BackendBundle(**handles)
 
 
-def run_specialist_task(task: RecTask, handles: BackendBundle) -> ScoredPrediction:
+def run_specialist_task(task: RecTask, handles: BackendBundle) -> Prediction:
     """Plain grounder baseline: top confidence box wins, full list ranked."""
-    image = image_ref(task)
     try:
-        grounding = handles.require("grounder").ground(image, task.expression)
+        grounding = handles.require("grounder").ground(image_ref(task), task.expression)
     except BackendError as exc:
-        logger.warning("specialist backend failure on task %s: %s", task.id, exc)
-        return ScoredPrediction(
-            prediction=Prediction(
-                task_id=task.id,
-                box=None,
-                confidence=0.0,
-                pathway=Pathway.FAST,
-                note=f"{FAILURE_NOTE_PREFIX}: {exc}",
-            ),
-            ranked_boxes=(),
-        )
+        return Prediction.backend_failure(task.id, Pathway.FAST, exc)
+    if not grounding.detections:
+        return Prediction.miss(task.id, Pathway.FAST, "grounder returned no detections")
     ranked = tuple((det.box, det.score) for det in grounding.detections)
-    best = grounding.detections[0] if grounding.detections else None
-    if best is None or best.score <= 0.0:
-        note = "grounder returned no detections" if best is None else "best detection has zero confidence"
-        prediction = Prediction(
-            task_id=task.id, box=None, confidence=0.0, pathway=Pathway.FAST, note=note
+    best = grounding.detections[0]
+    if best.score <= 0.0:
+        # a zero-score miss still ranks every box the grounder offered
+        return Prediction(
+            task_id=task.id,
+            box=None,
+            confidence=0.0,
+            pathway=Pathway.FAST,
+            note="best detection has zero confidence",
+            ranked_boxes=ranked,
         )
-    else:
-        prediction = Prediction(
-            task_id=task.id, box=best.box, confidence=best.score, pathway=Pathway.FAST
-        )
-    return ScoredPrediction(prediction=prediction, ranked_boxes=ranked)
+    return Prediction(
+        task_id=task.id,
+        box=best.box,
+        confidence=best.score,
+        pathway=Pathway.FAST,
+        ranked_boxes=ranked,
+    )
 
 
-def run_mllm_task(task: RecTask, handles: BackendBundle, cfg: RunConfig) -> ScoredPrediction:
+def run_mllm_task(task: RecTask, handles: BackendBundle, cfg: RunConfig) -> Prediction:
     """Vanilla generative baseline: base prompt, no routing, no focus."""
     prompt = build_focus_prompt(task.expression, "", replace(cfg.sfa, focus=False))
-    return ScoredPrediction.single(ground_slow(task, handles, prompt))
+    return ground_slow(task, handles, prompt)
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ class PipelineSpec:
     """One pipeline: the backend roles each pathway calls, and its per-task worker."""
 
     pathways: Mapping[str, tuple[str, ...]]
-    worker: Callable[[RecTask, BackendBundle, RunConfig], ScoredPrediction]
+    worker: Callable[[RecTask, BackendBundle, RunConfig], Prediction]
 
     @property
     def roles(self) -> tuple[str, ...]:
@@ -185,11 +184,11 @@ PIPELINE_SPECS: Mapping[str, PipelineSpec] = {
             Pathway.FAST.value: ("extractor", "detector", "grounder"),
             Pathway.SLOW.value: ("extractor", "detector", "mllm"),
         },
-        lambda task, handles, cfg: ScoredPrediction.single(run_sfa(task, handles, cfg.sfa)),
+        lambda task, handles, cfg: run_sfa(task, handles, cfg.sfa),
     ),
     "crs": PipelineSpec(
         {Pathway.CRS.value: ("grounder", "selector")},
-        lambda task, handles, cfg: ScoredPrediction.single(run_crs(task, handles, cfg.crs)),
+        lambda task, handles, cfg: run_crs(task, handles, cfg.crs),
     ),
 }
 
@@ -212,7 +211,7 @@ def _write_record(handle, record: Mapping[str, Any]) -> None:
     handle.flush()
 
 
-def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, ScoredPrediction], int]:
+def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], int]:
     """Parse a prediction log; returns (meta, predictions, valid byte length).
 
     A torn final line (no trailing newline, from a hard crash) is excluded
@@ -228,7 +227,7 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, ScoredPredict
         raw = raw[:cut]
         valid_len = cut
     meta: dict[str, Any] | None = None
-    preds: dict[str, ScoredPrediction] = {}
+    preds: dict[str, Prediction] = {}
     for line_no, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
         if not line.strip():
             continue
@@ -241,8 +240,8 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, ScoredPredict
             if meta is None:
                 meta = record
         elif kind == "prediction":
-            sp = ScoredPrediction.from_dict(record)
-            preds[sp.prediction.task_id] = sp
+            pred = Prediction.from_dict(record)
+            preds[pred.task_id] = pred
         else:
             raise ConfigError(f"prediction log line {line_no} has unknown record kind {kind!r}")
     return meta, preds, valid_len
@@ -264,7 +263,7 @@ def _crash_budget() -> int | None:
 def _write_report(
     cfg: RunConfig,
     ts: TaskSet,
-    preds: Mapping[str, ScoredPrediction],
+    preds: Mapping[str, Prediction],
     meta: Mapping[str, Any],
     out_dir: Path,
 ) -> int:
@@ -272,9 +271,7 @@ def _write_report(
 
     Returns 1 when backend failures were logged, else 0.
     """
-    failed = sum(
-        1 for sp in preds.values() if (sp.prediction.note or "").startswith(FAILURE_NOTE_PREFIX)
-    )
+    failed = sum(1 for pred in preds.values() if pred.failed)
     report = build_report(
         preds,
         ts,
@@ -328,8 +325,8 @@ def _pool_size(cfg: RunConfig, spec: PipelineSpec) -> int:
 
 
 def _predict(
-    work: Callable[[RecTask], ScoredPrediction], tasks: Iterable[RecTask], pool_size: int
-) -> Iterator[ScoredPrediction]:
+    work: Callable[[RecTask], Prediction], tasks: Iterable[RecTask], pool_size: int
+) -> Iterator[Prediction]:
     """Yield ``work(task)`` for each task, in task order.
 
     With ``pool_size`` 0 each task runs on the calling thread. Otherwise
@@ -341,7 +338,7 @@ def _predict(
     if not pool_size:
         yield from map(work, tasks)
         return
-    window: deque[Future[ScoredPrediction]] = deque()
+    window: deque[Future[Prediction]] = deque()
     pool = ThreadPoolExecutor(max_workers=pool_size)
     try:
         for task in tasks:
@@ -394,7 +391,7 @@ def cmd_run(cfg: RunConfig) -> int:
         lambda task: spec.worker(task, handles, cfg), pending, _pool_size(cfg, spec)
     )
 
-    preds: dict[str, ScoredPrediction] = dict(done)
+    preds: dict[str, Prediction] = dict(done)
     with open(log_path, "a", encoding="utf-8") as log_file, closing(results):
         if meta is None:
             meta = {
@@ -406,9 +403,9 @@ def cmd_run(cfg: RunConfig) -> int:
             }
             _write_record(log_file, meta)
         written = 0
-        for sp in results:
-            _write_record(log_file, {"record": "prediction", **sp.to_dict()})
-            preds[sp.prediction.task_id] = sp
+        for pred in results:
+            _write_record(log_file, {"record": "prediction", **pred.to_dict()})
+            preds[pred.task_id] = pred
             written += 1
             if crash_after is not None and written >= crash_after:
                 logger.warning("crash hook: exiting after %d records", written)

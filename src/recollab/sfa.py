@@ -19,7 +19,7 @@ from .backends import BackendBundle
 from .backends.types import BackendError, Detector, GroundingResult, derive_confidence
 from .datamodel import ImageRef, RecTask, image_ref
 from .geometry import Detection
-from .prediction import FAILURE_NOTE_PREFIX, Pathway, Prediction, RouteDecision, RouteLevel
+from .prediction import Pathway, Prediction, RouteDecision, RouteLevel
 
 logger = logging.getLogger(__name__)
 
@@ -117,20 +117,6 @@ def target_focus_select(result: GroundingResult, span: tuple[int, int] | None) -
     return dets[best]
 
 
-def _failure(
-    task: RecTask, exc: BackendError, pathway: Pathway, decision: RouteDecision | None
-) -> Prediction:
-    logger.warning("SFA backend failure on task %s: %s", task.id, exc)
-    return Prediction(
-        task_id=task.id,
-        box=None,
-        confidence=0.0,
-        pathway=pathway,
-        decision=decision,
-        note=f"{FAILURE_NOTE_PREFIX}: {exc}",
-    )
-
-
 def ground_slow(
     task: RecTask, handles: BackendBundle, prompt: str, decision: RouteDecision | None = None
 ) -> Prediction:
@@ -142,7 +128,7 @@ def ground_slow(
     try:
         answer = handles.require("mllm").ground_generative(image_ref(task), prompt)
     except BackendError as exc:
-        return _failure(task, exc, Pathway.SLOW, decision)
+        return Prediction.backend_failure(task.id, Pathway.SLOW, exc, decision)
     raw = {"text": answer.raw_text}
     if answer.box is None:
         note = (
@@ -150,15 +136,7 @@ def ground_slow(
             if answer.malformed
             else "no coordinates in generative answer"
         )
-        return Prediction(
-            task_id=task.id,
-            box=None,
-            confidence=0.0,
-            pathway=Pathway.SLOW,
-            decision=decision,
-            raw=raw,
-            note=note,
-        )
+        return Prediction.miss(task.id, Pathway.SLOW, note, decision=decision, raw=raw)
     confidence = derive_confidence(answer.coordinate_token_probs)
     assert confidence is not None
     return Prediction(
@@ -190,29 +168,20 @@ def run_sfa(task: RecTask, handles: BackendBundle, params: SfaParams = SfaParams
         grounding = handles.require("grounder").ground(image, task.expression)
     except BackendError as exc:
         fast = decision is not None and decision.level is RouteLevel.FAST
-        return _failure(task, exc, Pathway.FAST if fast else Pathway.SLOW, decision)
+        pathway = Pathway.FAST if fast else Pathway.SLOW
+        return Prediction.backend_failure(task.id, pathway, exc, decision)
 
     if not grounding.detections:
-        return Prediction(
-            task_id=task.id,
-            box=None,
-            confidence=0.0,
-            pathway=Pathway.FAST,
-            decision=decision,
-            note="grounder returned no detections",
+        return Prediction.miss(
+            task.id, Pathway.FAST, "grounder returned no detections", decision=decision
         )
     if params.focus:
         det = target_focus_select(grounding, find_target_span(task.expression, target))
     else:
         det = grounding.detections[0]
     if det.score <= 0.0:
-        return Prediction(
-            task_id=task.id,
-            box=None,
-            confidence=0.0,
-            pathway=Pathway.FAST,
-            decision=decision,
-            note="selected detection has zero confidence",
+        return Prediction.miss(
+            task.id, Pathway.FAST, "selected detection has zero confidence", decision=decision
         )
     return Prediction(
         task_id=task.id, box=det.box, confidence=det.score, pathway=Pathway.FAST, decision=decision

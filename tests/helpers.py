@@ -403,6 +403,24 @@ def build_sfa_corpus(root, n_pairs=10, *, seed=7, omit_generate_for=None):
     return config_path
 
 
+def write_mllm_fixtures(root) -> None:
+    """Record the ``mllm`` baseline's answers for a ``build_sfa_corpus`` dataset.
+
+    The baseline sends the base prompt without the focus clause; every
+    task gets the same confident box.
+    """
+    from recollab.backends.replay import ROLE_GENERATE, write_fixture
+    from recollab.datamodel import load_taskset
+    from recollab.sfa import SfaParams, build_focus_prompt
+
+    root = Path(root)
+    base = SfaParams(focus=False)
+    answer = {"text": "[[100, 100, 200, 200]]", "coordinate_token_probs": [0.9] * 4}
+    for task in load_taskset(root / "test.jsonl", "test"):
+        prompt = build_focus_prompt(task.expression, "", base)
+        write_fixture(root / "fixtures", ROLE_GENERATE, task.image, prompt, answer)
+
+
 def build_export_corpus(root, n_pos=12, n_neg=4, *, positives=10, negatives=3):
     """Train split + grounder fixtures + config for export-tuning runs."""
     import yaml

@@ -37,7 +37,6 @@ from recollab.datamodel import (
 )
 from recollab.geometry import BBox, Detection, TokenSpanScore, iou, nms
 from recollab.metrics import (
-    ScoredPrediction,
     auroc,
     build_report,
     precision_at_k,
@@ -144,34 +143,29 @@ def test_criterion_02_metric_oracle_equivalence():
                 neg_confs = sorted(
                     (rng.choice(pool) for _ in range(rng.randint(0, 4))), reverse=True
                 )
-                preds[pos_task.id] = ScoredPrediction(
-                    prediction=Prediction(
-                        task_id=pos_task.id,
-                        box=pos_boxes[0][1],
-                        confidence=pos_boxes[0][0],
-                        pathway=Pathway.FAST,
-                    ),
+                preds[pos_task.id] = Prediction(
+                    task_id=pos_task.id,
+                    box=pos_boxes[0][1],
+                    confidence=pos_boxes[0][0],
+                    pathway=Pathway.FAST,
                     ranked_boxes=tuple((box, conf) for conf, box in pos_boxes),
                 )
                 if neg_confs:
-                    neg_pred = Prediction(
+                    preds[neg_task.id] = Prediction(
                         task_id=neg_task.id,
                         box=miss_box,
                         confidence=neg_confs[0],
                         pathway=Pathway.FAST,
+                        ranked_boxes=tuple((miss_box, conf) for conf in neg_confs),
                     )
                 else:
-                    neg_pred = Prediction(
+                    preds[neg_task.id] = Prediction(
                         task_id=neg_task.id,
                         box=None,
                         confidence=0.0,
                         pathway=Pathway.FAST,
                         note="rejected",
                     )
-                preds[neg_task.id] = ScoredPrediction(
-                    prediction=neg_pred,
-                    ranked_boxes=tuple((miss_box, conf) for conf in neg_confs),
-                )
                 pos_entries = [(conf, pairwise_iou(box, gt)) for conf, box in pos_boxes]
                 expected_hits += rank_pair_hit(pos_entries, neg_confs, k)
             assert recall_at_k(pairs, preds, k) == expected_hits / n_pairs
@@ -188,8 +182,8 @@ def test_criterion_03_paired_recall_matches_precision():
             tasks.extend((pos, neg))
             hit = i % 3 != 0
             box = BBox(12.0, 12.0, 58.0, 58.0) if hit else BBox(200.0, 200.0, 260.0, 260.0)
-            preds[pos.id] = ScoredPrediction.single(
-                Prediction(task_id=pos.id, box=box, confidence=0.8, pathway=Pathway.FAST)
+            preds[pos.id] = Prediction(
+                task_id=pos.id, box=box, confidence=0.8, pathway=Pathway.FAST
             )
             # every negative scores strictly below its paired positive;
             # some are outright rejections
@@ -208,7 +202,7 @@ def test_criterion_03_paired_recall_matches_precision():
                     pathway=Pathway.SLOW,
                     note="rejected",
                 )
-            preds[neg.id] = ScoredPrediction.single(neg_pred)
+            preds[neg.id] = neg_pred
 
         ts = TaskSet.build(Split.TEST, tasks)
         p1 = precision_at_k(preds, ts, k=1)
@@ -342,9 +336,7 @@ def test_criterion_06_candidate_selection_oracle_ceiling(tmp_path):
             selector=OracleSelector({t.image: t.gt_box for t in tasks}),
         )
         params = CrsParams()
-        preds = {
-            task.id: ScoredPrediction.single(run_crs(task, handles, params)) for task in tasks
-        }
+        preds = {task.id: run_crs(task, handles, params) for task in tasks}
         crs_p1 = precision_at_k(preds, ts, k=1)
 
         # ceiling computed from scratch: quadratic NMS, truncate, any-hit
@@ -464,8 +456,8 @@ def test_criterion_10_pathway_cost_accounting():
         preds = {}
         for i, task in enumerate(tasks):
             pathway = Pathway.FAST if i < 40 else Pathway.SLOW
-            preds[task.id] = ScoredPrediction.single(
-                Prediction(task_id=task.id, box=hit_box, confidence=0.9, pathway=pathway)
+            preds[task.id] = Prediction(
+                task_id=task.id, box=hit_box, confidence=0.9, pathway=pathway
             )
         units = {"fast": 1.0, "slow": 10.0}
         report = build_report(preds, ts, ks=(1,), unit_costs=units, metadata={})

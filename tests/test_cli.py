@@ -4,6 +4,7 @@ End-to-end tests run the installed console entry through a subprocess so
 os._exit in the crash hook cannot take the test process down with it.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -19,7 +20,7 @@ import yaml
 
 from recollab import runner
 from recollab.backends import BackendBundle
-from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore, write_fixture
+from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore
 from recollab.backends.types import BackendError
 from recollab.cli import main
 from recollab.config import PIPELINES, ConfigError, load_config
@@ -36,9 +37,14 @@ from recollab.runner import (
     read_log,
     run_specialist_task,
 )
-from recollab.sfa import SfaParams, build_focus_prompt
 
-from helpers import build_export_corpus, build_sfa_corpus, http_server, make_positive
+from helpers import (
+    build_export_corpus,
+    build_sfa_corpus,
+    http_server,
+    make_positive,
+    write_mllm_fixtures,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -212,33 +218,36 @@ def test_specialist_task_ranks_every_detection():
         Detection(box=BBox(0, 0, 10, 10), score=0.9),
         Detection(box=BBox(20, 20, 30, 30), score=0.4),
     )
-    sp = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder(dets)))
-    assert sp.prediction.box == dets[0].box
-    assert sp.prediction.confidence == 0.9
-    assert sp.prediction.pathway.value == "fast"
-    assert sp.ranked_boxes == ((dets[0].box, 0.9), (dets[1].box, 0.4))
+    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder(dets)))
+    assert pred.box == dets[0].box
+    assert pred.confidence == 0.9
+    assert pred.pathway.value == "fast"
+    assert pred.ranked_boxes == ((dets[0].box, 0.9), (dets[1].box, 0.4))
 
 
 def test_specialist_task_empty_grounding_is_rejection():
-    sp = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder()))
-    assert sp.prediction.box is None
-    assert sp.prediction.confidence == 0.0
-    assert "no detections" in sp.prediction.note
-    assert sp.ranked_boxes == ()
+    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder()))
+    assert pred.box is None
+    assert pred.confidence == 0.0
+    assert "no detections" in pred.note
+    assert pred.ranked_boxes == ()
 
 
 def test_specialist_task_zero_score_is_rejection():
     dets = (Detection(box=BBox(0, 0, 10, 10), score=0.0),)
-    sp = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder(dets)))
-    assert sp.prediction.box is None
-    assert "zero confidence" in sp.prediction.note
+    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder(dets)))
+    assert pred.box is None
+    assert "zero confidence" in pred.note
+    # the miss still ranks the grounder's box for P@k and R@k
+    assert pred.ranked_boxes == ((dets[0].box, 0.0),)
 
 
 def test_specialist_task_backend_failure_is_noted():
     stub = _StubGrounder(error=BackendError("socket closed"))
-    sp = run_specialist_task(make_positive(0), BackendBundle(grounder=stub))
-    assert sp.prediction.note.startswith("backend failure")
-    assert "socket closed" in sp.prediction.note
+    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=stub))
+    assert pred.note.startswith("backend failure")
+    assert "socket closed" in pred.note
+    assert pred.failed
 
 
 # ----------------------------------------------------------- CLI: validate
@@ -522,12 +531,7 @@ def test_run_pipeline_override(tmp_path):
 
 def test_run_mllm_pipeline_end_to_end(tmp_path, monkeypatch):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
-    # the baseline sends the base prompt without the focus clause
-    base = SfaParams(focus=False)
-    for task in load_taskset(tmp_path / "test.jsonl", "test"):
-        prompt = build_focus_prompt(task.expression, "", base)
-        answer = {"text": "[[100, 100, 200, 200]]", "coordinate_token_probs": [0.9] * 4}
-        write_fixture(tmp_path / "fixtures", ROLE_GENERATE, task.image, prompt, answer)
+    write_mllm_fixtures(tmp_path)
     roles_read = []
     original_get = FixtureStore.get
 
@@ -545,6 +549,38 @@ def test_run_mllm_pipeline_end_to_end(tmp_path, monkeypatch):
     assert all(r["pathway"] == "slow" and r["decision"] is None for r in preds)
     assert all(r["box"] == [100.0, 100.0, 200.0, 200.0] for r in preds)
     assert roles_read == [ROLE_GENERATE] * 6
+
+
+# sha256 of the prediction lines and of report.json that each pipeline writes
+# over build_sfa_corpus(n_pairs=10); a change to either format shows here.
+PINNED_DIGESTS = {
+    "mllm": (
+        "14f3b048725ed04fbb2750f198dcb1ec7abbb30d978852d4a60926c3d031d75c",
+        "28ec75417290d0334478c5d0bfd2e1ecd8be7b8f54a13b91b10f99bef0d39c6e",
+    ),
+    "sfa": (
+        "478ce5d09ce536a24021bba09a852a8eb8c793084c22d0fa086bde7957bbad88",
+        "1205c4830da9d4ad0c6f5ac49c3bd0ba37148a312b3685bc9de1a85750a237e6",
+    ),
+    "specialist": (
+        "bd1510a0eb6ec6d815deb1e2147224125b13bba26f2475aebc8d4007312b3651",
+        "7f76fe823f5aec80386a3ed0860a081208847d0d5c2595bb55854ca5339f8ae2",
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(PINNED_DIGESTS))
+def test_log_and_report_bytes_are_pinned(tmp_path, pipeline):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=10)
+    write_mllm_fixtures(tmp_path)
+    assert main(["run", "-c", str(cfg_path), "--pipeline", pipeline]) == 0
+    out = tmp_path / "out"
+    lines = (out / LOG_NAME).read_bytes().splitlines(keepends=True)
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (b"".join(lines[1:]), (out / REPORT_JSON).read_bytes())
+    )
+    assert digests == PINNED_DIGESTS[pipeline]
 
 
 def test_run_seed_override_changes_config_hash(tmp_path):

@@ -9,7 +9,6 @@ from recollab import (
     EvalPair,
     Pathway,
     Prediction,
-    ScoredPrediction,
     TaskSet,
     auroc,
     build_report,
@@ -41,15 +40,18 @@ from helpers import (
 GT = BBox(10.0, 10.0, 60.0, 60.0)  # default ground truth from make_positive
 
 
-def sp_for(task_id, boxes, pathway=Pathway.CRS):
-    """ScoredPrediction from (box, confidence) pairs, best first."""
-    if boxes:
-        pred = Prediction(task_id=task_id, box=boxes[0][0], confidence=boxes[0][1], pathway=pathway)
-    else:
-        pred = Prediction(
-            task_id=task_id, box=None, confidence=0.0, pathway=pathway, note="rejected"
-        )
-    return ScoredPrediction(prediction=pred, ranked_boxes=tuple(boxes))
+def pred_for(task_id, boxes, pathway=Pathway.CRS):
+    """Prediction ranking (box, confidence) pairs, best first; none is a rejection."""
+    if not boxes:
+        return Prediction.miss(task_id, pathway, "rejected")
+    box, confidence = boxes[0]
+    return Prediction(
+        task_id=task_id,
+        box=box,
+        confidence=confidence,
+        pathway=pathway,
+        ranked_boxes=tuple(boxes),
+    )
 
 
 def box_with_iou_above(gt, hit=True):
@@ -65,29 +67,28 @@ def iou_box(gt, target_iou):
     return BBox(gt.x0, gt.y0, gt.x0 + w, gt.y1)
 
 
-# -------------------------------------------------------- ScoredPrediction
+# ------------------------------------------------- Prediction.ranked_boxes
 
 
-def test_scored_prediction_orders_confidences():
+def test_prediction_ranked_boxes_must_not_increase():
     with pytest.raises(ValueError):
-        sp_for("t", [(GT, 0.5), (GT, 0.9)])
-    sp = sp_for("t", [(GT, 0.9), (GT, 0.9), (GT, 0.5)])
-    assert len(sp.ranked_boxes) == 3
+        pred_for("t", [(GT, 0.5), (GT, 0.9)])
+    pred = pred_for("t", [(GT, 0.9), (GT, 0.9), (GT, 0.5)])
+    assert len(pred.ranked_boxes) == 3
 
 
-def test_scored_prediction_single():
+def test_prediction_ranked_boxes_default_to_the_chosen_box():
     pred = Prediction(task_id="t", box=GT, confidence=0.7, pathway=Pathway.FAST)
-    sp = ScoredPrediction.single(pred)
-    assert sp.ranked_boxes == ((GT, 0.7),)
+    assert pred.ranked_boxes == ((GT, 0.7),)
     rejected = Prediction(task_id="t", box=None, confidence=0.0, pathway=Pathway.FAST)
-    assert ScoredPrediction.single(rejected).ranked_boxes == ()
+    assert rejected.ranked_boxes == ()
 
 
-def test_scored_prediction_round_trip():
-    sp = sp_for("t", [(GT, 0.9), (BBox(0, 0, 5, 5), 0.2)])
-    again = ScoredPrediction.from_dict(sp.to_dict())
-    assert again == sp
-    assert ScoredPrediction.from_dict(sp_for("t", []).to_dict()).ranked_boxes == ()
+def test_prediction_round_trip_keeps_ranked_boxes():
+    pred = pred_for("t", [(GT, 0.9), (BBox(0, 0, 5, 5), 0.2)])
+    again = Prediction.from_dict(pred.to_dict())
+    assert again == pred
+    assert Prediction.from_dict(pred_for("t", []).to_dict()).ranked_boxes == ()
 
 
 # -------------------------------------------------------------- precision
@@ -97,9 +98,9 @@ def test_precision_known_example():
     tasks = [make_positive(i) for i in range(3)]
     ts = TaskSet.build(Split.TEST, tasks)
     preds = {
-        tasks[0].id: sp_for(tasks[0].id, [(iou_box(GT, 0.6), 0.9)]),
-        tasks[1].id: sp_for(tasks[1].id, [(iou_box(GT, 0.4), 0.9)]),
-        tasks[2].id: sp_for(tasks[2].id, [(iou_box(GT, 0.9), 0.9)]),
+        tasks[0].id: pred_for(tasks[0].id, [(iou_box(GT, 0.6), 0.9)]),
+        tasks[1].id: pred_for(tasks[1].id, [(iou_box(GT, 0.4), 0.9)]),
+        tasks[2].id: pred_for(tasks[2].id, [(iou_box(GT, 0.9), 0.9)]),
     }
     assert precision_at_k(preds, ts, 1) == pytest.approx(2 / 3)
 
@@ -107,9 +108,9 @@ def test_precision_known_example():
 def test_precision_identity_and_strict_threshold():
     tasks = [make_positive(0)]
     ts = TaskSet.build(Split.TEST, tasks)
-    exact = {tasks[0].id: sp_for(tasks[0].id, [(GT, 1.0)])}
+    exact = {tasks[0].id: pred_for(tasks[0].id, [(GT, 1.0)])}
     assert precision_at_k(exact, ts, 1) == 1.0
-    at_bar = {tasks[0].id: sp_for(tasks[0].id, [(iou_box(GT, 0.5), 1.0)])}
+    at_bar = {tasks[0].id: pred_for(tasks[0].id, [(iou_box(GT, 0.5), 1.0)])}
     assert iou(iou_box(GT, 0.5), GT) == 0.5
     assert precision_at_k(at_bar, ts, 1) == 0.0  # IoU exactly 0.5 is a miss
 
@@ -122,7 +123,7 @@ def test_precision_k_widens_the_window():
         (BBox(200, 200, 250, 250), 0.8),
         (box_with_iou_above(GT, hit=True), 0.7),
     ]
-    preds = {tasks[0].id: sp_for(tasks[0].id, ranked)}
+    preds = {tasks[0].id: pred_for(tasks[0].id, ranked)}
     assert precision_at_k(preds, ts, 1) == 0.0
     assert precision_at_k(preds, ts, 2) == 0.0
     assert precision_at_k(preds, ts, 3) == 1.0
@@ -131,7 +132,7 @@ def test_precision_k_widens_the_window():
 def test_precision_missing_and_rejected_count_as_misses(caplog):
     tasks = [make_positive(0), make_positive(1)]
     ts = TaskSet.build(Split.TEST, tasks)
-    preds = {tasks[0].id: sp_for(tasks[0].id, [])}
+    preds = {tasks[0].id: pred_for(tasks[0].id, [])}
     with caplog.at_level("WARNING"):
         assert precision_at_k(preds, ts, 1) == 0.0
     assert any("no prediction" in m for m in caplog.messages)
@@ -147,7 +148,7 @@ def test_precision_ignores_negatives_in_denominator():
     pos = make_positive(0)
     neg = make_negative(0, pos)
     ts = TaskSet.build(Split.TEST, [pos, neg])
-    preds = {pos.id: sp_for(pos.id, [(GT, 0.9)]), neg.id: sp_for(neg.id, [(GT, 0.9)])}
+    preds = {pos.id: pred_for(pos.id, [(GT, 0.9)]), neg.id: pred_for(neg.id, [(GT, 0.9)])}
     assert precision_at_k(preds, ts, 1) == 1.0
 
 
@@ -158,8 +159,8 @@ def paired_preds(pos_conf, neg_conf, *, pos_hit=True):
     ts = paired_taskset(1)
     pos, neg = ts.positives()[0], ts.negatives()[0]
     preds = {
-        pos.id: sp_for(pos.id, [(box_with_iou_above(GT, hit=pos_hit), pos_conf)]),
-        neg.id: sp_for(neg.id, [(box_with_iou_above(GT, hit=False), neg_conf)]),
+        pos.id: pred_for(pos.id, [(box_with_iou_above(GT, hit=pos_hit), pos_conf)]),
+        neg.id: pred_for(neg.id, [(box_with_iou_above(GT, hit=False), neg_conf)]),
     }
     return ts, preds
 
@@ -185,8 +186,8 @@ def test_recall_rejected_negative_never_blocks():
     ts = paired_taskset(1)
     pos, neg = ts.positives()[0], ts.negatives()[0]
     preds = {
-        pos.id: sp_for(pos.id, [(box_with_iou_above(GT), 0.4)]),
-        neg.id: sp_for(neg.id, []),
+        pos.id: pred_for(pos.id, [(box_with_iou_above(GT), 0.4)]),
+        neg.id: pred_for(neg.id, []),
     }
     assert recall_at_k(pair_negatives(ts), preds, 1) == 1.0
 
@@ -196,9 +197,9 @@ def test_recall_drops_pairs_missing_predictions(caplog):
     pos_ids = [t.id for t in ts.positives()]
     neg_ids = [t.id for t in ts.negatives()]
     preds = {
-        pos_ids[0]: sp_for(pos_ids[0], [(box_with_iou_above(GT), 0.9)]),
-        neg_ids[0]: sp_for(neg_ids[0], []),
-        pos_ids[1]: sp_for(pos_ids[1], [(box_with_iou_above(GT), 0.9)]),
+        pos_ids[0]: pred_for(pos_ids[0], [(box_with_iou_above(GT), 0.9)]),
+        neg_ids[0]: pred_for(neg_ids[0], []),
+        pos_ids[1]: pred_for(pos_ids[1], [(box_with_iou_above(GT), 0.9)]),
         # second negative has no prediction: that pair is dropped
     }
     with caplog.at_level("WARNING"):
@@ -230,8 +231,8 @@ def test_recall_matches_rank_counting_oracle():
         pos_boxes = random_ranked(rng, GT, conf_pool)
         neg_boxes = random_ranked(rng, GT, conf_pool)
         preds = {
-            pos.id: sp_for(pos.id, pos_boxes),
-            neg.id: sp_for(neg.id, neg_boxes),
+            pos.id: pred_for(pos.id, pos_boxes),
+            neg.id: pred_for(neg.id, neg_boxes),
         }
         k = rng.randint(1, 5)
         got = recall_at_k(pairs, preds, k)
@@ -251,8 +252,8 @@ def test_recall_monotone_in_k():
     conf_pool = [0.2, 0.4, 0.6, 0.8]
     for _ in range(200):
         preds = {
-            pos.id: sp_for(pos.id, random_ranked(rng, GT, conf_pool)),
-            neg.id: sp_for(neg.id, random_ranked(rng, GT, conf_pool)),
+            pos.id: pred_for(pos.id, random_ranked(rng, GT, conf_pool)),
+            neg.id: pred_for(neg.id, random_ranked(rng, GT, conf_pool)),
         }
         values = [recall_at_k(pairs, preds, k) for k in (1, 2, 3, 5, 8)]
         assert values == sorted(values)
@@ -267,7 +268,7 @@ def test_recall_never_exceeds_precision():
         preds = {}
         for task in ts.tasks:
             gt = task.gt_box if task.is_positive else GT
-            preds[task.id] = sp_for(task.id, random_ranked(rng, gt, conf_pool))
+            preds[task.id] = pred_for(task.id, random_ranked(rng, gt, conf_pool))
         for k in (1, 3, 5):
             assert recall_at_k(pair_negatives(ts), preds, k) <= precision_at_k(preds, ts, k)
 
@@ -343,12 +344,12 @@ def full_report_fixture():
     for i, task in enumerate(ts.positives()):
         hit = i % 2 == 0
         conf = 0.9 - 0.1 * i
-        preds[task.id] = sp_for(task.id, [(box_with_iou_above(GT, hit=hit), conf)], Pathway.FAST)
+        preds[task.id] = pred_for(task.id, [(box_with_iou_above(GT, hit=hit), conf)], Pathway.FAST)
     for i, task in enumerate(ts.negatives()):
         if i % 2 == 0:
-            preds[task.id] = sp_for(task.id, [], Pathway.SLOW)
+            preds[task.id] = pred_for(task.id, [], Pathway.SLOW)
         else:
-            preds[task.id] = sp_for(task.id, [(BBox(500, 500, 600, 600), 0.3)], Pathway.SLOW)
+            preds[task.id] = pred_for(task.id, [(BBox(500, 500, 600, 600), 0.3)], Pathway.SLOW)
     return ts, preds
 
 
@@ -379,8 +380,8 @@ def test_build_report_structure():
 def test_build_report_auroc_cell_is_exact_counting():
     ts, preds = full_report_fixture()
     report = build_report(preds, ts)
-    pos_scores = [preds[t.id].prediction.confidence for t in ts.positives()]
-    neg_scores = [preds[t.id].prediction.confidence for t in ts.negatives()]
+    pos_scores = [preds[t.id].confidence for t in ts.positives()]
+    neg_scores = [preds[t.id].confidence for t in ts.negatives()]
     cell = report.auroc_cells["overall"]
     assert cell.value == brute_auroc(pos_scores, neg_scores)
     assert cell.numerator == cell.value * cell.denominator
@@ -389,7 +390,7 @@ def test_build_report_auroc_cell_is_exact_counting():
 def test_build_report_missing_predictions():
     ts = paired_taskset(2)
     pos = ts.positives()[0]
-    preds = {pos.id: sp_for(pos.id, [(box_with_iou_above(GT), 0.9)], Pathway.FAST)}
+    preds = {pos.id: pred_for(pos.id, [(box_with_iou_above(GT), 0.9)], Pathway.FAST)}
     report = build_report(preds, ts)
     # precision denominator stays at all positives; missing ones are misses
     assert report.precision[1]["overall"].denominator == 2
@@ -406,9 +407,9 @@ def test_build_report_difficulty_breakdown():
     pos_l3 = make_positive(1, difficulty=Difficulty.L3)
     ts = TaskSet.build(Split.TEST, [pos_l1, pos_l3, make_negative(0, pos_l1)])
     preds = {
-        pos_l1.id: sp_for(pos_l1.id, [(box_with_iou_above(GT), 0.9)]),
-        pos_l3.id: sp_for(pos_l3.id, [(box_with_iou_above(GT, hit=False), 0.8)]),
-        "neg-00000": sp_for("neg-00000", []),
+        pos_l1.id: pred_for(pos_l1.id, [(box_with_iou_above(GT), 0.9)]),
+        pos_l3.id: pred_for(pos_l3.id, [(box_with_iou_above(GT, hit=False), 0.8)]),
+        "neg-00000": pred_for("neg-00000", []),
     }
     report = build_report(preds, ts)
     assert report.precision[1]["L1"].value == 1.0
@@ -455,7 +456,7 @@ def seeded_report_fixture(seed, n_pos=40):
 
     def predict(task):
         if rng.random() >= 0.1:
-            preds[task.id] = sp_for(task.id, random_ranked(rng, GT, conf_pool))
+            preds[task.id] = pred_for(task.id, random_ranked(rng, GT, conf_pool))
 
     n_neg = 0
     for i in range(n_pos):
@@ -479,10 +480,10 @@ def reference_report(ts, preds, ks):
     positives, negatives, pairs = ts.positives(), ts.negatives(), pair_negatives(ts)
 
     def top_k_hit(task, k):
-        sp = preds.get(task.id)
-        if sp is None:
+        pred = preds.get(task.id)
+        if pred is None:
             return False
-        return any(iou(box, task.gt_box) > 0.5 for box, _ in sp.ranked_boxes[:k])
+        return any(iou(box, task.gt_box) > 0.5 for box, _ in pred.ranked_boxes[:k])
 
     def pair_hit(pair, k):
         pos_boxes = preds[pair.positive.id].ranked_boxes
@@ -515,7 +516,7 @@ def reference_report(ts, preds, ks):
     }
 
     def confidence(task):
-        return preds[task.id].prediction.confidence if task.id in preds else 0.0
+        return preds[task.id].confidence if task.id in preds else 0.0
 
     neg_groups = {"overall": negatives}
     for polarity in (Polarity.NEGATIVE_EXPRESSION, Polarity.NEGATIVE_IMAGE):

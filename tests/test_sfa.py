@@ -393,8 +393,7 @@ def test_run_mllm_task_skips_routing(tmp_path):
         {"text": "[[5, 5, 50, 50]]", "coordinate_token_probs": [0.5] * 4},
     )
     # neither extract nor detect fixtures exist; the baseline must not need them
-    sp = run_mllm_task(_task(expression), _bundle(tmp_path), RunConfig(pipeline="mllm"))
-    pred = sp.prediction
+    pred = run_mllm_task(_task(expression), _bundle(tmp_path), RunConfig(pipeline="mllm"))
     assert pred.pathway is Pathway.SLOW
     assert pred.decision is None
     assert pred.box == BBox(5, 5, 50, 50)
@@ -402,11 +401,11 @@ def test_run_mllm_task_skips_routing(tmp_path):
 
 
 def test_run_mllm_task_failure_is_a_slow_miss(tmp_path):
-    sp = run_mllm_task(_task("the dog"), _bundle(tmp_path), RunConfig(pipeline="mllm"))
-    assert sp.prediction.box is None
-    assert sp.prediction.pathway is Pathway.SLOW
-    assert sp.prediction.decision is None
-    assert sp.prediction.note.startswith("backend failure")
+    pred = run_mllm_task(_task("the dog"), _bundle(tmp_path), RunConfig(pipeline="mllm"))
+    assert pred.box is None
+    assert pred.pathway is Pathway.SLOW
+    assert pred.decision is None
+    assert pred.note.startswith("backend failure")
 
 
 def test_run_sfa_missing_backend_is_a_miss(tmp_path):
