@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Protocol, Sequence
 
 from ..datamodel import ImageRef
@@ -33,7 +34,8 @@ class GroundingResult:
     query: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "detections", tuple(self.detections))
+        if type(self.detections) is not tuple:
+            object.__setattr__(self, "detections", tuple(self.detections))
         scores = [d.score for d in self.detections]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("detections must be sorted by descending score")
@@ -156,6 +158,8 @@ def detections_from_payload(payload: Mapping[str, object], query: str = "") -> G
     Expected shape: ``{"detections": [{"box": [x0,y0,x1,y1], "score": s,
     "token_scores": [{"start": i, "end": j, "score": s}, ...]}, ...]}``.
     Detections are re-sorted by descending score; ties keep payload order.
+    Every entry is validated here, token scores included, so a bad payload
+    fails at the call that returned it even when no caller reads that part.
     """
     raw = payload.get("detections")
     if not isinstance(raw, list):
@@ -165,21 +169,21 @@ def detections_from_payload(payload: Mapping[str, object], query: str = "") -> G
         if not isinstance(entry, dict):
             raise BackendError("detection entry is not an object")
         try:
-            box = BBox.from_list(entry["box"])
-            score = float(entry["score"])
-            token_scores = tuple(
-                _token_score_from(ts) for ts in entry.get("token_scores", ())
+            dets.append(
+                Detection(
+                    box=BBox.from_list(entry["box"]),
+                    score=float(entry["score"]),
+                    token_scores=tuple(map(_token_score_from, entry.get("token_scores", ()))),
+                )
             )
-            dets.append(Detection(box=box, score=score, token_scores=token_scores))
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"bad detection entry: {exc}") from exc
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    return GroundingResult(detections=tuple(dets[i] for i in order), query=query)
+    # a stable sort: equal scores keep payload order, also with reverse=True
+    dets.sort(key=attrgetter("score"), reverse=True)
+    return GroundingResult(detections=tuple(dets), query=query)
 
 
 def _token_score_from(entry: object) -> TokenSpanScore:
     if not isinstance(entry, dict):
         raise ValueError("token score entry is not an object")
-    return TokenSpanScore(
-        start=int(entry["start"]), end=int(entry["end"]), score=float(entry["score"])
-    )
+    return TokenSpanScore(int(entry["start"]), int(entry["end"]), float(entry["score"]))

@@ -86,10 +86,15 @@ class CandidateSet:
 def generate_candidates(
     dets: Sequence[Detection], k: int = DEFAULT_K, nms_thr: float = DEFAULT_NMS_THRESHOLD
 ) -> CandidateSet:
-    """NMS then truncate to the k highest-confidence survivors."""
+    """The k highest-confidence NMS survivors, lettered A, B, ... in that order.
+
+    NMS stops at the k-th survivor: greedy suppression keeps a detection
+    based only on the ones kept before it, so this equals running NMS over
+    every detection and truncating to k, without ranking the rest.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    kept = nms(list(dets), nms_thr)[:k]
+    kept = nms(dets, nms_thr, limit=k)
     return CandidateSet(
         candidates=tuple((option_label(i), det) for i, det in enumerate(kept)), k=k
     )
@@ -319,6 +324,7 @@ def export_tuning(
     counts: tuple[int, int] = (10000, 2500),
     seed: int = 0,
     include_none: bool = True,
+    failures: list[tuple[str, BackendError]] | None = None,
 ) -> list[TuningSample]:
     """Export shuffled multiple-choice tuning records from a training split.
 
@@ -328,6 +334,10 @@ def export_tuning(
     eligible pool shrink to it with a warning. Output is deterministic
     for a given seed: per-task shuffles are keyed by (seed, task id) and
     oversampling draws from file order with a seeded RNG.
+
+    A grounder call that raises ``BackendError`` stops the export, unless
+    ``failures`` is given: then that task is skipped and its id and error
+    are appended to ``failures``.
     """
     want_pos, want_neg = counts
     if want_pos < 0 or want_neg < 0:
@@ -339,7 +349,13 @@ def export_tuning(
     pos_ids: list[str] = []
     neg_ids: list[str] = []
     for task in ts.tasks:
-        grounding = grounder.ground(image_ref(task), task.expression)
+        try:
+            grounding = grounder.ground(image_ref(task), task.expression)
+        except BackendError as exc:
+            if failures is None:
+                raise
+            failures.append((task.id, exc))
+            continue
         cs = generate_candidates(grounding.detections, k=k, nms_thr=nms_threshold)
         if task.is_positive:
             if task.gt_box is not None and candidate_hit(cs, task.gt_box):

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple, Sequence
+
+_INF = math.inf
+_COORDS = ("x0", "y0", "x1", "y1")
 
 
 @dataclass(frozen=True)
@@ -25,13 +30,27 @@ class BBox:
     y1: float
 
     def __post_init__(self) -> None:
-        for name in ("x0", "y0", "x1", "y1"):
+        # Fast path: four floats, finite and ordered, checked in one pass (a
+        # NaN fails every comparison). Anything else takes the loop below,
+        # which converts ints and raises on bad values.
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        if (
+            type(x0) is float
+            and type(y0) is float
+            and type(x1) is float
+            and type(y1) is float
+            and -_INF < x0 <= x1 < _INF
+            and -_INF < y0 <= y1 < _INF
+        ):
+            return
+        for name in _COORDS:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         if self.x1 < self.x0 or self.y1 < self.y0:
             raise ValueError(
                 f"negative extent: ({self.x0}, {self.y0}, {self.x1}, {self.y1})"
@@ -50,19 +69,28 @@ class BBox:
         return cls(*coords)
 
 
-@dataclass(frozen=True)
-class TokenSpanScore:
-    """Similarity score for one token, as a character span into the query."""
-
+class _TokenSpan(NamedTuple):
     start: int
     end: int
     score: float
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"bad token span ({self.start}, {self.end})")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"token score {self.score} outside [0, 1]")
+
+class TokenSpanScore(_TokenSpan):
+    """Similarity score for one token, as a character span into the query.
+
+    An immutable, validated ``(start, end, score)`` named tuple: a grounder
+    reply carries one per token per proposal, so it is built without the
+    cost of a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, score: float) -> TokenSpanScore:
+        if start < 0 or end <= start:
+            raise ValueError(f"bad token span ({start}, {end})")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"token score {score} outside [0, 1]")
+        return tuple.__new__(cls, (start, end, score))
 
     def overlaps(self, start: int, end: int) -> bool:
         return self.start < end and start < self.end
@@ -79,8 +107,11 @@ class Detection:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"detection score {self.score} outside [0, 1]")
-        object.__setattr__(self, "token_scores", tuple(self.token_scores))
-        spans = sorted(self.token_scores, key=lambda t: t.start)
+        if type(self.token_scores) is not tuple:
+            object.__setattr__(self, "token_scores", tuple(self.token_scores))
+        if len(self.token_scores) < 2:
+            return
+        spans = sorted(self.token_scores, key=attrgetter("start"))
         for prev, cur in zip(spans, spans[1:]):
             if cur.start < prev.end:
                 raise ValueError(
@@ -91,36 +122,49 @@ class Detection:
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when the union is empty."""
-    ix0 = max(a.x0, b.x0)
-    iy0 = max(a.y0, b.y0)
-    ix1 = min(a.x1, b.x1)
-    iy1 = min(a.y1, b.y1)
-    iw = ix1 - ix0
-    ih = iy1 - iy0
+    ax0, ay0, ax1, ay1 = a.x0, a.y0, a.x1, a.y1
+    bx0, by0, bx1, by1 = b.x0, b.y0, b.x1, b.y1
+    iw = (ax1 if ax1 < bx1 else bx1) - (ax0 if ax0 > bx0 else bx0)
+    ih = (ay1 if ay1 < by1 else by1) - (ay0 if ay0 > by0 else by0)
     if iw <= 0.0 or ih <= 0.0:
         inter = 0.0
     else:
         inter = iw * ih
-    union = a.area() + b.area() - inter
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
     if union <= 0.0:
         return 0.0
     return inter / union
 
 
-def nms(dets: list[Detection], iou_threshold: float) -> list[Detection]:
+def nms(
+    dets: Sequence[Detection], iou_threshold: float, limit: int | None = None
+) -> list[Detection]:
     """Greedy non-maximum suppression, class-agnostic.
 
     Detections are ranked by score descending (ties broken by input index);
     each kept detection suppresses every later one whose IoU with it exceeds
     ``iou_threshold``. The output preserves the keep order.
+
+    ``limit`` stops the pass at that many survivors. Whether a detection is
+    kept depends only on the detections kept before it, so the survivors
+    found so far never change and ``nms(d, t, limit=k) == nms(d, t)[:k]``
+    exactly; the rest of the ranking is never compared. ``None`` keeps all.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold {iou_threshold} outside [0, 1]")
-    ranked = sorted(enumerate(dets), key=lambda item: (-item[1].score, item[0]))
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     kept: list[Detection] = []
-    for _, det in ranked:
-        if all(iou(det.box, survivor.box) <= iou_threshold for survivor in kept):
+    # sorted() is stable, also with reverse=True: equal scores keep input order
+    for det in sorted(dets, key=attrgetter("score"), reverse=True):
+        box = det.box
+        for survivor in kept:
+            if not iou(box, survivor.box) <= iou_threshold:
+                break
+        else:
             kept.append(det)
+            if len(kept) == limit:
+                break
     return kept
 
 

@@ -163,18 +163,30 @@ class Prediction:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> Prediction:
+        """Inverse of ``to_dict``. A line without a ``ranked_boxes`` key gets
+        the default, the chosen box alone, as a constructed record does."""
         box = data.get("box")
         decision = data.get("decision")
+        entries = data.get("ranked_boxes")
+        ranked = None
+        if entries is not None:
+            ranked = tuple(
+                (BBox.from_list(entry["box"]), float(entry["confidence"])) for entry in entries
+            )
+        if box is None:
+            chosen = None
+        elif ranked and entries[0]["box"] == box:
+            # the chosen box is almost always the top ranked one: build it once
+            chosen = ranked[0][0]
+        else:
+            chosen = BBox.from_list(box)
         return cls(
             task_id=data["task_id"],
-            box=BBox.from_list(box) if box is not None else None,
+            box=chosen,
             confidence=float(data["confidence"]),
             pathway=Pathway(data["pathway"]),
             decision=RouteDecision.from_dict(decision) if decision else None,
             raw=data.get("raw"),
             note=data.get("note"),
-            ranked_boxes=tuple(
-                (BBox.from_list(entry["box"]), float(entry["confidence"]))
-                for entry in data.get("ranked_boxes", ())
-            ),
+            ranked_boxes=ranked,
         )

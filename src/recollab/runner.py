@@ -456,13 +456,20 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_export_tuning(cfg: RunConfig) -> int:
-    """Write instruction-tuning samples from the train split."""
+    """Write instruction-tuning samples from the train split.
+
+    A task whose grounder call fails is skipped: the other samples are
+    still written, one warning gives the count and the first failed task,
+    and the status is 1. When every call fails, nothing is written and the
+    first error is raised with the count.
+    """
     cfg.check_paths()
     if "grounder" not in cfg.backends:
         raise ConfigError("export-tuning needs a grounder backend")
     ts = load_taskset(cfg.dataset_path("train"), "train")
     _require_image_sizes(cfg, ts, ("grounder",))
     handles = build_backends(cfg)
+    failures: list[tuple[str, BackendError]] = []
     samples = export_tuning(
         ts,
         handles.require("grounder"),
@@ -471,11 +478,26 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
         counts=(cfg.tuning.positives, cfg.tuning.negatives),
         seed=cfg.seed,
         include_none=cfg.tuning.include_none,
+        failures=failures,
     )
+    if failures and len(failures) == len(ts):
+        # nothing was grounded: a wrong endpoint or fixture directory, not an outage
+        exc = failures[0][1]
+        raise BackendError(f"{exc} (the grounder failed on all {len(ts)} tasks)") from exc
     out_dir = cfg.resolve(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / cfg.tuning.output
     save_tuning(samples, path)
     positives = sum(1 for s in samples if s.answer_box() is not None)
     print(f"wrote {len(samples)} samples ({positives} positive) to {path}")
+    if failures:
+        task_id, exc = failures[0]
+        logger.warning(
+            "grounder failed on %d of %d task(s), first on %s: %s; their samples are missing",
+            len(failures),
+            len(ts),
+            task_id,
+            exc,
+        )
+        return 1
     return 0

@@ -189,6 +189,65 @@ def test_detections_from_payload_rejects_garbage():
         )
 
 
+_BAD_ENTRIES = {
+    "nan coordinate": {"box": [math.nan, 0, 1, 1], "score": 0.5},
+    "inf coordinate": {"box": [0, 0, math.inf, 1], "score": 0.5},
+    "-inf coordinate": {"box": [0, -math.inf, 1, 1], "score": 0.5},
+    "bool coordinate": {"box": [0, 0, True, 1], "score": 0.5},
+    "string coordinate": {"box": [0, "0", 1, 1], "score": 0.5},
+    "inverted corners": {"box": [0.0, 5.0, 1.0, 1.0], "score": 0.5},
+    "score above 1": {"box": [0, 0, 1, 1], "score": 1.5},
+    "empty token span": {
+        "box": [0, 0, 1, 1],
+        "score": 0.5,
+        "token_scores": [{"start": 3, "end": 3, "score": 0.5}],
+    },
+    "negative token score": {
+        "box": [0, 0, 1, 1],
+        "score": 0.5,
+        "token_scores": [{"start": 0, "end": 2, "score": -0.1}],
+    },
+    "overlapping token spans": {
+        "box": [0, 0, 1, 1],
+        "score": 0.5,
+        "token_scores": [
+            {"start": 0, "end": 4, "score": 0.5},
+            {"start": 6, "end": 9, "score": 0.5},
+            {"start": 2, "end": 5, "score": 0.5},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_ENTRIES.values()), ids=list(_BAD_ENTRIES))
+def test_detections_from_payload_rejects_each_bad_value(bad):
+    good = {
+        "box": [0.0, 0.0, 2.0, 2.0],
+        "score": 0.9,
+        "token_scores": [{"start": 0, "end": 3, "score": 0.4}],
+    }
+    detections_from_payload({"detections": [good]})
+    with pytest.raises(BackendError, match="bad detection entry"):
+        detections_from_payload({"detections": [good, bad]})
+
+
+def test_detections_from_payload_orders_like_a_stable_score_sort():
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        scores = [rng.choice([0.0, 0.25, 0.5, 1.0]) for _ in range(n)]
+        # x0 tags each entry with its payload index; ints and floats mix
+        payload = {
+            "detections": [
+                {"box": [i, 0, i + 1.5, 2], "score": s} for i, s in enumerate(scores)
+            ]
+        }
+        result = detections_from_payload(payload)
+        expected = sorted(range(n), key=lambda i: (-scores[i], i))
+        assert [d.box.x0 for d in result.detections] == [float(i) for i in expected]
+        assert all(type(v) is float for d in result.detections for v in d.box.as_list())
+
+
 def test_grounding_result_validates_order():
     a = Detection(box=BBox(0, 0, 1, 1), score=0.2)
     b = Detection(box=BBox(0, 0, 1, 1), score=0.9)

@@ -6,6 +6,7 @@ os._exit in the crash hook cannot take the test process down with it.
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -20,12 +21,13 @@ import yaml
 
 from recollab import runner
 from recollab.backends import BackendBundle
-from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore
+from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore, fixture_key
 from recollab.backends.types import BackendError
 from recollab.cli import main
 from recollab.config import PIPELINES, ConfigError, load_config
-from recollab.datamodel import load_taskset
+from recollab.datamodel import Split, TaskSet, load_taskset
 from recollab.geometry import BBox, Detection
+from recollab.metrics import precision_at_k
 from recollab.prediction import Pathway, Prediction
 from recollab.runner import (
     LOG_NAME,
@@ -43,6 +45,7 @@ from helpers import (
     build_sfa_corpus,
     http_server,
     make_positive,
+    make_slot_positive,
     write_mllm_fixtures,
 )
 
@@ -104,6 +107,21 @@ def test_read_log_torn_tail_is_dropped(tmp_path):
     assert meta is not None and meta["config_hash"] == "x"
     assert set(preds) == {"t1", "t2"}
     assert valid == len(body.encode("utf-8"))
+
+
+def test_read_log_defaults_missing_ranked_boxes_to_the_chosen_box(tmp_path):
+    task = make_positive(0)
+    record = json.loads(_pred_line(task.id))
+    record["box"] = task.gt_box.as_list()
+    del record["ranked_boxes"]
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps(record) + "\n" + _pred_line("t2") + "\n", encoding="utf-8")
+
+    _, preds, _ = read_log(path)
+    assert preds[task.id].ranked_boxes == ((task.gt_box, 0.5),)
+    assert precision_at_k(preds, TaskSet.build(Split.TEST, [task]), k=1) == 1.0
+    # a line's chosen box is built once and shared with its top ranked entry
+    assert preds["t2"].box is preds["t2"].ranked_boxes[0][0]
 
 
 def test_read_log_rejects_unknown_record_kind(tmp_path):
@@ -727,6 +745,25 @@ def test_export_tuning_backend_failure_exits_1(tmp_path, capsys):
         fixture.unlink()
     assert main(["export-tuning", "-c", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: no fixture for role='ground'")
+
+
+def test_export_tuning_skips_a_failed_grounder_call(tmp_path, capsys, caplog):
+    cfg_path = build_export_corpus(tmp_path, n_pos=12, n_neg=4, positives=10, negatives=3)
+    lost = make_slot_positive(3)
+    (tmp_path / "fixtures" / f"{fixture_key(ROLE_GROUND, lost.image, lost.expression)}.json").unlink()
+
+    with caplog.at_level(logging.WARNING, logger="recollab"):
+        assert main(["export-tuning", "-c", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    # 11 answerable positives remain, so the requested 10 + 3 are still met
+    assert "wrote 13 samples (10 positive)" in out
+    lines = (tmp_path / "out" / "tuning.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 13
+    assert lost.expression not in {json.loads(line)["expression"] for line in lines}
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "grounder failed on 1 of 16 task(s), first on pos-00003" in warnings[0]
 
 
 def test_export_tuning_refuses_unsized_tasks_for_a_rescaling_grounder(tmp_path, capsys):

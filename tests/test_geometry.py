@@ -1,10 +1,11 @@
 """Box arithmetic checked against a rasterised oracle and a quadratic NMS."""
 
+import math
 import random
 
 import pytest
 
-from recollab import BBox, Detection, TokenSpanScore, iou, nms
+from recollab import BBox, Detection, TokenSpanScore, geometry, iou, nms
 from recollab.geometry import box_to_pixels, round_half_up
 
 from helpers import brute_nms, grid_box, raster_iou
@@ -24,6 +25,19 @@ def test_bbox_rejects_inverted_corners():
         BBox(5.0, 0.0, 4.0, 10.0)
     with pytest.raises(ValueError):
         BBox(0.0, 5.0, 10.0, 4.0)
+
+
+def test_bbox_validates_every_coordinate():
+    assert [type(v) for v in BBox(0, 1, 2, 3).as_list()] == [float] * 4
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            coords = [0.0, 0.0, 1.0, 1.0]
+            coords[i] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BBox(*coords)
+    for bad in (True, "1", None):
+        with pytest.raises(TypeError):
+            BBox(0.0, 0.0, bad, 1.0)
 
 
 def test_bbox_allows_degenerate():
@@ -98,6 +112,42 @@ def test_nms_matches_quadratic_reference():
         assert nms(dets, threshold) == brute_nms(dets, threshold)
 
 
+def test_nms_limit_is_a_prefix_of_the_full_pass():
+    rng = random.Random(20261018)
+    assert nms([], 0.5, limit=1) == []
+    for trial in range(300):
+        n = rng.randint(1, 30)
+        dets = random_detections(rng, n, coord_hi=40.0)
+        if trial % 2:
+            # few distinct scores, so many ties broken by input order
+            dets = [Detection(box=d.box, score=rng.choice([0.2, 0.5, 0.8])) for d in dets]
+        for threshold in (0.0, 0.5, 1.0):
+            full = [id(d) for d in brute_nms(dets, threshold)]
+            for k in range(1, n + 2):
+                assert [id(d) for d in nms(dets, threshold, limit=k)] == full[:k]
+    with pytest.raises(ValueError):
+        nms(dets, 0.5, limit=0)
+
+
+def test_nms_limit_stops_at_the_last_survivor(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return iou(a, b)
+
+    # nms looks iou up by module name, so this replacement sees every call
+    monkeypatch.setattr(geometry, "iou", counted)
+    far = [Detection(box=BBox(10.0 * i, 0, 10.0 * i + 5, 5), score=0.9 - 0.1 * i) for i in range(5)]
+    assert nms(far, 0.5, limit=1) == far[:1]
+    assert calls == []
+    assert nms(far, 0.5, limit=2) == far[:2]
+    assert len(calls) == 1
+    calls.clear()
+    assert nms(far, 0.5) == far
+    assert len(calls) == 10
+
+
 def test_nms_output_is_subsequence_of_score_order():
     rng = random.Random(3)
     for _ in range(100):
@@ -128,7 +178,15 @@ def test_detection_validation():
 
 
 def test_token_span_score_validation():
-    TokenSpanScore(start=0, end=4, score=0.5)
+    ts = TokenSpanScore(start=0, end=4, score=0.5)
+    assert (ts.start, ts.end, ts.score) == (0, 4, 0.5)
+    assert ts == TokenSpanScore(0, 4, 0.5) and hash(ts) == hash(TokenSpanScore(0, 4, 0.5))
+    assert repr(ts) == "TokenSpanScore(start=0, end=4, score=0.5)"
+    assert ts.overlaps(3, 9) and not ts.overlaps(4, 9)
+    with pytest.raises(AttributeError):
+        ts.score = 0.9
+    with pytest.raises(ValueError):
+        TokenSpanScore(start=0, end=4, score=1.5)
     with pytest.raises(ValueError):
         TokenSpanScore(start=4, end=4, score=0.5)
     with pytest.raises(ValueError):
