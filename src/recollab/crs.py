@@ -324,7 +324,7 @@ def export_tuning(
     counts: tuple[int, int] = (10000, 2500),
     seed: int = 0,
     include_none: bool = True,
-    failures: list[tuple[str, BackendError]] | None = None,
+    failures: list[tuple[str, BackendError]],
 ) -> list[TuningSample]:
     """Export shuffled multiple-choice tuning records from a training split.
 
@@ -335,9 +335,8 @@ def export_tuning(
     for a given seed: per-task shuffles are keyed by (seed, task id) and
     oversampling draws from file order with a seeded RNG.
 
-    A grounder call that raises ``BackendError`` stops the export, unless
-    ``failures`` is given: then that task is skipped and its id and error
-    are appended to ``failures``.
+    A task whose grounder call raises ``BackendError`` is skipped, and its
+    id and error are appended to ``failures``.
     """
     want_pos, want_neg = counts
     if want_pos < 0 or want_neg < 0:
@@ -352,8 +351,6 @@ def export_tuning(
         try:
             grounding = grounder.ground(image_ref(task), task.expression)
         except BackendError as exc:
-            if failures is None:
-                raise
             failures.append((task.id, exc))
             continue
         cs = generate_candidates(grounding.detections, k=k, nms_thr=nms_threshold)

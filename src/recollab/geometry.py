@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 _INF = math.inf
 _COORDS = ("x0", "y0", "x1", "y1")
@@ -80,7 +80,8 @@ class TokenSpanScore(_TokenSpan):
 
     An immutable, validated ``(start, end, score)`` named tuple: a grounder
     reply carries one per token per proposal, so it is built without the
-    cost of a frozen dataclass.
+    cost of a frozen dataclass. ``_make`` and ``_replace`` validate too. As
+    a tuple it equals a plain ``(start, end, score)`` with the same values.
     """
 
     __slots__ = ()
@@ -91,6 +92,10 @@ class TokenSpanScore(_TokenSpan):
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"token score {score} outside [0, 1]")
         return tuple.__new__(cls, (start, end, score))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> TokenSpanScore:
+        return cls(*iterable)
 
     def overlaps(self, start: int, end: int) -> bool:
         return self.start < end and start < self.end

@@ -353,7 +353,7 @@ def _slot_taskset(n_pos, n_neg, miss_every=None):
 
 def test_export_tuning_answers_are_correct():
     ts = _slot_taskset(40, 10)
-    samples = export_tuning(ts, SlotGrounder(), counts=(40, 10), seed=3)
+    samples = export_tuning(ts, SlotGrounder(), failures=[], counts=(40, 10), seed=3)
     assert len(samples) == 50
     by_expr = {t.expression: t for t in ts.tasks}
     for sample in samples:
@@ -372,7 +372,7 @@ def test_export_tuning_answers_are_correct():
 def test_export_tuning_respects_eligibility():
     # every third positive's ground truth misses all candidate slots
     ts = _slot_taskset(30, 0, miss_every=3)
-    samples = export_tuning(ts, SlotGrounder(), counts=(30, 0), seed=1)
+    samples = export_tuning(ts, SlotGrounder(), failures=[], counts=(30, 0), seed=1)
     assert len(samples) == 20  # the ineligible third is not exportable
     exported = {s.expression for s in samples}
     for i in range(30):
@@ -383,7 +383,7 @@ def test_export_tuning_respects_eligibility():
 def test_export_tuning_shortfall_warns(caplog):
     ts = _slot_taskset(5, 2)
     with caplog.at_level("WARNING"):
-        samples = export_tuning(ts, SlotGrounder(), counts=(50, 2), seed=1)
+        samples = export_tuning(ts, SlotGrounder(), failures=[], counts=(50, 2), seed=1)
     assert len(samples) == 7
     assert any("eligible" in m for m in caplog.messages)
 
@@ -391,15 +391,15 @@ def test_export_tuning_shortfall_warns(caplog):
 def test_export_tuning_negatives_require_none():
     ts = _slot_taskset(5, 2)
     with pytest.raises(ValueError):
-        export_tuning(ts, SlotGrounder(), counts=(5, 2), include_none=False)
-    samples = export_tuning(ts, SlotGrounder(), counts=(5, 0), include_none=False)
+        export_tuning(ts, SlotGrounder(), failures=[], counts=(5, 2), include_none=False)
+    samples = export_tuning(ts, SlotGrounder(), failures=[], counts=(5, 0), include_none=False)
     assert all(opt[1] is not None for s in samples for opt in s.options)
 
 
 def test_export_tuning_deterministic_bytes(tmp_path):
     ts = _slot_taskset(30, 10)
-    a = export_tuning(ts, SlotGrounder(), counts=(20, 5), seed=11)
-    b = export_tuning(ts, SlotGrounder(), counts=(20, 5), seed=11)
+    a = export_tuning(ts, SlotGrounder(), failures=[], counts=(20, 5), seed=11)
+    b = export_tuning(ts, SlotGrounder(), failures=[], counts=(20, 5), seed=11)
     path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     save_tuning(a, path_a)
     save_tuning(b, path_b)
@@ -409,14 +409,14 @@ def test_export_tuning_deterministic_bytes(tmp_path):
 
 def test_export_tuning_seed_changes_selection_and_shuffle():
     ts = _slot_taskset(40, 0)
-    a = export_tuning(ts, SlotGrounder(), counts=(20, 0), seed=1)
-    b = export_tuning(ts, SlotGrounder(), counts=(20, 0), seed=2)
+    a = export_tuning(ts, SlotGrounder(), failures=[], counts=(20, 0), seed=1)
+    b = export_tuning(ts, SlotGrounder(), failures=[], counts=(20, 0), seed=2)
     assert a != b
 
 
 def test_export_tuning_output_follows_file_order():
     ts = _slot_taskset(20, 5)
-    samples = export_tuning(ts, SlotGrounder(), counts=(20, 5), seed=4)
+    samples = export_tuning(ts, SlotGrounder(), failures=[], counts=(20, 5), seed=4)
     order = {t.expression: i for i, t in enumerate(ts.tasks)}
     indices = [order[s.expression] for s in samples]
     assert indices == sorted(indices)
@@ -427,7 +427,7 @@ def test_export_tuning_shuffle_is_positionally_fair():
     # per-task shuffle; positions must be uniform within 3 sigma
     n = 500
     ts = TaskSet.build(Split.TRAIN, [make_slot_positive(i) for i in range(n)])
-    samples = export_tuning(ts, SlotGrounder(), counts=(n, 0), seed=9)
+    samples = export_tuning(ts, SlotGrounder(), failures=[], counts=(n, 0), seed=9)
     assert len(samples) == n
     counts = {label: 0 for label in "ABCDE"}
     for sample in samples:
@@ -441,4 +441,21 @@ def test_export_tuning_shuffle_is_positionally_fair():
 def test_export_tuning_rejects_negative_counts():
     ts = _slot_taskset(5, 2)
     with pytest.raises(ValueError):
-        export_tuning(ts, SlotGrounder(), counts=(-1, 0))
+        export_tuning(ts, SlotGrounder(), failures=[], counts=(-1, 0))
+
+
+def test_export_tuning_skips_and_records_failed_grounder_calls():
+    class FlakyGrounder(SlotGrounder):
+        def ground(self, image, expression):
+            if expression == "slot object 2":
+                raise BackendError("grounder down")
+            return super().ground(image, expression)
+
+    ts = _slot_taskset(6, 2)
+    failures = []
+    samples = export_tuning(ts, FlakyGrounder(), failures=failures, counts=(6, 2), seed=1)
+    assert [(task_id, str(exc)) for task_id, exc in failures] == [
+        (ts.tasks[2].id, "grounder down")
+    ]
+    assert len(samples) == 7
+    assert "slot object 2" not in {s.expression for s in samples}

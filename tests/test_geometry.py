@@ -191,6 +191,15 @@ def test_token_span_score_validation():
         TokenSpanScore(start=4, end=4, score=0.5)
     with pytest.raises(ValueError):
         TokenSpanScore(start=-1, end=2, score=0.5)
+    # the named-tuple constructors validate as well
+    assert ts._replace(score=0.7) == TokenSpanScore(0, 4, 0.7)
+    assert TokenSpanScore._make((1, 3, 0.2)) == TokenSpanScore(1, 3, 0.2)
+    with pytest.raises(ValueError):
+        ts._replace(score=5.0)
+    with pytest.raises(ValueError):
+        TokenSpanScore._make((4, 2, 0.5))
+    # as a tuple it equals a plain (start, end, score) tuple
+    assert ts == (0, 4, 0.5)
 
 
 def test_round_half_up():
