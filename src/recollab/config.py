@@ -285,7 +285,40 @@ def config_to_dict(cfg: RunConfig, redact_secrets: bool = True) -> dict[str, Any
     }
 
 
+def _digest(data: Mapping[str, Any]) -> str:
+    canon = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
 def config_hash(cfg: RunConfig) -> str:
     """Stable identity of the run's effective settings (secrets redacted)."""
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _digest(config_to_dict(cfg))
+
+
+def identity_hash(cfg: RunConfig) -> str:
+    """Stable identity of the settings a run's predictions depend on.
+
+    It covers the pipeline, seed, datasets, the sfa and crs parameters and,
+    per backend, its kind, its endpoint or fixtures and its coordinate
+    space. The output directory, scheduling and retry knobs, cost units,
+    tuning and metric settings are left out: a log stays resumable and
+    reportable when only those change.
+    """
+    backends = {
+        role: {
+            "kind": s.kind,
+            "source": s.endpoint if s.kind == "http" else s.fixtures,
+            "coordinate_space": s.coordinate_space,
+        }
+        for role, s in cfg.backends.items()
+    }
+    return _digest(
+        {
+            "pipeline": cfg.pipeline,
+            "seed": cfg.seed,
+            "datasets": dict(cfg.datasets),
+            "backends": backends,
+            "sfa": asdict(cfg.sfa),
+            "crs": asdict(cfg.crs),
+        }
+    )

@@ -6,7 +6,9 @@ pool, fed through an in-order window a few tasks per worker deep;
 per-backend semaphores bound in-flight calls. Either way results are
 written to an append-only prediction log in dataset order, which makes
 repeat runs byte-identical and lets an interrupted run resume by skipping
-already-logged task ids.
+already-logged task ids. Within a run, identical role calls are made once
+and shared: a result lives only while a pending task can still reuse it,
+and a failed call is never shared with later callers.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ import json
 import logging
 import os
 import threading
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
+
+import requests
+from requests.adapters import HTTPAdapter
 
 from .backends import BackendBundle
 from .backends.http import (
@@ -40,7 +45,7 @@ from .backends.replay import (
     ReplayTargetExtractor,
 )
 from .backends.types import BackendError
-from .config import BackendSettings, ConfigError, RunConfig, config_hash
+from .config import BackendSettings, ConfigError, RunConfig, config_hash, identity_hash
 from .crs import export_tuning, run_crs, save_tuning
 from .datamodel import DatasetError, RecTask, TaskSet, image_ref, load_taskset, validate_counts
 from .metrics import build_report, render_text
@@ -61,27 +66,128 @@ CRASH_ENV = "RECOLLAB_CRASH_AFTER"
 WINDOW_PER_WORKER = 4
 
 
+class _Flight:
+    """A memoised call in progress; its lock is held until the outcome is set."""
+
+    __slots__ = ("lock", "value", "error")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.value: Any = None
+        self.error: BaseException | None = None
+
+
+class CallMemo:
+    """One run's single-flight memo of role calls, evicted by reference count.
+
+    A call is keyed by its method name and exact arguments. The first caller
+    makes the call; concurrent callers with the same key wait for its
+    outcome. A result is kept only while another unreleased task shares the
+    call's image (the extractor's: its expression), and is dropped once the
+    last of them is released. A call that raises is never kept: the callers
+    already waiting get its exception, and a later caller calls again.
+    """
+
+    def __init__(self, tasks: Iterable[RecTask]):
+        self._lock = threading.Lock()
+        self._users: Counter[tuple[str, str]] = Counter()
+        for task in tasks:
+            self._users.update(self._groups(task))
+        self._results: dict[tuple[str, str], dict[tuple, Any]] = {}
+
+    @staticmethod
+    def _groups(task: RecTask) -> tuple[tuple[str, str], tuple[str, str]]:
+        return ("image", task.image), ("expression", task.expression)
+
+    def __len__(self) -> int:
+        """Results held, calls in flight included."""
+        with self._lock:
+            return sum(map(len, self._results.values()))
+
+    def call(self, name: str, args: tuple, make_call: Callable[..., Any]) -> Any:
+        """``make_call(*args)``, made once per key while its result can be reused."""
+        if name == "extract":
+            group, key = ("expression", args[0]), (name, *args)
+        else:
+            group = ("image", args[0].image_id)
+            key = (name, *args) if name != "select" else (name, args[0], args[1], tuple(args[2]))
+        with self._lock:
+            results = self._results.get(group)
+            found = None if results is None else results.get(key)
+            flight = None
+            if found is None and self._users[group] > 1:
+                if results is None:
+                    results = self._results[group] = {}
+                results[key] = flight = _Flight()
+        if found is not None:
+            if type(found) is not _Flight:
+                return found
+            with found.lock:  # released by the caller that owns the flight
+                pass
+            if found.error is not None:
+                raise found.error
+            return found.value
+        if flight is None:
+            return make_call(*args)
+        try:
+            flight.value = make_call(*args)
+        except BaseException as exc:
+            flight.error = exc
+            with self._lock:
+                del results[key]
+            raise
+        finally:
+            flight.lock.release()
+        with self._lock:
+            if self._users[group] > 1:
+                results[key] = flight.value
+            else:
+                del results[key]
+        return flight.value
+
+    def release(self, task: RecTask) -> None:
+        """Drop ``task``'s claim on its image and expression, and any result no task can reuse."""
+        with self._lock:
+            for group in self._groups(task):
+                self._users[group] -= 1
+                if self._users[group] < 1:
+                    del self._users[group]
+                    self._results.pop(group, None)
+
+
 class BoundedHandle:
-    """Wraps a backend handle with a semaphore capping in-flight calls."""
+    """Wraps a backend handle with a semaphore capping in-flight calls.
+
+    With a ``memo``, a call is looked up there before the semaphore is
+    taken, so a caller waiting on another's identical call holds no slot.
+    """
 
     _CALLS = ("extract", "detect", "ground", "ground_generative", "select")
 
-    def __init__(self, inner: Any, limit: int):
+    def __init__(self, inner: Any, limit: int, memo: CallMemo | None = None):
         self._inner = inner
         self._gate = threading.BoundedSemaphore(limit)
+        self._memo = memo
 
     def __getattr__(self, name: str) -> Any:
         attr = getattr(self._inner, name)
-        if name in self._CALLS and callable(attr):
-            def gated(*args: Any, **kwargs: Any) -> Any:
-                with self._gate:
-                    return attr(*args, **kwargs)
+        if name not in self._CALLS or not callable(attr):
+            return attr
+        gate, memo = self._gate, self._memo
 
+        def gated(*args: Any, **kwargs: Any) -> Any:
+            with gate:
+                return attr(*args, **kwargs)
+
+        if memo is None:
             return gated
-        return attr
+        return lambda *args: memo.call(name, args, gated)
 
 
-def _build_handle(role: str, settings: BackendSettings, cfg: RunConfig) -> Any:
+def _build_handle(
+    role: str, settings: BackendSettings, cfg: RunConfig, memo: CallMemo | None = None
+) -> Any:
     if settings.kind == "replay":
         assert settings.fixtures is not None
         store = FixtureStore(cfg.resolve(settings.fixtures))
@@ -93,12 +199,18 @@ def _build_handle(role: str, settings: BackendSettings, cfg: RunConfig) -> Any:
             "selector": ReplaySelector,
         }[role](store)
     else:
+        # one pooled connection per call the role may have in flight
+        session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=settings.concurrency)
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
         client = HttpClient(
             endpoint=settings.endpoint or "",
             token=settings.token,
             timeout=settings.timeout,
             retries=settings.retries,
             backoff=settings.backoff,
+            session=session,
         )
         if role == "extractor":
             impl = HttpTargetExtractor(client)
@@ -110,12 +222,13 @@ def _build_handle(role: str, settings: BackendSettings, cfg: RunConfig) -> Any:
             impl = HttpMllm(client, settings.coordinate_space)
         else:
             impl = HttpSelector(client)
-    return BoundedHandle(impl, settings.concurrency)
+    return BoundedHandle(impl, settings.concurrency, memo)
 
 
-def build_backends(cfg: RunConfig) -> BackendBundle:
+def build_backends(cfg: RunConfig, memo: CallMemo | None = None) -> BackendBundle:
+    """A handle per configured role; with ``memo``, every role's calls go through it."""
     handles = {
-        role: _build_handle(role, settings, cfg) for role, settings in cfg.backends.items()
+        role: _build_handle(role, settings, cfg, memo) for role, settings in cfg.backends.items()
     }
     return BackendBundle(**handles)
 
@@ -247,6 +360,17 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
     return meta, preds, valid_len
 
 
+def _same_predictions(meta: Mapping[str, Any], cfg: RunConfig) -> bool:
+    """Whether the log with ``meta`` holds predictions ``cfg`` would make.
+
+    A log written before the meta line carried ``identity_hash`` must match
+    the full ``config_hash`` instead.
+    """
+    if "identity_hash" in meta:
+        return meta["identity_hash"] == identity_hash(cfg)
+    return meta.get("config_hash") == config_hash(cfg)
+
+
 def _crash_budget() -> int | None:
     value = os.environ.get(CRASH_ENV)
     if value is None:
@@ -365,8 +489,6 @@ def cmd_run(cfg: RunConfig) -> int:
 
     ts = load_taskset(cfg.dataset_path("test"), "test")
     _require_image_sizes(cfg, ts, spec.roles)
-    handles = build_backends(cfg)
-    expected_hash = config_hash(cfg)
 
     out_dir = cfg.resolve(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -374,7 +496,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     meta, done, valid_len = read_log(log_path)
     if meta is not None:
-        if meta.get("config_hash") != expected_hash:
+        if not _same_predictions(meta, cfg):
             raise ConfigError(
                 "existing prediction log was written under a different config; "
                 "move it away or restore that config"
@@ -386,6 +508,8 @@ def cmd_run(cfg: RunConfig) -> int:
             tail.truncate(valid_len)
 
     pending = [task for task in ts if task.id not in done]
+    memo = CallMemo(pending)
+    handles = build_backends(cfg, memo)
     crash_after = _crash_budget()
     results = _predict(
         lambda task: spec.worker(task, handles, cfg), pending, _pool_size(cfg, spec)
@@ -397,14 +521,17 @@ def cmd_run(cfg: RunConfig) -> int:
             meta = {
                 "record": "meta",
                 "version": LOG_VERSION,
-                "config_hash": expected_hash,
+                "config_hash": config_hash(cfg),
+                "identity_hash": identity_hash(cfg),
                 "pipeline": cfg.pipeline,
                 "seed": cfg.seed,
             }
             _write_record(log_file, meta)
         written = 0
-        for pred in results:
+        # results come in the order of pending
+        for pred, task in zip(results, pending):
             _write_record(log_file, {"record": "prediction", **pred.to_dict()})
+            memo.release(task)
             preds[pred.task_id] = pred
             written += 1
             if crash_after is not None and written >= crash_after:
@@ -422,7 +549,7 @@ def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
     meta, preds, _ = read_log(path)
     if meta is None:
         raise ConfigError(f"no prediction log at {path}")
-    if meta.get("config_hash") != config_hash(cfg):
+    if not _same_predictions(meta, cfg):
         raise ConfigError("prediction log was written under a different config")
     ts = load_taskset(cfg.dataset_path("test"), "test")
     return _write_report(cfg, ts, preds, meta, out_dir)

@@ -271,13 +271,17 @@ SLOT_PAYLOAD = {
 }
 
 
-def build_sfa_corpus(root, n_pairs=10, *, seed=7, omit_generate_for=None):
+def build_sfa_corpus(root, n_pairs=10, *, seed=7, omit_generate_for=None, shared_images=False):
     """Dataset + replay fixtures + YAML config for end-to-end runs.
 
     Even-index positives route fast (one confident detection), odd ones
     and all negatives route slow. Every response a run will request is
     recorded, so runs are fully offline and deterministic. Returns the
     config path; all config paths are relative to it.
+
+    With ``shared_images`` each negative reuses its positive's image, as a
+    negative-expression task does, so the pair makes one detector call
+    twice and the negative routes as its positive does.
     """
     import yaml
 
@@ -347,21 +351,22 @@ def build_sfa_corpus(root, n_pairs=10, *, seed=7, omit_generate_for=None):
             )
 
         neg_expr = f"the missing widget {i}"
-        neg = make_negative(i, pos, expression=neg_expr)
+        neg = make_negative(i, pos, expression=neg_expr, image=pos.image if shared_images else None)
         tasks.append(neg)
         write_fixture(fixtures, ROLE_EXTRACT, "", neg_expr, {"text": '{"target": "widget"}'})
-        write_fixture(
-            fixtures,
-            ROLE_DETECT,
-            neg.image,
-            "widget",
-            {
-                "detections": [
-                    {"box": [300, 300, 350, 350], "score": 0.6},
-                    {"box": [10, 10, 60, 60], "score": 0.4},
-                ]
-            },
-        )
+        if not shared_images:
+            write_fixture(
+                fixtures,
+                ROLE_DETECT,
+                neg.image,
+                "widget",
+                {
+                    "detections": [
+                        {"box": [300, 300, 350, 350], "score": 0.6},
+                        {"box": [10, 10, 60, 60], "score": 0.4},
+                    ]
+                },
+            )
         write_fixture(
             fixtures,
             ROLE_GROUND,

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -24,8 +25,8 @@ from recollab.backends import BackendBundle
 from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore, fixture_key
 from recollab.backends.types import BackendError
 from recollab.cli import main
-from recollab.config import PIPELINES, ConfigError, load_config
-from recollab.datamodel import Split, TaskSet, load_taskset
+from recollab.config import PIPELINES, BackendSettings, ConfigError, load_config
+from recollab.datamodel import ImageRef, Split, TaskSet, load_taskset
 from recollab.geometry import BBox, Detection
 from recollab.metrics import precision_at_k
 from recollab.prediction import Pathway, Prediction
@@ -35,10 +36,12 @@ from recollab.runner import (
     REPORT_JSON,
     REPORT_TEXT,
     BoundedHandle,
+    build_backends,
     pathway_units,
     read_log,
     run_specialist_task,
 )
+from recollab.sfa import run_sfa
 
 from helpers import (
     build_export_corpus,
@@ -213,6 +216,254 @@ def test_bounded_handle_passes_plain_attributes_through():
 
     handle = BoundedHandle(Inner(), 1)
     assert handle.marker == "thing"
+
+
+# ---------------------------------------------------------------- call memo
+
+
+def _tasks_on(image, n):
+    return [make_positive(i, image=image) for i in range(n)]
+
+
+class _GatedGrounder:
+    """Grounder whose calls block until ``go`` is set; the first ``fail`` calls raise."""
+
+    def __init__(self, fail=0):
+        self.lock = threading.Lock()
+        self.calls = []
+        self.go = threading.Event()
+        self.fail = fail
+
+    def ground(self, image, query):
+        with self.lock:
+            self.calls.append(query)
+            failing = len(self.calls) <= self.fail
+        assert self.go.wait(10)
+        if failing:
+            raise BackendError(f"grounder down for {query}")
+        return object()
+
+
+def _in_threads(n, fn, spare=0):
+    pool = ThreadPoolExecutor(max_workers=n + spare)
+    return pool, [pool.submit(fn) for _ in range(n)]
+
+
+def test_memo_makes_one_call_per_key_for_concurrent_callers():
+    inner = _GatedGrounder()
+    handle = BoundedHandle(inner, 1, runner.CallMemo(_tasks_on("img", 8)))
+    image = ImageRef("img", 640, 480)
+    pool, futures = _in_threads(8, lambda: handle.ground(image, "the cat"))
+    time.sleep(0.2)
+    inner.go.set()
+    results = [f.result(timeout=10) for f in futures]
+    pool.shutdown()
+    assert inner.calls == ["the cat"]
+    assert all(r is results[0] for r in results)
+    # the result is held while the tasks on that image are pending
+    assert handle.ground(image, "the cat") is results[0]
+    assert inner.calls == ["the cat"]
+
+
+def test_memo_waiters_hold_no_concurrency_slot():
+    inner = _GatedGrounder()
+    handle = BoundedHandle(inner, 2, runner.CallMemo(_tasks_on("img", 8)))
+    image = ImageRef("img", 640, 480)
+    pool, futures = _in_threads(4, lambda: handle.ground(image, "the cat"), spare=1)
+    deadline = time.monotonic() + 10
+    while not inner.calls and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.1)
+    # three callers wait on the first one's call; the second slot is still free
+    other = pool.submit(handle.ground, image, "the dog")
+    while len(inner.calls) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert inner.calls == ["the cat", "the dog"]
+    inner.go.set()
+    assert len({id(f.result(timeout=10)) for f in futures}) == 1
+    other.result(timeout=10)
+    pool.shutdown()
+
+
+def test_memo_shares_a_failure_with_waiters_only():
+    inner = _GatedGrounder(fail=1)
+    memo = runner.CallMemo(_tasks_on("img", 8))
+    handle = BoundedHandle(inner, 1, memo)
+    image = ImageRef("img", 640, 480)
+    pool, futures = _in_threads(6, lambda: handle.ground(image, "the cat"))
+    time.sleep(0.5)  # every caller is waiting on the first one's call
+    inner.go.set()
+    errors = []
+    for future in futures:
+        with pytest.raises(BackendError, match="grounder down") as caught:
+            future.result(timeout=10)
+        errors.append(caught.value)
+    pool.shutdown()
+    assert inner.calls == ["the cat"]
+    assert all(e is errors[0] for e in errors)
+    assert len(memo) == 0
+    # the failure was not stored: the next caller reaches the backend again
+    result = handle.ground(image, "the cat")
+    assert inner.calls == ["the cat", "the cat"]
+    assert handle.ground(image, "the cat") is result
+
+
+def test_memo_keys_by_exact_arguments_and_keeps_only_what_a_task_can_reuse():
+    pos = make_positive(0, image="img", expression="the cat")
+    neg = make_positive(1, image="img", expression="a dog")
+    alone = make_positive(2, image="solo", expression="a bird")
+    memo = runner.CallMemo([pos, neg, alone])
+    calls = []
+
+    def call(*args):
+        calls.append(args)
+        return len(calls)
+
+    small, large = ImageRef("img", 640, 480), ImageRef("img", 800, 600)
+    assert memo.call("ground", (small, "the cat"), call) == 1
+    assert memo.call("ground", (large, "the cat"), call) == 2  # the size is part of the key
+    assert memo.call("detect", (small, "the cat"), call) == 3  # so is the method
+    assert memo.call("select", (small, "pick", ["A", "B"]), call) == 4
+    assert memo.call("select", (small, "pick", ("A", "B")), call) == 4
+    assert memo.call("ground", (small, "the cat"), call) == 1
+    # one pending task per image or expression: nothing to share, nothing kept
+    assert memo.call("ground", (ImageRef("solo", 640, 480), "a bird"), call) == 5
+    assert memo.call("extract", ("the cat",), call) == 6
+    assert memo.call("extract", ("the cat",), call) == 7
+    assert len(memo) == 4
+
+    memo.release(pos)
+    assert len(memo) == 4  # neg may still ask
+    memo.release(neg)
+    assert len(memo) == 0
+    memo.release(alone)
+    assert memo.call("ground", (small, "the cat"), call) == 8
+
+
+def test_memo_under_contention_calls_each_key_once_and_ends_empty():
+    images = [f"img-{i}" for i in range(8)]
+    tasks = [make_positive(i, image=images[i % len(images)]) for i in range(96)]
+    memo = runner.CallMemo(tasks)
+    lock = threading.Lock()
+    calls = Counter()
+
+    class Grounder:
+        def ground(self, image, query):
+            with lock:
+                calls[image.image_id, query] += 1
+            return object()
+
+    handle = BoundedHandle(Grounder(), 4, memo)
+
+    def run(task):
+        image = ImageRef(task.image, 640, 480)
+        answers = [handle.ground(image, query) for query in ("a", "b", "c")]
+        memo.release(task)
+        return answers
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            answers = list(pool.map(run, tasks, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == {(image, query): 1 for image in images for query in "abc"}
+    assert len(memo) == 0
+    first = {}
+    for task, row in zip(tasks, answers):
+        assert all(first.setdefault((task.image, i), a) is a for i, a in enumerate(row))
+
+
+def _recording_memo(monkeypatch):
+    memos = []
+
+    class RecordingMemo(runner.CallMemo):
+        def __init__(self, tasks):
+            super().__init__(tasks)
+            memos.append(self)
+
+    monkeypatch.setattr(runner, "CallMemo", RecordingMemo)
+    return memos
+
+
+def _count_fixture_reads(monkeypatch):
+    reads = []
+    original_get = FixtureStore.get
+
+    def recording_get(self, role, image_id, query):
+        reads.append((role, image_id, query))
+        return original_get(self, role, image_id, query)
+
+    monkeypatch.setattr(FixtureStore, "get", recording_get)
+    return reads
+
+
+@pytest.mark.parametrize("shared_images", [False, True])
+def test_run_reads_each_fixture_once(tmp_path, monkeypatch, shared_images):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=6, shared_images=shared_images)
+    cfg = load_config(cfg_path)
+    tasks = list(load_taskset(tmp_path / "test.jsonl", "test"))
+    unshared = build_backends(cfg)
+    direct = [run_sfa(task, unshared, cfg.sfa).to_dict() for task in tasks]
+
+    reads = _count_fixture_reads(monkeypatch)
+    memos = _recording_memo(monkeypatch)
+    assert runner.cmd_run(cfg) == 0
+    assert len(reads) == len(set(reads))
+    # extract, detect, then ground or generate: 3 per task, less each shared detection
+    assert len(reads) == 3 * len(tasks) - (6 if shared_images else 0)
+    assert read_records(tmp_path / "out" / LOG_NAME)[1:] == [
+        {"record": "prediction", **d} for d in direct
+    ]
+    assert len(memos) == 1 and len(memos[0]) == 0
+
+
+def test_run_drops_a_result_once_the_last_task_on_its_image_is_logged(tmp_path, monkeypatch):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=4, shared_images=True)
+    memos = _recording_memo(monkeypatch)
+    real_write = runner._write_record
+    held = []
+
+    def inspecting_write(handle, record):
+        if record["record"] == "prediction":
+            held.append(len(memos[0]))
+        real_write(handle, record)
+
+    monkeypatch.setattr(runner, "_write_record", inspecting_write)
+    assert runner.cmd_run(load_config(cfg_path)) == 0
+    # pos-i and neg-i share img-i. pos-i's detection and grounding are held
+    # while either is pending (neg-i's grounding is not: no one else shares
+    # img-i by then); both are gone by the time pos-(i+1) is written
+    assert held == [2] * 8
+    assert len(memos[0]) == 0
+
+
+def test_export_tuning_makes_every_call(tmp_path, monkeypatch):
+    cfg_path = build_export_corpus(tmp_path, n_pos=4, n_neg=4, positives=4, negatives=4)
+    reads = _count_fixture_reads(monkeypatch)
+    memos = _recording_memo(monkeypatch)
+    assert main(["export-tuning", "-c", str(cfg_path)]) == 0
+    assert len(reads) == 8 and memos == []
+
+
+def test_http_session_pools_as_many_connections_as_calls_in_flight(tmp_path, caplog):
+    cfg = _cfg_with_costs(tmp_path, "specialist")
+    arrived = threading.Barrier(16, timeout=10)
+
+    def reply(body):
+        arrived.wait()  # all 16 connections are open at once
+        return {"detections": [{"box": [0, 0, 10, 10], "score": 0.5}]}
+
+    with http_server(reply=reply) as (server, url):
+        settings = BackendSettings(kind="http", endpoint=url, concurrency=16)
+        handle = runner._build_handle("grounder", settings, cfg)
+        image = ImageRef("img", 640, 480)
+        with caplog.at_level(logging.WARNING, logger="urllib3"):
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                results = list(pool.map(lambda i: handle.ground(image, f"q{i}"), range(16)))
+    assert len(server.seen) == 16 and all(len(r.detections) == 1 for r in results)
+    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
 
 
 # ------------------------------------------------------- specialist worker
@@ -525,6 +776,53 @@ def test_run_refuses_log_from_other_config(tmp_path):
     proc = run_cli("run", "-c", cfg_path)
     assert proc.returncode == 2
     assert "different config" in proc.stderr
+
+
+@pytest.mark.parametrize("knob, value", [("concurrency", 2), ("retries", 5)])
+def test_run_resumes_after_a_scheduling_knob_changes(tmp_path, knob, value):
+    crashed = build_sfa_corpus(tmp_path / "a", n_pairs=4)
+    clean = build_sfa_corpus(tmp_path / "b", n_pairs=4)
+    assert run_cli("run", "-c", crashed, env={"RECOLLAB_CRASH_AFTER": "3"}).returncode == 3
+
+    config = yaml.safe_load(crashed.read_text(encoding="utf-8"))
+    for settings in config["backends"].values():
+        settings[knob] = value
+    crashed.write_text(yaml.safe_dump(config), encoding="utf-8")
+    proc = run_cli("run", "-c", crashed)
+    assert proc.returncode == 0, proc.stderr
+
+    assert run_cli("run", "-c", clean).returncode == 0
+    resumed = read_records(tmp_path / "a" / "out" / LOG_NAME)
+    assert resumed[1:] == read_records(tmp_path / "b" / "out" / LOG_NAME)[1:]
+    assert run_cli("report", "-c", crashed).returncode == 0
+
+
+def test_report_reads_a_log_written_to_another_output_dir(tmp_path):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    assert main(["run", "-c", str(cfg_path), "--output-dir", "out2"]) == 0
+    report = (tmp_path / "out2" / REPORT_JSON).read_bytes()
+
+    log = tmp_path / "out2" / LOG_NAME
+    assert main(["report", "-c", str(cfg_path), "--log", str(log)]) == 0
+    assert (tmp_path / "out" / REPORT_JSON).read_bytes() == report
+
+
+def test_log_without_identity_hash_must_match_the_full_config(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    log = tmp_path / "out" / LOG_NAME
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    assert len(meta.pop("identity_hash")) == 64
+    log.write_text(json.dumps(meta) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    assert main(["report", "-c", str(cfg_path)]) == 0
+
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["backends"]["mllm"]["retries"] = 5
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "-c", str(cfg_path)]) == 2
+    assert "different config" in capsys.readouterr().err
 
 
 def test_run_reports_backend_failures_in_exit_code(tmp_path):
