@@ -113,12 +113,12 @@ class HeuristicTargetExtractor:
         return phrase[-1]
 
 
-def resolve_target(raw_answer: str, expression: str, fallback: HeuristicTargetExtractor) -> str:
-    """Dictionary-format parse with logged heuristic fallback."""
+def resolve_target(raw_answer: str, expression: str) -> str:
+    """Dictionary-format parse, falling back (logged) to the heuristic extractor."""
     target = parse_target_dict(raw_answer)
     if target is not None:
         return target
     logger.warning(
         "extractor answer not in dictionary format, using heuristic: %r", raw_answer
     )
-    return fallback.extract(expression)
+    return HeuristicTargetExtractor().extract(expression)

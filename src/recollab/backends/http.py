@@ -10,13 +10,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, TypeVar
 
 import requests
+from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
 
-from ..geometry import Detection
-from .extract import HeuristicTargetExtractor, build_extract_prompt, resolve_target
-from .replay import grounding_from_payload, selection_from_payload
+from .extract import build_extract_prompt, resolve_target
 from .types import (
     BackendError,
     GenerativeGrounding,
@@ -24,7 +23,9 @@ from .types import (
     ImageRef,
     SelectionResult,
     detections_from_payload,
+    grounding_from_payload,
     scale_box,
+    selection_from_payload,
 )
 
 logger = logging.getLogger(__name__)
@@ -35,7 +36,9 @@ class HttpClient:
     """Shared POST plumbing: bearer auth, timeout, bounded retries.
 
     Transport failures, timeouts, and 5xx responses are retried with
-    exponential backoff; 4xx responses and error payloads fail fast.
+    exponential backoff; 4xx responses and error payloads fail fast. The
+    client's session pools ``concurrency`` connections, one per call the
+    role may have in flight.
     """
 
     endpoint: str
@@ -43,7 +46,15 @@ class HttpClient:
     timeout: float = 60.0
     retries: int = 2
     backoff: float = 0.5
-    session: requests.Session = field(default_factory=requests.Session, compare=False)
+    concurrency: int = DEFAULT_POOLSIZE
+    session: requests.Session = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=self.concurrency)
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
+        object.__setattr__(self, "session", session)
 
     def post(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         headers = {"Content-Type": "application/json"}
@@ -85,20 +96,23 @@ class HttpClient:
         ) from last_error
 
 
-def _to_pixels(result: GroundingResult, image: ImageRef, space: int | None) -> GroundingResult:
+Reply = TypeVar("Reply", GroundingResult, GenerativeGrounding)
+
+
+def _to_pixels(reply: Reply, image: ImageRef, space: int | None) -> Reply:
+    """``reply`` with its boxes scaled from a ``space`` x ``space`` grid to ``image``'s pixels.
+
+    Without a grid the reply is in pixels already and comes back as is.
+    """
     if space is None:
-        return result
-    converted = tuple(
-        Detection(
-            box=scale_box(
-                d.box, from_size=(space, space), to_size=(image.width, image.height)
-            ),
-            score=d.score,
-            token_scores=d.token_scores,
-        )
-        for d in result.detections
-    )
-    return GroundingResult(detections=converted, query=result.query)
+        return reply
+
+    def scale(box):
+        return scale_box(box, from_size=(space, space), to_size=(image.width, image.height))
+
+    if isinstance(reply, GenerativeGrounding):
+        return reply if reply.box is None else replace(reply, box=scale(reply.box))
+    return replace(reply, detections=tuple(replace(d, box=scale(d.box)) for d in reply.detections))
 
 
 @dataclass(frozen=True)
@@ -134,15 +148,7 @@ class HttpMllm:
         if not prompt:
             raise ValueError("empty prompt")
         payload = self.client.post({"image": image.image_id, "prompt": prompt})
-        grounding = grounding_from_payload(payload)
-        if grounding.box is not None and self.coordinate_space is not None:
-            pixel_box = scale_box(
-                grounding.box,
-                from_size=(self.coordinate_space, self.coordinate_space),
-                to_size=(image.width, image.height),
-            )
-            grounding = replace(grounding, box=pixel_box)
-        return grounding
+        return _to_pixels(grounding_from_payload(payload), image, self.coordinate_space)
 
 
 @dataclass(frozen=True)
@@ -159,9 +165,8 @@ class HttpSelector:
 @dataclass(frozen=True)
 class HttpTargetExtractor:
     client: HttpClient
-    fallback: HeuristicTargetExtractor = HeuristicTargetExtractor()
 
     def extract(self, expression: str) -> str:
         prompt = build_extract_prompt(expression)
         payload = self.client.post({"prompt": prompt})
-        return resolve_target(str(payload.get("text", "")), expression, self.fallback)
+        return resolve_target(str(payload.get("text", "")), expression)

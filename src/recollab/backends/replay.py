@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..crs import match_option_label
-from .extract import HeuristicTargetExtractor, resolve_target
+from .extract import resolve_target
 from .types import (
     BackendError,
     FixtureMissError,
@@ -24,7 +23,8 @@ from .types import (
     ImageRef,
     SelectionResult,
     detections_from_payload,
-    parse_coordinate_box,
+    grounding_from_payload,
+    selection_from_payload,
 )
 
 FIXTURE_HEADER = "recollab-fixture v1"
@@ -93,11 +93,10 @@ class FixtureStore:
 @dataclass(frozen=True)
 class ReplayTargetExtractor:
     store: FixtureStore
-    fallback: HeuristicTargetExtractor = HeuristicTargetExtractor()
 
     def extract(self, expression: str) -> str:
         payload = self.store.get(ROLE_EXTRACT, "", expression)
-        return resolve_target(str(payload.get("text", "")), expression, self.fallback)
+        return resolve_target(str(payload.get("text", "")), expression)
 
 
 @dataclass(frozen=True)
@@ -122,26 +121,6 @@ class ReplayGrounder:
         return detections_from_payload(payload, query=expression)
 
 
-def grounding_from_payload(payload: Mapping[str, Any]) -> GenerativeGrounding:
-    """Parse a generative reply payload into a GenerativeGrounding.
-
-    Servers that do not expose token probabilities still satisfy the
-    box-implies-probs invariant: a parsed box falls back to unit
-    probabilities for its four coordinates (confidence 1.0).
-    """
-    text = str(payload.get("text", ""))
-    box, malformed = parse_coordinate_box(text)
-    probs: Sequence[float] = payload.get("coordinate_token_probs") or ()
-    probs = tuple(float(p) for p in probs)
-    if box is not None and not probs:
-        probs = (1.0,) * 4
-    if box is None:
-        probs = ()
-    return GenerativeGrounding(
-        raw_text=text, box=box, coordinate_token_probs=probs, malformed=malformed
-    )
-
-
 @dataclass(frozen=True)
 class ReplayMllm:
     store: FixtureStore
@@ -151,26 +130,6 @@ class ReplayMllm:
             raise ValueError("empty prompt")
         payload = self.store.get(ROLE_GENERATE, image.image_id, prompt)
         return grounding_from_payload(payload)
-
-
-def selection_from_payload(
-    payload: Mapping[str, Any], offered: Sequence[str]
-) -> SelectionResult:
-    """Resolve a selector reply against the offered labels.
-
-    Exact single-letter answers resolve directly; anything else goes
-    through the shared answer-parsing fallback before becoming an error.
-    """
-    if not offered:
-        raise ValueError("no option labels offered")
-    if len(set(offered)) != len(offered):
-        raise ValueError(f"option labels not unique: {list(offered)}")
-    text = str(payload.get("text", ""))
-    label = match_option_label(text, offered)
-    if label is None:
-        raise BackendError(f"selector output {text!r} resolves to no offered label")
-    prob = float(payload.get("label_prob", 1.0))
-    return SelectionResult(label=label, label_prob=prob, raw_text=text, offered=tuple(offered))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 from ..datamodel import ImageRef
 from ..geometry import BBox, Detection, TokenSpanScore
@@ -187,3 +187,65 @@ def _token_score_from(entry: object) -> TokenSpanScore:
     if not isinstance(entry, dict):
         raise ValueError("token score entry is not an object")
     return TokenSpanScore(int(entry["start"]), int(entry["end"]), float(entry["score"]))
+
+
+def grounding_from_payload(payload: Mapping[str, Any]) -> GenerativeGrounding:
+    """Parse a generative reply payload into a GenerativeGrounding.
+
+    Servers that do not expose token probabilities still satisfy the
+    box-implies-probs invariant: a parsed box falls back to unit
+    probabilities for its four coordinates (confidence 1.0).
+    """
+    text = str(payload.get("text", ""))
+    box, malformed = parse_coordinate_box(text)
+    probs: Sequence[float] = payload.get("coordinate_token_probs") or ()
+    probs = tuple(float(p) for p in probs)
+    if box is not None and not probs:
+        probs = (1.0,) * 4
+    if box is None:
+        probs = ()
+    return GenerativeGrounding(
+        raw_text=text, box=box, coordinate_token_probs=probs, malformed=malformed
+    )
+
+
+_STANDALONE_LETTER = re.compile(r"\b([A-Za-z])\b")
+
+
+def match_option_label(raw: str, labels: Sequence[str]) -> str | None:
+    """Resolve raw selector output to one of the offered labels.
+
+    An exact single-letter answer wins outright; otherwise the first
+    standalone letter (case-insensitive) that names an option is taken.
+    Free text without any standalone option letter fails.
+    """
+    stripped = raw.strip()
+    for label in labels:
+        if stripped == label:
+            return label
+    by_lower = {label.lower(): label for label in labels}
+    for match in _STANDALONE_LETTER.finditer(raw):
+        label = by_lower.get(match.group(1).lower())
+        if label is not None:
+            return label
+    return None
+
+
+def selection_from_payload(
+    payload: Mapping[str, Any], offered: Sequence[str]
+) -> SelectionResult:
+    """Resolve a selector reply against the offered labels.
+
+    Exact single-letter answers resolve directly; anything else goes
+    through ``match_option_label`` before becoming an error.
+    """
+    if not offered:
+        raise ValueError("no option labels offered")
+    if len(set(offered)) != len(offered):
+        raise ValueError(f"option labels not unique: {list(offered)}")
+    text = str(payload.get("text", ""))
+    label = match_option_label(text, offered)
+    if label is None:
+        raise BackendError(f"selector output {text!r} resolves to no offered label")
+    prob = float(payload.get("label_prob", 1.0))
+    return SelectionResult(label=label, label_prob=prob, raw_text=text, offered=tuple(offered))

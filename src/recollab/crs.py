@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .backends import BackendBundle
-from .backends.types import BackendError, Grounder
+from .backends.types import BackendError, Grounder, match_option_label
 from .datamodel import RecTask, TaskSet, image_ref
 from .geometry import BBox, Detection, box_to_pixels, iou, nms
 from .metrics import IOU_THRESHOLD
@@ -147,28 +146,6 @@ def build_choice_prompt(
     )
 
 
-_STANDALONE_LETTER = re.compile(r"\b([A-Za-z])\b")
-
-
-def match_option_label(raw: str, labels: Sequence[str]) -> str | None:
-    """Resolve raw selector output to one of the offered labels.
-
-    An exact single-letter answer wins outright; otherwise the first
-    standalone letter (case-insensitive) that names an option is taken.
-    Free text without any standalone option letter fails.
-    """
-    stripped = raw.strip()
-    for label in labels:
-        if stripped == label:
-            return label
-    by_lower = {label.lower(): label for label in labels}
-    for match in _STANDALONE_LETTER.finditer(raw):
-        label = by_lower.get(match.group(1).lower())
-        if label is not None:
-            return label
-    return None
-
-
 def parse_choice(raw: str, cp: ChoicePrompt) -> str | None:
     """Selector answer -> offered label, or None on unparseable output."""
     return match_option_label(raw, cp.offered)
@@ -215,21 +192,16 @@ def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams
     except BackendError as exc:
         return Prediction.backend_failure(task.id, Pathway.CRS, exc)
 
-    label = parse_choice(sel.raw_text, cp) if sel.raw_text else sel.label
-    raw: dict[str, Any] = {"text": sel.raw_text, "label_prob": sel.label_prob}
-    if label is None:
-        note = f"unparseable selector answer: {sel.raw_text[:80]!r}"
-        return Prediction.miss(task.id, Pathway.CRS, note)
-    if label == cp.none_label:
-        return Prediction.miss(
-            task.id, Pathway.CRS, "rejected via None option", raw=dict(raw, label=label)
-        )
+    # the selector resolved its answer against cp.offered; an unresolvable one raised
+    raw = {"text": sel.raw_text, "label_prob": sel.label_prob, "label": sel.label}
+    if sel.label == cp.none_label:
+        return Prediction.miss(task.id, Pathway.CRS, "rejected via None option", raw=raw)
     return Prediction(
         task_id=task.id,
-        box=cp.option_map[label],
+        box=cp.option_map[sel.label],
         confidence=sel.label_prob,
         pathway=Pathway.CRS,
-        raw=dict(raw, label=label),
+        raw=raw,
     )
 
 

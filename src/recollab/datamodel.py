@@ -139,8 +139,16 @@ class RecTask:
     def __post_init__(self) -> None:
         if not self.id:
             raise DatasetError("empty task id")
+        if not self.image:
+            raise DatasetError("empty image", task_id=self.id)
         if not self.expression:
             raise DatasetError("empty expression", task_id=self.id)
+        for key in ("width", "height"):
+            value = self.extras.get(key)
+            if key in self.extras and (type(value) is not int or value < 1):
+                raise DatasetError(
+                    f"{key} must be a positive integer, got {value!r}", task_id=self.id
+                )
         positive = self.polarity is Polarity.POSITIVE
         if positive != (self.gt_box is not None):
             raise DatasetError(

@@ -6,9 +6,10 @@ pool, fed through an in-order window a few tasks per worker deep;
 per-backend semaphores bound in-flight calls. Either way results are
 written to an append-only prediction log in dataset order, which makes
 repeat runs byte-identical and lets an interrupted run resume by skipping
-already-logged task ids. Within a run, identical role calls are made once
-and shared: a result lives only while a pending task can still reuse it,
-and a failed call is never shared with later callers.
+already-logged task ids. Within a run, identical extractor and detector
+calls, the only ones paired tasks repeat, are made once and shared: a
+result lives only while a pending task can still reuse it, and a failed
+call is never shared with later callers.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
-
-import requests
-from requests.adapters import HTTPAdapter
 
 from .backends import BackendBundle
 from .backends.http import (
@@ -66,20 +64,13 @@ CRASH_ENV = "RECOLLAB_CRASH_AFTER"
 WINDOW_PER_WORKER = 4
 
 
-class _Flight:
-    """A memoised call in progress; its lock is held until the outcome is set."""
-
-    __slots__ = ("lock", "value", "error")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.lock.acquire()
-        self.value: Any = None
-        self.error: BaseException | None = None
-
-
 class CallMemo:
-    """One run's single-flight memo of role calls, evicted by reference count.
+    """One run's single-flight memo of extractor and detector calls, evicted by reference count.
+
+    Only these calls repeat across distinct tasks: a negative-expression task
+    reuses its positive's image (so its detection), a negative-image task its
+    expression (so its extraction). Every other call's key follows from its
+    task's own image and expression, so it is never memoised.
 
     A call is keyed by its method name and exact arguments. The first caller
     makes the call; concurrent callers with the same key wait for its
@@ -94,7 +85,7 @@ class CallMemo:
         self._users: Counter[tuple[str, str]] = Counter()
         for task in tasks:
             self._users.update(self._groups(task))
-        self._results: dict[tuple[str, str], dict[tuple, Any]] = {}
+        self._results: dict[tuple[str, str], dict[tuple, Future]] = {}
 
     @staticmethod
     def _groups(task: RecTask) -> tuple[tuple[str, str], tuple[str, str]]:
@@ -107,44 +98,30 @@ class CallMemo:
 
     def call(self, name: str, args: tuple, make_call: Callable[..., Any]) -> Any:
         """``make_call(*args)``, made once per key while its result can be reused."""
-        if name == "extract":
-            group, key = ("expression", args[0]), (name, *args)
-        else:
-            group = ("image", args[0].image_id)
-            key = (name, *args) if name != "select" else (name, args[0], args[1], tuple(args[2]))
+        group = ("expression", args[0]) if name == "extract" else ("image", args[0].image_id)
+        key = (name, *args)
         with self._lock:
             results = self._results.get(group)
+            # a stored result is looked up first: the last task on an image may still read it
             found = None if results is None else results.get(key)
-            flight = None
+            owned = None
             if found is None and self._users[group] > 1:
                 if results is None:
                     results = self._results[group] = {}
-                results[key] = flight = _Flight()
+                results[key] = owned = Future()
         if found is not None:
-            if type(found) is not _Flight:
-                return found
-            with found.lock:  # released by the caller that owns the flight
-                pass
-            if found.error is not None:
-                raise found.error
-            return found.value
-        if flight is None:
+            return found.result()
+        if owned is None:
             return make_call(*args)
         try:
-            flight.value = make_call(*args)
+            value = make_call(*args)
         except BaseException as exc:
-            flight.error = exc
             with self._lock:
                 del results[key]
+            owned.set_exception(exc)
             raise
-        finally:
-            flight.lock.release()
-        with self._lock:
-            if self._users[group] > 1:
-                results[key] = flight.value
-            else:
-                del results[key]
-        return flight.value
+        owned.set_result(value)
+        return value
 
     def release(self, task: RecTask) -> None:
         """Drop ``task``'s claim on its image and expression, and any result no task can reuse."""
@@ -159,11 +136,13 @@ class CallMemo:
 class BoundedHandle:
     """Wraps a backend handle with a semaphore capping in-flight calls.
 
-    With a ``memo``, a call is looked up there before the semaphore is
-    taken, so a caller waiting on another's identical call holds no slot.
+    With a ``memo``, an ``extract`` or ``detect`` call is looked up there
+    before the semaphore is taken, so a caller waiting on another's
+    identical call holds no slot. Other calls go straight to the semaphore.
     """
 
     _CALLS = ("extract", "detect", "ground", "ground_generative", "select")
+    _SHARED = ("extract", "detect")
 
     def __init__(self, inner: Any, limit: int, memo: CallMemo | None = None):
         self._inner = inner
@@ -180,53 +159,50 @@ class BoundedHandle:
             with gate:
                 return attr(*args, **kwargs)
 
-        if memo is None:
+        if memo is None or name not in self._SHARED:
             return gated
         return lambda *args: memo.call(name, args, gated)
 
 
+_ADAPTERS: Mapping[tuple[str, str], type] = {
+    ("replay", "extractor"): ReplayTargetExtractor,
+    ("replay", "detector"): ReplayDetector,
+    ("replay", "grounder"): ReplayGrounder,
+    ("replay", "mllm"): ReplayMllm,
+    ("replay", "selector"): ReplaySelector,
+    ("http", "extractor"): HttpTargetExtractor,
+    ("http", "detector"): HttpDetector,
+    ("http", "grounder"): HttpGrounder,
+    ("http", "mllm"): HttpMllm,
+    ("http", "selector"): HttpSelector,
+}
+
+
 def _build_handle(
     role: str, settings: BackendSettings, cfg: RunConfig, memo: CallMemo | None = None
-) -> Any:
+) -> BoundedHandle:
+    source: FixtureStore | HttpClient
     if settings.kind == "replay":
         assert settings.fixtures is not None
-        store = FixtureStore(cfg.resolve(settings.fixtures))
-        impl: Any = {
-            "extractor": ReplayTargetExtractor,
-            "detector": ReplayDetector,
-            "grounder": ReplayGrounder,
-            "mllm": ReplayMllm,
-            "selector": ReplaySelector,
-        }[role](store)
+        source = FixtureStore(cfg.resolve(settings.fixtures))
     else:
-        # one pooled connection per call the role may have in flight
-        session = requests.Session()
-        adapter = HTTPAdapter(pool_maxsize=settings.concurrency)
-        session.mount("http://", adapter)
-        session.mount("https://", adapter)
-        client = HttpClient(
+        source = HttpClient(
             endpoint=settings.endpoint or "",
             token=settings.token,
             timeout=settings.timeout,
             retries=settings.retries,
             backoff=settings.backoff,
-            session=session,
+            concurrency=settings.concurrency,
         )
-        if role == "extractor":
-            impl = HttpTargetExtractor(client)
-        elif role == "detector":
-            impl = HttpDetector(client, settings.coordinate_space)
-        elif role == "grounder":
-            impl = HttpGrounder(client, settings.coordinate_space)
-        elif role == "mllm":
-            impl = HttpMllm(client, settings.coordinate_space)
-        else:
-            impl = HttpSelector(client)
+    # config allows coordinate_space only on the box-returning http roles
+    space = settings.coordinate_space
+    extra = {} if space is None else {"coordinate_space": space}
+    impl = _ADAPTERS[settings.kind, role](source, **extra)
     return BoundedHandle(impl, settings.concurrency, memo)
 
 
 def build_backends(cfg: RunConfig, memo: CallMemo | None = None) -> BackendBundle:
-    """A handle per configured role; with ``memo``, every role's calls go through it."""
+    """A handle per configured role; with ``memo``, extractor and detector calls go through it."""
     handles = {
         role: _build_handle(role, settings, cfg, memo) for role, settings in cfg.backends.items()
     }
@@ -353,7 +329,13 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
             if meta is None:
                 meta = record
         elif kind == "prediction":
-            pred = Prediction.from_dict(record)
+            try:
+                pred = Prediction.from_dict(record)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"prediction log line {line_no} is not a valid prediction record: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             preds[pred.task_id] = pred
         else:
             raise ConfigError(f"prediction log line {line_no} has unknown record kind {kind!r}")

@@ -31,8 +31,6 @@ from recollab.backends.replay import (
     ReplaySelector,
     ReplayTargetExtractor,
     fixture_key,
-    grounding_from_payload,
-    selection_from_payload,
     write_fixture,
 )
 from recollab.backends.types import (
@@ -43,8 +41,10 @@ from recollab.backends.types import (
     SelectionResult,
     derive_confidence,
     detections_from_payload,
+    grounding_from_payload,
     parse_coordinate_box,
     scale_box,
+    selection_from_payload,
 )
 from recollab.datamodel import ImageRef
 

@@ -22,6 +22,7 @@ import yaml
 
 from recollab import runner
 from recollab.backends import BackendBundle
+from recollab.backends.http import HttpClient, HttpGrounder
 from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore, fixture_key
 from recollab.backends.types import BackendError
 from recollab.cli import main
@@ -141,6 +142,36 @@ def test_read_log_rejects_corrupt_line(tmp_path):
         read_log(path)
 
 
+def _drop_confidence(record):
+    del record["confidence"]
+
+
+def _contradict_the_route(record):
+    record["decision"].update(level="fast", detection_count=2)
+
+
+@pytest.mark.parametrize(
+    "damage, error", [(_drop_confidence, "KeyError"), (_contradict_the_route, "ValueError")]
+)
+def test_a_malformed_prediction_record_is_a_usage_error(tmp_path, capsys, damage, error):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    log_path = tmp_path / "out" / LOG_NAME
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    damage(record)
+    lines[1] = json.dumps(record)
+    log_path.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    # report reads the log; a resumed run reads it before making any call
+    for command in ("report", "run"):
+        assert main([command, "-c", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "prediction log line 2 is not a valid prediction record" in err
+        assert error in err
+    assert len(log_path.read_text(encoding="utf-8").splitlines()) == 3
+
+
 # ----------------------------------------------------------- pathway units
 
 
@@ -225,8 +256,8 @@ def _tasks_on(image, n):
     return [make_positive(i, image=image) for i in range(n)]
 
 
-class _GatedGrounder:
-    """Grounder whose calls block until ``go`` is set; the first ``fail`` calls raise."""
+class _GatedDetector:
+    """Detector whose calls block until ``go`` is set; the first ``fail`` calls raise."""
 
     def __init__(self, fail=0):
         self.lock = threading.Lock()
@@ -234,13 +265,13 @@ class _GatedGrounder:
         self.go = threading.Event()
         self.fail = fail
 
-    def ground(self, image, query):
+    def detect(self, image, query):
         with self.lock:
             self.calls.append(query)
             failing = len(self.calls) <= self.fail
         assert self.go.wait(10)
         if failing:
-            raise BackendError(f"grounder down for {query}")
+            raise BackendError(f"detector down for {query}")
         return object()
 
 
@@ -250,10 +281,10 @@ def _in_threads(n, fn, spare=0):
 
 
 def test_memo_makes_one_call_per_key_for_concurrent_callers():
-    inner = _GatedGrounder()
+    inner = _GatedDetector()
     handle = BoundedHandle(inner, 1, runner.CallMemo(_tasks_on("img", 8)))
     image = ImageRef("img", 640, 480)
-    pool, futures = _in_threads(8, lambda: handle.ground(image, "the cat"))
+    pool, futures = _in_threads(8, lambda: handle.detect(image, "the cat"))
     time.sleep(0.2)
     inner.go.set()
     results = [f.result(timeout=10) for f in futures]
@@ -261,21 +292,21 @@ def test_memo_makes_one_call_per_key_for_concurrent_callers():
     assert inner.calls == ["the cat"]
     assert all(r is results[0] for r in results)
     # the result is held while the tasks on that image are pending
-    assert handle.ground(image, "the cat") is results[0]
+    assert handle.detect(image, "the cat") is results[0]
     assert inner.calls == ["the cat"]
 
 
 def test_memo_waiters_hold_no_concurrency_slot():
-    inner = _GatedGrounder()
+    inner = _GatedDetector()
     handle = BoundedHandle(inner, 2, runner.CallMemo(_tasks_on("img", 8)))
     image = ImageRef("img", 640, 480)
-    pool, futures = _in_threads(4, lambda: handle.ground(image, "the cat"), spare=1)
+    pool, futures = _in_threads(4, lambda: handle.detect(image, "the cat"), spare=1)
     deadline = time.monotonic() + 10
     while not inner.calls and time.monotonic() < deadline:
         time.sleep(0.01)
     time.sleep(0.1)
     # three callers wait on the first one's call; the second slot is still free
-    other = pool.submit(handle.ground, image, "the dog")
+    other = pool.submit(handle.detect, image, "the dog")
     while len(inner.calls) < 2 and time.monotonic() < deadline:
         time.sleep(0.01)
     assert inner.calls == ["the cat", "the dog"]
@@ -286,16 +317,16 @@ def test_memo_waiters_hold_no_concurrency_slot():
 
 
 def test_memo_shares_a_failure_with_waiters_only():
-    inner = _GatedGrounder(fail=1)
+    inner = _GatedDetector(fail=1)
     memo = runner.CallMemo(_tasks_on("img", 8))
     handle = BoundedHandle(inner, 1, memo)
     image = ImageRef("img", 640, 480)
-    pool, futures = _in_threads(6, lambda: handle.ground(image, "the cat"))
+    pool, futures = _in_threads(6, lambda: handle.detect(image, "the cat"))
     time.sleep(0.5)  # every caller is waiting on the first one's call
     inner.go.set()
     errors = []
     for future in futures:
-        with pytest.raises(BackendError, match="grounder down") as caught:
+        with pytest.raises(BackendError, match="detector down") as caught:
             future.result(timeout=10)
         errors.append(caught.value)
     pool.shutdown()
@@ -303,9 +334,9 @@ def test_memo_shares_a_failure_with_waiters_only():
     assert all(e is errors[0] for e in errors)
     assert len(memo) == 0
     # the failure was not stored: the next caller reaches the backend again
-    result = handle.ground(image, "the cat")
+    result = handle.detect(image, "the cat")
     assert inner.calls == ["the cat", "the cat"]
-    assert handle.ground(image, "the cat") is result
+    assert handle.detect(image, "the cat") is result
 
 
 def test_memo_keys_by_exact_arguments_and_keeps_only_what_a_task_can_reuse():
@@ -320,24 +351,63 @@ def test_memo_keys_by_exact_arguments_and_keeps_only_what_a_task_can_reuse():
         return len(calls)
 
     small, large = ImageRef("img", 640, 480), ImageRef("img", 800, 600)
-    assert memo.call("ground", (small, "the cat"), call) == 1
-    assert memo.call("ground", (large, "the cat"), call) == 2  # the size is part of the key
-    assert memo.call("detect", (small, "the cat"), call) == 3  # so is the method
-    assert memo.call("select", (small, "pick", ["A", "B"]), call) == 4
-    assert memo.call("select", (small, "pick", ("A", "B")), call) == 4
-    assert memo.call("ground", (small, "the cat"), call) == 1
+    assert memo.call("detect", (small, "cat"), call) == 1
+    assert memo.call("detect", (large, "cat"), call) == 2  # the size is part of the key
+    assert memo.call("detect", (small, "dog"), call) == 3  # so is the query
+    assert memo.call("detect", (small, "cat"), call) == 1
     # one pending task per image or expression: nothing to share, nothing kept
-    assert memo.call("ground", (ImageRef("solo", 640, 480), "a bird"), call) == 5
+    assert memo.call("detect", (ImageRef("solo", 640, 480), "bird"), call) == 4
+    assert memo.call("extract", ("the cat",), call) == 5
     assert memo.call("extract", ("the cat",), call) == 6
-    assert memo.call("extract", ("the cat",), call) == 7
-    assert len(memo) == 4
+    assert len(memo) == 3
 
     memo.release(pos)
-    assert len(memo) == 4  # neg may still ask
+    assert len(memo) == 3  # neg may still ask
     memo.release(neg)
     assert len(memo) == 0
     memo.release(alone)
-    assert memo.call("ground", (small, "the cat"), call) == 8
+    assert memo.call("detect", (small, "cat"), call) == 7
+
+
+def test_memo_holds_detections_and_shared_targets_but_no_per_task_call():
+    # pos and neg-expr share an image, pos and neg-image an expression
+    pos = make_positive(0, image="img", expression="the cat")
+    neg_expr = make_positive(1, image="img", expression="the black cat")
+    neg_image = make_positive(2, image="other", expression="the cat")
+    memo = runner.CallMemo([pos, neg_expr, neg_image])
+    calls = Counter()
+
+    class Inner:
+        def extract(self, expression):
+            calls["extract"] += 1
+            return object()
+
+        def detect(self, image, query):
+            calls["detect"] += 1
+            return object()
+
+        def ground(self, image, query):
+            calls["ground"] += 1
+            return object()
+
+        def ground_generative(self, image, prompt):
+            calls["ground_generative"] += 1
+            return object()
+
+        def select(self, image, prompt, offered):
+            calls["select"] += 1
+            return object()
+
+    handle = BoundedHandle(Inner(), 2, memo)
+    image = ImageRef("img", 640, 480)
+    for _ in range(3):
+        handle.extract("the cat")
+        handle.detect(image, "cat")
+        handle.ground(image, "the cat")
+        handle.ground_generative(image, "where is the cat?")
+        handle.select(image, "pick one", ["A", "B"])
+    assert calls == {"extract": 1, "detect": 1, "ground": 3, "ground_generative": 3, "select": 3}
+    assert len(memo) == 2  # the target and the detection
 
 
 def test_memo_under_contention_calls_each_key_once_and_ends_empty():
@@ -347,17 +417,17 @@ def test_memo_under_contention_calls_each_key_once_and_ends_empty():
     lock = threading.Lock()
     calls = Counter()
 
-    class Grounder:
-        def ground(self, image, query):
+    class Detector:
+        def detect(self, image, query):
             with lock:
                 calls[image.image_id, query] += 1
             return object()
 
-    handle = BoundedHandle(Grounder(), 4, memo)
+    handle = BoundedHandle(Detector(), 4, memo)
 
     def run(task):
         image = ImageRef(task.image, 640, 480)
-        answers = [handle.ground(image, query) for query in ("a", "b", "c")]
+        answers = [handle.detect(image, query) for query in ("a", "b", "c")]
         memo.release(task)
         return answers
 
@@ -432,10 +502,9 @@ def test_run_drops_a_result_once_the_last_task_on_its_image_is_logged(tmp_path, 
 
     monkeypatch.setattr(runner, "_write_record", inspecting_write)
     assert runner.cmd_run(load_config(cfg_path)) == 0
-    # pos-i and neg-i share img-i. pos-i's detection and grounding are held
-    # while either is pending (neg-i's grounding is not: no one else shares
-    # img-i by then); both are gone by the time pos-(i+1) is written
-    assert held == [2] * 8
+    # pos-i and neg-i share img-i. pos-i's detection is held while either is
+    # pending, and is gone by the time pos-(i+1) is written; no grounding is held
+    assert held == [1] * 8
     assert len(memos[0]) == 0
 
 
@@ -447,7 +516,8 @@ def test_export_tuning_makes_every_call(tmp_path, monkeypatch):
     assert len(reads) == 8 and memos == []
 
 
-def test_http_session_pools_as_many_connections_as_calls_in_flight(tmp_path, caplog):
+@pytest.mark.parametrize("built_from", ["config", "client"])
+def test_http_session_pools_as_many_connections_as_calls_in_flight(tmp_path, caplog, built_from):
     cfg = _cfg_with_costs(tmp_path, "specialist")
     arrived = threading.Barrier(16, timeout=10)
 
@@ -456,8 +526,11 @@ def test_http_session_pools_as_many_connections_as_calls_in_flight(tmp_path, cap
         return {"detections": [{"box": [0, 0, 10, 10], "score": 0.5}]}
 
     with http_server(reply=reply) as (server, url):
-        settings = BackendSettings(kind="http", endpoint=url, concurrency=16)
-        handle = runner._build_handle("grounder", settings, cfg)
+        if built_from == "config":
+            settings = BackendSettings(kind="http", endpoint=url, concurrency=16)
+            handle = runner._build_handle("grounder", settings, cfg)
+        else:
+            handle = HttpGrounder(HttpClient(url, concurrency=16))
         image = ImageRef("img", 640, 480)
         with caplog.at_level(logging.WARNING, logger="urllib3"):
             with ThreadPoolExecutor(max_workers=16) as pool:
@@ -551,6 +624,29 @@ def test_validate_reports_malformed_dataset(tmp_path):
     proc = run_cli("validate", "-c", cfg_path)
     assert proc.returncode == 1
     assert "INVALID" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("width", 0, "width must be a positive integer, got 0"),
+        ("width", "wide", "width must be a positive integer, got 'wide'"),
+        ("image", "", "empty image"),
+    ],
+)
+def test_a_task_field_the_runner_reads_is_checked_at_load(tmp_path, capsys, field, value, message):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    data = tmp_path / "test.jsonl"
+    records = [json.loads(line) for line in data.read_text(encoding="utf-8").splitlines()]
+    records[2][field] = value
+    data.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    where = f"[line 3] [task {records[2]['id']!r}] {message}"
+
+    assert main(["validate", "-c", str(cfg_path)]) == 1
+    assert where in capsys.readouterr().out
+    assert main(["run", "-c", str(cfg_path)]) == 1
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out" / LOG_NAME).exists()
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

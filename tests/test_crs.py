@@ -258,12 +258,14 @@ def test_run_crs_free_text_resolves():
     assert pred.box == BBox(200, 0, 300, 100)
 
 
-def test_run_crs_unparseable_answer():
+def test_run_crs_logs_the_selector_label_as_given():
+    # the adapter resolves the answer text; run_crs does not parse it again
     grounder = ScriptedGrounder([det(0, 0, 100, 100, 0.9)])
-    selector = ScriptedSelector("no clue here", label="A")
+    selector = ScriptedSelector("no clue here", label="A", prob=0.4)
     pred = run_crs(make_positive(0), bundle(grounder, selector))
-    assert pred.box is None
-    assert pred.note.startswith("unparseable selector answer")
+    assert pred.box == BBox(0, 0, 100, 100)
+    assert pred.confidence == 0.4
+    assert pred.raw == {"text": "no clue here", "label_prob": 0.4, "label": "A"}
 
 
 def test_run_crs_empty_raw_text_uses_label():
