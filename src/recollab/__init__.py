@@ -41,7 +41,7 @@ from .metrics import (
     recall_at_k,
     render_text,
 )
-from .prediction import Pathway, Prediction, RouteDecision, RouteLevel
+from .prediction import Pathway, Prediction, RouteDecision
 from .sfa import SfaParams, assess_route, build_focus_prompt, run_sfa, target_focus_select
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "Prediction",
     "RecTask",
     "RouteDecision",
-    "RouteLevel",
     "RunConfig",
     "SfaParams",
     "Split",

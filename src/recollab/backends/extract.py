@@ -1,11 +1,11 @@
 """Target extraction: name the object category a referring expression refers to.
 
-Two implementations. The LLM-backed adapters (see replay / http modules)
-send a fixed question plus three in-context examples and require a
-dictionary-format answer, which keeps free-text drift out of the parse
-path. The heuristic extractor needs no model at all: it takes the head
-noun of the expression's first noun phrase and exists both as a cheap
-standalone choice and as the fallback when an LLM answer fails to parse.
+The LLM-backed adapters (see replay / http modules) send a fixed
+question plus three in-context examples and require a dictionary-format
+answer, which keeps free-text drift out of the parse path. The heuristic
+extractor needs no model at all: it takes the head noun of the
+expression's first noun phrase and is the fallback when an LLM answer
+fails to parse.
 """
 
 from __future__ import annotations

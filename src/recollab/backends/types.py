@@ -236,15 +236,17 @@ def selection_from_payload(
 ) -> SelectionResult:
     """Resolve a selector reply against the offered labels.
 
-    Exact single-letter answers resolve directly; anything else goes
-    through ``match_option_label`` before becoming an error.
+    An offered ``label`` wins; otherwise ``text`` goes through
+    ``match_option_label`` before becoming an error.
     """
     if not offered:
         raise ValueError("no option labels offered")
     if len(set(offered)) != len(offered):
         raise ValueError(f"option labels not unique: {list(offered)}")
     text = str(payload.get("text", ""))
-    label = match_option_label(text, offered)
+    label = payload.get("label")
+    if label not in offered:
+        label = match_option_label(text, offered)
     if label is None:
         raise BackendError(f"selector output {text!r} resolves to no offered label")
     prob = float(payload.get("label_prob", 1.0))

@@ -17,11 +17,12 @@ from typing import Any, Mapping
 import yaml
 
 from .crs import CrsParams
+from .datamodel import Split
 from .sfa import SfaParams
 
 ROLES = ("extractor", "detector", "grounder", "mllm", "selector")
 PIPELINES = ("specialist", "mllm", "sfa", "crs")
-SPLITS = ("train", "val", "test")
+SPLITS = tuple(split.value for split in Split)
 
 ENV_PREFIX = "RECOLLAB"
 
@@ -139,11 +140,6 @@ class RunConfig:
             raise ConfigError(f"no dataset configured for split {split!r}")
         return self.resolve(self.datasets[split])
 
-    def backend(self, role: str) -> BackendSettings:
-        if role not in self.backends:
-            raise ConfigError(f"no backend configured for role {role!r}")
-        return self.backends[role]
-
     def check_paths(self) -> None:
         """Referenced datasets and fixture directories must exist."""
         for split in self.datasets:
@@ -196,24 +192,11 @@ def _backend_from(role: str, data: Mapping[str, Any]) -> BackendSettings:
     return _dataclass_from(BackendSettings, merged, f"backends.{role}")
 
 
-_TOP_KEYS = (
-    "pipeline",
-    "seed",
-    "output_dir",
-    "datasets",
-    "backends",
-    "sfa",
-    "crs",
-    "tuning",
-    "metrics",
-    "expected_counts",
-)
-
-
 def config_from_dict(data: Mapping[str, Any], base_dir: str | Path = ".") -> RunConfig:
     if not isinstance(data, Mapping):
         raise ConfigError("config root must be a mapping")
-    _check_keys(data, _TOP_KEYS, "config")
+    keys = tuple(f.name for f in fields(RunConfig) if f.name != "base_dir")
+    _check_keys(data, keys, "config")
 
     sfa_params = _dataclass_from(SfaParams, data.get("sfa", {}), "sfa")
     crs_params = _dataclass_from(CrsParams, data.get("crs", {}), "crs")
@@ -260,29 +243,14 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(data, base_dir=path.parent)
 
 
-def config_to_dict(cfg: RunConfig, redact_secrets: bool = True) -> dict[str, Any]:
-    """JSON-ready view of the config; secret values never leave as-is."""
-    backends = {}
-    for role, settings in sorted(cfg.backends.items()):
-        entry = asdict(settings)
-        if redact_secrets and entry.get("token"):
+def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
+    """Every setting but ``base_dir``; secret values never leave as-is."""
+    data = asdict(cfg)
+    del data["base_dir"]
+    for entry in data["backends"].values():
+        if entry["token"]:
             entry["token"] = "***"
-        backends[role] = entry
-    return {
-        "pipeline": cfg.pipeline,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "datasets": dict(sorted(cfg.datasets.items())),
-        "backends": backends,
-        "sfa": asdict(cfg.sfa),
-        "crs": asdict(cfg.crs),
-        "tuning": asdict(cfg.tuning),
-        "metrics": {"ks": list(cfg.metrics.ks)},
-        "expected_counts": {
-            split: dict(sorted(counts.items()))
-            for split, counts in sorted(cfg.expected_counts.items())
-        },
-    }
+    return data
 
 
 def _digest(data: Mapping[str, Any]) -> str:

@@ -44,15 +44,10 @@ def option_label(index: int) -> str:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Post-NMS top-k detections, lettered in confidence order.
-
-    ``none_label``, when set, is the letter reserved for the rejection
-    option; it always follows the real options.
-    """
+    """Post-NMS top-k detections, lettered in confidence order."""
 
     candidates: tuple[tuple[str, Detection], ...]
     k: int
-    none_label: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -66,20 +61,9 @@ class CandidateSet:
         labels = [label for label, _ in self.candidates]
         if labels != expected:
             raise ValueError(f"labels must run consecutively from A, got {labels}")
-        if self.none_label is not None and self.none_label != option_label(len(self.candidates)):
-            raise ValueError(
-                f"none_label must follow the real options, got {self.none_label!r}"
-            )
 
     def __len__(self) -> int:
         return len(self.candidates)
-
-    def with_none(self) -> CandidateSet:
-        if self.none_label is not None:
-            return self
-        return CandidateSet(
-            candidates=self.candidates, k=self.k, none_label=option_label(len(self.candidates))
-        )
 
 
 def generate_candidates(
@@ -100,6 +84,22 @@ def generate_candidates(
 
 
 @dataclass(frozen=True)
+class CrsParams:
+    k: int = DEFAULT_K
+    nms_threshold: float = DEFAULT_NMS_THRESHOLD
+    include_none: bool = True
+    question_template: str = DEFAULT_QUESTION_TEMPLATE
+    rejection_instruction: str = DEFAULT_REJECTION_INSTRUCTION
+    answer_instruction: str = DEFAULT_ANSWER_INSTRUCTION
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 0.0 <= self.nms_threshold <= 1.0:
+            raise ValueError(f"nms threshold out of [0, 1]: {self.nms_threshold}")
+
+
+@dataclass(frozen=True)
 class ChoicePrompt:
     """Rendered multiple-choice prompt plus the label -> box mapping."""
 
@@ -116,55 +116,29 @@ class ChoicePrompt:
 
 
 def build_choice_prompt(
-    expression: str,
-    cs: CandidateSet,
-    include_none: bool = True,
-    *,
-    question_template: str = DEFAULT_QUESTION_TEMPLATE,
-    rejection_instruction: str = DEFAULT_REJECTION_INSTRUCTION,
-    answer_instruction: str = DEFAULT_ANSWER_INSTRUCTION,
+    expression: str, cs: CandidateSet, params: CrsParams = CrsParams()
 ) -> ChoicePrompt:
     """Render the expression and lettered box options, None always last."""
-    if not cs.candidates and not include_none:
+    if not cs.candidates and not params.include_none:
         raise ValueError("no options to offer: empty candidate set without a None option")
-    if include_none:
-        cs = cs.with_none()
-    lines = [question_template.format(expression=expression)]
+    lines = [params.question_template.format(expression=expression)]
     option_map: dict[str, BBox] = {}
     for label, det in cs.candidates:
         x0, y0, x1, y1 = box_to_pixels(det.box)
         lines.append(f"{label}. [[{x0}, {y0}, {x1}, {y1}]]")
         option_map[label] = det.box
-    if include_none:
-        lines.append(f"{cs.none_label}. {NONE_OPTION_TEXT}")
-        lines.append(rejection_instruction)
-    lines.append(answer_instruction)
-    return ChoicePrompt(
-        text="\n".join(lines),
-        option_map=option_map,
-        none_label=cs.none_label if include_none else None,
-    )
+    none_label = None
+    if params.include_none:
+        none_label = option_label(len(cs))
+        lines.append(f"{none_label}. {NONE_OPTION_TEXT}")
+        lines.append(params.rejection_instruction)
+    lines.append(params.answer_instruction)
+    return ChoicePrompt(text="\n".join(lines), option_map=option_map, none_label=none_label)
 
 
 def parse_choice(raw: str, cp: ChoicePrompt) -> str | None:
     """Selector answer -> offered label, or None on unparseable output."""
     return match_option_label(raw, cp.offered)
-
-
-@dataclass(frozen=True)
-class CrsParams:
-    k: int = DEFAULT_K
-    nms_threshold: float = DEFAULT_NMS_THRESHOLD
-    include_none: bool = True
-    question_template: str = DEFAULT_QUESTION_TEMPLATE
-    rejection_instruction: str = DEFAULT_REJECTION_INSTRUCTION
-    answer_instruction: str = DEFAULT_ANSWER_INSTRUCTION
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.nms_threshold <= 1.0:
-            raise ValueError(f"nms threshold out of [0, 1]: {self.nms_threshold}")
 
 
 def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams()) -> Prediction:
@@ -180,14 +154,7 @@ def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams
         cs = generate_candidates(grounding.detections, k=params.k, nms_thr=params.nms_threshold)
         if not cs.candidates and not params.include_none:
             return Prediction.miss(task.id, Pathway.CRS, "no candidates survived")
-        cp = build_choice_prompt(
-            task.expression,
-            cs,
-            include_none=params.include_none,
-            question_template=params.question_template,
-            rejection_instruction=params.rejection_instruction,
-            answer_instruction=params.answer_instruction,
-        )
+        cp = build_choice_prompt(task.expression, cs, params)
         sel = handles.require("selector").select(image, cp.text, cp.offered)
     except BackendError as exc:
         return Prediction.backend_failure(task.id, Pathway.CRS, exc)

@@ -29,11 +29,6 @@ class Pathway(str, Enum):
     CRS = "crs"
 
 
-class RouteLevel(str, Enum):
-    FAST = "fast"
-    SLOW = "slow"
-
-
 @dataclass(frozen=True)
 class RouteDecision:
     """Outcome of difficulty assessment for one task.
@@ -43,7 +38,6 @@ class RouteDecision:
     else routes slow.
     """
 
-    level: RouteLevel
     detection_count: int
     target: str
     threshold_used: float
@@ -53,12 +47,10 @@ class RouteDecision:
             raise ValueError("detection_count must be >= 0")
         if not 0.0 <= self.threshold_used <= 1.0:
             raise ValueError(f"threshold {self.threshold_used} outside [0, 1]")
-        expected = RouteLevel.FAST if self.detection_count == 1 else RouteLevel.SLOW
-        if self.level is not expected:
-            raise ValueError(
-                f"level {self.level.value} inconsistent with "
-                f"detection_count {self.detection_count}"
-            )
+
+    @property
+    def level(self) -> Pathway:
+        return Pathway.FAST if self.detection_count == 1 else Pathway.SLOW
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -70,12 +62,18 @@ class RouteDecision:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> RouteDecision:
-        return cls(
-            level=RouteLevel(data["level"]),
+        """Inverse of ``to_dict``; a ``level`` that contradicts the count is refused."""
+        decision = cls(
             detection_count=int(data["detection_count"]),
             target=data["target"],
             threshold_used=float(data["threshold_used"]),
         )
+        if data["level"] != decision.level.value:
+            raise ValueError(
+                f"level {data['level']} inconsistent with "
+                f"detection_count {decision.detection_count}"
+            )
+        return decision
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,8 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"prediction log line {line_no} is not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ConfigError(f"prediction log line {line_no} is not a JSON object")
         kind = record.get("record")
         if kind == "meta":
             if meta is None:

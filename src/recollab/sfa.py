@@ -19,7 +19,7 @@ from .backends import BackendBundle
 from .backends.types import BackendError, Detector, GroundingResult, derive_confidence
 from .datamodel import ImageRef, RecTask, image_ref
 from .geometry import Detection
-from .prediction import Pathway, Prediction, RouteDecision, RouteLevel
+from .prediction import Pathway, Prediction, RouteDecision
 
 logger = logging.getLogger(__name__)
 
@@ -48,19 +48,13 @@ def assess_route(
     detector: Detector,
     threshold: float = DEFAULT_ROUTE_THRESHOLD,
 ) -> RouteDecision:
-    """Count detections of the target category at or above the threshold.
-
-    A count of exactly one routes fast; zero (nothing to trust) or two or
-    more (ambiguity to resolve) route slow.
-    """
+    """Count detections of the target category at or above the threshold;
+    the count decides the route (``RouteDecision.level``)."""
     if not target:
         raise ValueError("empty target phrase")
     result = detector.detect(image, target)
     count = sum(1 for det in result.detections if det.score >= threshold)
-    level = RouteLevel.FAST if count == 1 else RouteLevel.SLOW
-    return RouteDecision(
-        level=level, detection_count=count, target=target, threshold_used=threshold
-    )
+    return RouteDecision(detection_count=count, target=target, threshold_used=threshold)
 
 
 def build_focus_prompt(expression: str, target: str, params: SfaParams = SfaParams()) -> str:
@@ -162,13 +156,12 @@ def run_sfa(task: RecTask, handles: BackendBundle, params: SfaParams = SfaParams
     try:
         target = handles.require("extractor").extract(task.expression)
         decision = assess_route(image, target, handles.require("detector"), params.threshold)
-        if decision.level is RouteLevel.SLOW:
+        if decision.level is Pathway.SLOW:
             prompt = build_focus_prompt(task.expression, target, params)
             return ground_slow(task, handles, prompt, decision)
         grounding = handles.require("grounder").ground(image, task.expression)
     except BackendError as exc:
-        fast = decision is not None and decision.level is RouteLevel.FAST
-        pathway = Pathway.FAST if fast else Pathway.SLOW
+        pathway = Pathway.SLOW if decision is None else decision.level
         return Prediction.backend_failure(task.id, pathway, exc, decision)
 
     if not grounding.detections:

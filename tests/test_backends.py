@@ -429,6 +429,13 @@ def test_selection_from_payload_resolution():
     assert selection_from_payload({"text": "b) looks right"}, offered).label == "B"
     result = selection_from_payload({"text": "A", "label_prob": 0.25}, offered)
     assert result.label_prob == 0.25
+    # an offered label wins over text, and needs no text at all
+    assert selection_from_payload({"label": "B", "label_prob": 0.8}, offered).label == "B"
+    assert selection_from_payload({"label": "B", "text": "A"}, offered).label == "B"
+    # a label that is not offered falls back to text
+    assert selection_from_payload({"label": "Z", "text": "C"}, offered).label == "C"
+    with pytest.raises(BackendError):
+        selection_from_payload({"label": "Z"}, offered)
     with pytest.raises(BackendError):
         selection_from_payload({"text": "none of them"}, offered)
     with pytest.raises(ValueError):

@@ -150,26 +150,41 @@ def _contradict_the_route(record):
     record["decision"].update(level="fast", detection_count=2)
 
 
-@pytest.mark.parametrize(
-    "damage, error", [(_drop_confidence, "KeyError"), (_contradict_the_route, "ValueError")]
-)
-def test_a_malformed_prediction_record_is_a_usage_error(tmp_path, capsys, damage, error):
+def _assert_damaged_log_refused(tmp_path, capsys, replace_line_2, *messages):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
     assert main(["run", "-c", str(cfg_path)]) == 0
     log_path = tmp_path / "out" / LOG_NAME
     lines = log_path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[1])
-    damage(record)
-    lines[1] = json.dumps(record)
+    lines[1] = replace_line_2(lines[1])
     log_path.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
     capsys.readouterr()
     # report reads the log; a resumed run reads it before making any call
     for command in ("report", "run"):
         assert main([command, "-c", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "prediction log line 2 is not a valid prediction record" in err
-        assert error in err
+        for message in messages:
+            assert message in err
     assert len(log_path.read_text(encoding="utf-8").splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "damage, error", [(_drop_confidence, "KeyError"), (_contradict_the_route, "ValueError")]
+)
+def test_a_malformed_prediction_record_is_a_usage_error(tmp_path, capsys, damage, error):
+    def replace(line):
+        record = json.loads(line)
+        damage(record)
+        return json.dumps(record)
+
+    _assert_damaged_log_refused(
+        tmp_path, capsys, replace, "prediction log line 2 is not a valid prediction record", error
+    )
+
+
+def test_a_log_line_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    _assert_damaged_log_refused(
+        tmp_path, capsys, lambda line: "[1, 2]", "prediction log line 2 is not a JSON object"
+    )
 
 
 # ----------------------------------------------------------- pathway units

@@ -131,11 +131,9 @@ def test_dataset_and_backend_lookup(tmp_path):
         base_dir=tmp_path,
     )
     assert cfg.dataset_path("test") == tmp_path / "data/test.jsonl"
-    assert cfg.backend("grounder").kind == "replay"
+    assert cfg.backends["grounder"].kind == "replay"
     with pytest.raises(ConfigError, match="split"):
         cfg.dataset_path("train")
-    with pytest.raises(ConfigError, match="role"):
-        cfg.backend("selector")
 
 
 def test_check_paths(tmp_path):
@@ -166,8 +164,8 @@ def test_env_overrides_endpoint_and_token(monkeypatch):
     cfg = config_from_dict(
         {"backends": {"mllm": {"kind": "http", "endpoint": "http://original/"}}}
     )
-    assert cfg.backend("mllm").endpoint == "http://10.0.0.5:8000/v1"
-    assert cfg.backend("mllm").token == "supersecret"
+    assert cfg.backends["mllm"].endpoint == "http://10.0.0.5:8000/v1"
+    assert cfg.backends["mllm"].token == "supersecret"
 
 
 def test_env_override_does_not_leak_to_other_roles(monkeypatch):
@@ -180,8 +178,8 @@ def test_env_override_does_not_leak_to_other_roles(monkeypatch):
             }
         }
     )
-    assert cfg.backend("grounder").token is None
-    assert cfg.backend("mllm").token == "supersecret"
+    assert cfg.backends["grounder"].token is None
+    assert cfg.backends["mllm"].token == "supersecret"
 
 
 def test_config_to_dict_redacts_token():
@@ -191,8 +189,6 @@ def test_config_to_dict_redacts_token():
     data = config_to_dict(cfg)
     assert data["backends"]["mllm"]["token"] == "***"
     assert "hush" not in str(data)
-    raw = config_to_dict(cfg, redact_secrets=False)
-    assert raw["backends"]["mllm"]["token"] == "hush"
 
 
 def test_config_hash_stable_and_sensitive(tmp_path):
@@ -204,6 +200,24 @@ def test_config_hash_stable_and_sensitive(tmp_path):
     c = config_from_dict({**base, "seed": 8})
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 64
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("output_dir", "elsewhere"),
+        ("datasets", {"test": "other.jsonl"}),
+        ("sfa", {"threshold": 0.3}),
+        ("crs", {"k": 3}),
+        ("tuning", {"positives": 5}),
+        ("metrics", {"ks": [1, 3]}),
+        ("expected_counts", {"test": {"positive": 9605}}),
+    ],
+)
+def test_config_hash_covers_every_section(section, value):
+    base = config_from_dict({"datasets": {"test": "t.jsonl"}})
+    changed = config_from_dict({"datasets": {"test": "t.jsonl"}, section: value})
+    assert config_hash(base) != config_hash(changed)
 
 
 def test_config_hash_covers_env_overrides(monkeypatch):

@@ -97,15 +97,6 @@ def test_candidate_set_validation():
         CandidateSet(candidates=(("A", a),), k=0)
     with pytest.raises(ValueError):
         CandidateSet(candidates=(("A", a), ("B", a)), k=1)
-    with pytest.raises(ValueError):
-        CandidateSet(candidates=(("A", a),), k=5, none_label="C")
-
-
-def test_candidate_set_with_none_is_idempotent():
-    cs = CandidateSet(candidates=(("A", det(0, 0, 1, 1, 0.5)),), k=5)
-    closed = cs.with_none()
-    assert closed.none_label == "B"
-    assert closed.with_none() is closed
 
 
 def test_generate_candidates_suppresses_then_truncates():
@@ -163,7 +154,7 @@ def test_build_choice_prompt_exact_text():
 
 def test_build_choice_prompt_without_none():
     cs = generate_candidates([det(0, 0, 10, 10, 0.9), det(50, 0, 60, 10, 0.8)], k=5)
-    cp = build_choice_prompt("x", cs, include_none=False)
+    cp = build_choice_prompt("x", cs, CrsParams(include_none=False))
     assert cp.offered == ("A", "B")
     assert cp.none_label is None
     assert "None" not in cp.text
@@ -176,18 +167,17 @@ def test_build_choice_prompt_empty_candidates():
     assert cp.offered == ("A",)
     assert "A. None" in cp.text
     with pytest.raises(ValueError):
-        build_choice_prompt("x", empty, include_none=False)
+        build_choice_prompt("x", empty, CrsParams(include_none=False))
 
 
 def test_build_choice_prompt_custom_templates():
     cs = generate_candidates([det(0, 0, 10, 10, 0.9)], k=5)
-    cp = build_choice_prompt(
-        "x",
-        cs,
+    params = CrsParams(
         question_template="Pick for {expression}:",
         rejection_instruction="Reject with the last letter.",
         answer_instruction="One letter only.",
     )
+    cp = build_choice_prompt("x", cs, params)
     assert cp.text.splitlines()[0] == "Pick for x:"
     assert "Reject with the last letter." in cp.text
     assert cp.text.endswith("One letter only.")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from recollab import BBox, Detection, Pathway, RouteLevel, TokenSpanScore
+from recollab import BBox, Detection, Pathway, TokenSpanScore
 from recollab.backends import BackendBundle
 from recollab.backends.replay import (
     ROLE_DETECT,
@@ -64,7 +64,7 @@ def test_route_counts_zero_through_five():
         scores = [0.9 - 0.1 * i for i in range(n)]
         decision = assess_route(IMG, "dog", ScriptedDetector(scores), threshold=0.2)
         assert decision.detection_count == n
-        expected = RouteLevel.FAST if n == 1 else RouteLevel.SLOW
+        expected = Pathway.FAST if n == 1 else Pathway.SLOW
         assert decision.level is expected
         assert decision.target == "dog"
         assert decision.threshold_used == 0.2
@@ -73,13 +73,13 @@ def test_route_counts_zero_through_five():
 def test_route_threshold_is_inclusive():
     decision = assess_route(IMG, "dog", ScriptedDetector([0.2, 0.19]), threshold=0.2)
     assert decision.detection_count == 1
-    assert decision.level is RouteLevel.FAST
+    assert decision.level is Pathway.FAST
 
 
 def test_route_ignores_below_threshold():
     decision = assess_route(IMG, "dog", ScriptedDetector([0.1, 0.05, 0.01]), threshold=0.2)
     assert decision.detection_count == 0
-    assert decision.level is RouteLevel.SLOW
+    assert decision.level is Pathway.SLOW
 
 
 def test_route_rejects_empty_target():
@@ -95,7 +95,7 @@ def test_route_depends_only_on_above_threshold_count():
         decision = assess_route(IMG, "cat", ScriptedDetector(scores), threshold=threshold)
         count = sum(1 for s in scores if s >= threshold)
         assert decision.detection_count == count
-        assert (decision.level is RouteLevel.FAST) == (count == 1)
+        assert (decision.level is Pathway.FAST) == (count == 1)
 
 
 def test_build_focus_prompt_default_texture():
@@ -422,4 +422,4 @@ def test_run_sfa_missing_backend_is_a_miss(tmp_path):
     assert "grounder" in pred.note
     # routing finished (one confident detection), so the miss is charged to fast
     assert pred.pathway is Pathway.FAST
-    assert pred.decision.level is RouteLevel.FAST
+    assert pred.decision.level is Pathway.FAST
