@@ -33,13 +33,24 @@ DEFAULT_REJECTION_INSTRUCTION = (
     'If no suitable option exists, please select the option corresponding to "None".'
 )
 DEFAULT_ANSWER_INSTRUCTION = "Answer with a single option letter."
+# options are lettered A to Z
+MAX_OPTIONS = 26
 
 
 def option_label(index: int) -> str:
     """Label for the option at ``index``: A, B, C, ..."""
-    if not 0 <= index < 26:
+    if not 0 <= index < MAX_OPTIONS:
         raise ValueError(f"option index out of range: {index}")
     return chr(ord("A") + index)
+
+
+def check_option_letters(k: int, include_none: bool) -> None:
+    """Refuse up to ``k`` candidates plus the None option when A-Z cannot letter them all."""
+    if k + include_none > MAX_OPTIONS:
+        raise ValueError(
+            f"k={k} with include_none={include_none} needs "
+            f"{k + include_none} option letters, more than the {MAX_OPTIONS} of A-Z"
+        )
 
 
 @dataclass(frozen=True)
@@ -95,6 +106,7 @@ class CrsParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        check_option_letters(self.k, self.include_none)
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(f"nms threshold out of [0, 1]: {self.nms_threshold}")
 
@@ -241,14 +253,14 @@ def _build_sample(task: RecTask, cs: CandidateSet, seed: int, include_none: bool
     options: list[tuple[str, BBox | None]] = [
         (option_label(i), box) for i, box in enumerate(boxes)
     ]
-    none_label = option_label(len(boxes))
     if include_none:
-        options.append((none_label, None))
+        options.append((option_label(len(boxes)), None))
     if task.is_positive:
         assert task.gt_box is not None
         answer = max(options[: len(boxes)], key=lambda item: iou(item[1], task.gt_box))[0]
     else:
-        answer = none_label
+        # negatives are exported only with the None option, which is last
+        answer = options[-1][0]
     return TuningSample(
         image=task.image, expression=task.expression, options=tuple(options), answer=answer
     )
@@ -282,6 +294,7 @@ def export_tuning(
         raise ValueError(f"counts must be non-negative, got {counts}")
     if want_neg > 0 and not include_none:
         raise ValueError("negative samples require the None option")
+    check_option_letters(k, include_none)
 
     eligible: dict[str, tuple[RecTask, CandidateSet]] = {}
     pos_ids: list[str] = []

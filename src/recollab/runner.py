@@ -2,8 +2,9 @@
 
 A run whose backends all replay fixtures executes each task on the calling
 thread. A run that calls any HTTP backend overlaps model calls on a worker
-pool, fed through an in-order window a few tasks per worker deep;
-per-backend semaphores bound in-flight calls. Either way results are
+pool with one thread per ``concurrency`` slot of every called role, fed
+through an in-order window a few tasks per worker deep; per-backend
+semaphores alone bound each role's in-flight calls. Either way results are
 written to an append-only prediction log in dataset order, which makes
 repeat runs byte-identical and lets an interrupted run resume by skipping
 already-logged task ids. Within a run, identical extractor and detector
@@ -44,7 +45,7 @@ from .backends.replay import (
 )
 from .backends.types import BackendError
 from .config import BackendSettings, ConfigError, RunConfig, config_hash, identity_hash
-from .crs import export_tuning, run_crs, save_tuning
+from .crs import check_option_letters, export_tuning, run_crs, save_tuning
 from .datamodel import DatasetError, RecTask, TaskSet, image_ref, load_taskset, validate_counts
 from .metrics import build_report, render_text
 from .prediction import FAILURE_NOTE_PREFIX  # noqa: F401 - bench/run.py imports it from here
@@ -423,13 +424,15 @@ def _pool_size(cfg: RunConfig, spec: PipelineSpec) -> int:
     """Worker threads for a run; 0 runs every task on the calling thread.
 
     Replay calls are Python work under the interpreter lock, so threads
-    only add contention; HTTP calls wait on the network, and the pool
-    overlaps them up to the largest ``concurrency`` among the called roles.
+    only add contention. HTTP calls wait on the network. A worker makes one
+    call at a time, so the pool has one worker per ``concurrency`` slot of
+    every called role: only then can every role keep all its slots busy at
+    once. Each role's semaphore stays the cap on its own in-flight calls.
     """
     settings = [cfg.backends[role] for role in spec.roles]
     if all(s.kind == "replay" for s in settings):
         return 0
-    return max(s.concurrency for s in settings)
+    return sum(s.concurrency for s in settings)
 
 
 def _predict(
@@ -577,6 +580,10 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
     cfg.check_paths()
     if "grounder" not in cfg.backends:
         raise ConfigError("export-tuning needs a grounder backend")
+    try:
+        check_option_letters(cfg.crs.k, cfg.tuning.include_none)
+    except ValueError as exc:
+        raise ConfigError(f"crs.k and tuning.include_none: {exc}") from exc
     ts = load_taskset(cfg.dataset_path("train"), "train")
     _require_image_sizes(cfg, ts, ("grounder",))
     handles = build_backends(cfg)

@@ -23,7 +23,13 @@ import yaml
 from recollab import runner
 from recollab.backends import BackendBundle
 from recollab.backends.http import HttpClient, HttpGrounder
-from recollab.backends.replay import ROLE_GENERATE, ROLE_GROUND, FixtureStore, fixture_key
+from recollab.backends.replay import (
+    ROLE_GENERATE,
+    ROLE_GROUND,
+    FixtureStore,
+    fixture_key,
+    write_fixture,
+)
 from recollab.backends.types import BackendError
 from recollab.cli import main
 from recollab.config import PIPELINES, BackendSettings, ConfigError, load_config
@@ -822,17 +828,91 @@ def test_run_with_an_http_role_overlaps_its_calls(tmp_path):
     assert read_records(tmp_path / "out" / LOG_NAME)[1:] == replayed
 
 
+def test_pool_size_is_one_worker_per_slot_of_every_called_role(tmp_path):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=1)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    assert runner._pool_size(load_config(cfg_path), PIPELINE_SPECS["sfa"]) == 0
+
+    for role, limit in (("extractor", 3), ("detector", 1), ("grounder", 1), ("mllm", 1)):
+        config["backends"][role]["concurrency"] = limit
+    config["backends"]["mllm"]["kind"] = "http"
+    config["backends"]["mllm"]["endpoint"] = "http://127.0.0.1:9/"
+    # a configured role the pipeline never calls adds no worker
+    config["backends"]["selector"] = {"kind": "http", "endpoint": "http://127.0.0.1:9/"}
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    cfg = load_config(cfg_path)
+    assert runner._pool_size(cfg, PIPELINE_SPECS["sfa"]) == 6
+    assert runner._pool_size(cfg, PIPELINE_SPECS["mllm"]) == 1
+
+
+def test_fast_tasks_are_grounded_while_every_mllm_slot_is_busy(tmp_path):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=10)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    replayed = (tmp_path / "out" / LOG_NAME).read_bytes().splitlines(keepends=True)[1:]
+    shutil.rmtree(tmp_path / "out")
+
+    store = FixtureStore(tmp_path / "fixtures")
+    slots, hold_s = 2, 5.0
+    state = threading.Condition()
+    in_flight = peak = grounded_while_full = 0
+    timed_out = []
+
+    def hold(until, what):
+        # bounded, so a pool too small to reach the condition fails instead of hanging
+        if not state.wait_for(until, timeout=hold_s):
+            timed_out.append(what)
+            state.notify_all()
+
+    def released():
+        return grounded_while_full >= 2 or bool(timed_out)
+
+    def reply(body):
+        nonlocal in_flight, peak, grounded_while_full
+        if "prompt" not in body:
+            # grounder: until the MLLM replies are released, answer only while both
+            # MLLM slots are taken, and count the call
+            with state:
+                hold(lambda: in_flight == slots or released(), "grounder call")
+                if in_flight == slots:
+                    grounded_while_full += 1
+                state.notify_all()
+            return store.get(ROLE_GROUND, body["image"], body["query"])
+        # MLLM: hold each reply until the grounder has served calls while both slots were busy
+        with state:
+            in_flight += 1
+            peak = max(peak, in_flight)
+            state.notify_all()
+            hold(released, "mllm reply")
+            in_flight -= 1
+        return store.get(ROLE_GENERATE, body["image"], body["prompt"])
+
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    for role in ("extractor", "detector"):
+        config["backends"][role]["concurrency"] = slots
+    with http_server(reply=reply) as (server, url):
+        for role in ("grounder", "mllm"):
+            config["backends"][role] = {"kind": "http", "endpoint": url, "concurrency": slots}
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["run", "-c", str(cfg_path)]) == 0
+    assert not timed_out, f"held {timed_out[0]} timed out: the pool starved a role"
+    assert grounded_while_full >= 2
+    assert peak == slots
+    logged = (tmp_path / "out" / LOG_NAME).read_bytes().splitlines(keepends=True)[1:]
+    assert logged == replayed
+
+
 @pytest.mark.parametrize("stop", ["worker_raises", "interrupt_in_write_loop"])
 def test_stopped_pooled_run_abandons_queued_tasks(tmp_path, monkeypatch, stop):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=100)
     config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
     # never contacted: the stand-in worker below makes no backend call
     config["backends"]["mllm"] = {"kind": "http", "endpoint": "http://127.0.0.1:9/"}
-    config["backends"]["grounder"]["concurrency"] = pool = 3
+    config["backends"]["grounder"]["concurrency"] = 3
     for role in ("extractor", "detector", "mllm"):
         config["backends"][role]["concurrency"] = 1
     cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
     cfg = load_config(cfg_path)
+    pool = runner._pool_size(cfg, PIPELINE_SPECS["sfa"])
     stop_at = 20
     failing_id = list(load_taskset(tmp_path / "test.jsonl", "test"))[stop_at].id
     lock = threading.Lock()
@@ -873,6 +953,16 @@ def test_stopped_pooled_run_abandons_queued_tasks(tmp_path, monkeypatch, stop):
     assert len(started_after_stop) <= runner.WINDOW_PER_WORKER * pool + pool
     # every result consumed before the stop is in the log
     assert len(read_records(tmp_path / "out" / LOG_NAME)) == 1 + stop_at
+
+
+def test_a_crs_k_beyond_the_option_letters_exits_2_before_any_call(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=1)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["crs"] = {"k": 30}
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["run", "-c", str(cfg_path), "--pipeline", "crs"]) == 2
+    assert "needs 31 option letters, more than the 26 of A-Z" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_refuses_log_from_other_config(tmp_path):
@@ -1173,6 +1263,31 @@ def test_export_tuning_skips_a_failed_grounder_call(tmp_path, capsys, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "grounder failed on 1 of 16 task(s), first on pos-00003" in warnings[0]
+
+
+@pytest.mark.parametrize("tuning_none", [True, False])
+def test_export_tuning_letters_all_26_options_or_exits_2(tmp_path, capsys, tuning_none):
+    cfg_path = build_export_corpus(tmp_path, n_pos=1, n_neg=0, positives=1, negatives=0)
+    task = make_slot_positive(0)
+    dets = [{"box": [10.0 * i, 0.0, 10.0 * i + 8, 8.0], "score": 0.5} for i in range(25)]
+    dets.append({"box": task.gt_box.as_list(), "score": 0.9})
+    payload = {"detections": dets}
+    write_fixture(tmp_path / "fixtures", ROLE_GROUND, task.image, task.expression, payload)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["crs"] = {"k": 26, "include_none": False}
+    config["tuning"]["include_none"] = tuning_none
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    out_path = tmp_path / "out" / "tuning.jsonl"
+    if tuning_none:
+        assert main(["export-tuning", "-c", str(cfg_path)]) == 2
+        assert "needs 27 option letters, more than the 26 of A-Z" in capsys.readouterr().err
+        assert not out_path.exists()
+        return
+    assert main(["export-tuning", "-c", str(cfg_path)]) == 0
+    (sample,) = read_records(out_path)
+    letters = [chr(ord("A") + i) for i in range(26)]
+    assert [option["label"] for option in sample["options"]] == letters
+    assert all(option["box"] is not None for option in sample["options"])
 
 
 def test_export_tuning_refuses_unsized_tasks_for_a_rescaling_grounder(tmp_path, capsys):

@@ -212,6 +212,12 @@ def test_crs_params_validation():
         CrsParams(k=0)
     with pytest.raises(ValueError):
         CrsParams(nms_threshold=1.2)
+    # every candidate and the None option need a letter of A-Z
+    for k, include_none in ((30, False), (26, True)):
+        with pytest.raises(ValueError, match="more than the 26 of A-Z"):
+            CrsParams(k=k, include_none=include_none)
+    assert CrsParams(k=26, include_none=False).k == 26
+    assert CrsParams(k=25).k == 25
 
 
 # ---------------------------------------------------------------- run_crs
