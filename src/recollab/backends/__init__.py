@@ -1,14 +1,38 @@
-"""Model backends: role protocols, HTTP clients, and deterministic replay.
+"""Model backends: the role table, HTTP clients, and deterministic replay.
 
-Import adapters and helpers from their submodules: ``types`` (results,
-wire parsing, role protocols), ``http``, ``replay`` and ``extract``.
+``ROLES`` declares each of the five roles once. Import adapters and
+helpers from their submodules: ``types`` (results, wire parsing, role
+protocols), ``http``, ``replay`` and ``extract``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
+from .http import HttpDetector, HttpGrounder, HttpMllm, HttpSelector, HttpTargetExtractor
+from .replay import ReplayDetector, ReplayGrounder, ReplayMllm, ReplaySelector, ReplayTargetExtractor
 from .types import BackendError, Detector, Grounder, MllmGrounder, Selector, TargetExtractor
+
+
+@dataclass(frozen=True)
+class Role:
+    """One backend role: the adapter method pipelines call, its adapter per
+    backend kind, and whether its replies carry boxes."""
+
+    method: str
+    replay: type
+    http: type
+    boxes: bool
+
+
+ROLES: Mapping[str, Role] = {
+    "extractor": Role("extract", ReplayTargetExtractor, HttpTargetExtractor, boxes=False),
+    "detector": Role("detect", ReplayDetector, HttpDetector, boxes=True),
+    "grounder": Role("ground", ReplayGrounder, HttpGrounder, boxes=True),
+    "mllm": Role("ground_generative", ReplayMllm, HttpMllm, boxes=True),
+    "selector": Role("select", ReplaySelector, HttpSelector, boxes=False),
+}
 
 
 @dataclass(frozen=True)
@@ -28,4 +52,4 @@ class BackendBundle:
         return handle
 
 
-__all__ = ["BackendBundle"]
+__all__ = ["BackendBundle", "ROLES"]

@@ -14,6 +14,8 @@ import json
 import logging
 import re
 
+from .types import BackendError
+
 logger = logging.getLogger(__name__)
 
 EXTRACT_QUESTION = "Which object does the given expression refer to?"
@@ -114,11 +116,17 @@ class HeuristicTargetExtractor:
 
 
 def resolve_target(raw_answer: str, expression: str) -> str:
-    """Dictionary-format parse, falling back (logged) to the heuristic extractor."""
+    """Dictionary-format parse, falling back (logged) to the heuristic extractor.
+
+    When neither names a target the reply is unusable: ``BackendError``.
+    """
     target = parse_target_dict(raw_answer)
     if target is not None:
         return target
     logger.warning(
         "extractor answer not in dictionary format, using heuristic: %r", raw_answer
     )
-    return HeuristicTargetExtractor().extract(expression)
+    try:
+        return HeuristicTargetExtractor().extract(expression)
+    except ValueError as exc:
+        raise BackendError(f"extractor answer {raw_answer!r} names no target: {exc}") from exc

@@ -1,8 +1,9 @@
 """JSON-over-HTTP backend adapters.
 
-One POST per call, JSON in and JSON out, no streaming. Servers that speak
-a normalized coordinate convention declare its grid size in config and
-every adapter converts to absolute pixels before returning.
+One POST per call, JSON in and JSON out, no streaming. A server that
+speaks a normalized coordinate convention has its grid size set on its
+``HttpClient``, and every box-returning adapter converts its reply to
+absolute pixels before returning.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class HttpClient:
-    """Shared POST plumbing: bearer auth, timeout, bounded retries.
+    """One server's POST plumbing: bearer auth, timeout, bounded retries.
 
     Transport failures, timeouts, and 5xx responses are retried with
     exponential backoff; 4xx responses and error payloads fail fast. The
     client's session pools ``concurrency`` connections, one per call the
-    role may have in flight.
+    role may have in flight. ``coordinate_space`` is the N of the N x N
+    grid the server's boxes are in, or None when it answers in pixels.
     """
 
     endpoint: str
@@ -47,6 +49,7 @@ class HttpClient:
     retries: int = 2
     backoff: float = 0.5
     concurrency: int = DEFAULT_POOLSIZE
+    coordinate_space: int | None = None
     session: requests.Session = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -118,37 +121,36 @@ def _to_pixels(reply: Reply, image: ImageRef, space: int | None) -> Reply:
 @dataclass(frozen=True)
 class HttpDetector:
     client: HttpClient
-    coordinate_space: int | None = None
 
     def detect(self, image: ImageRef, class_name: str) -> GroundingResult:
         if not class_name:
             raise ValueError("empty detection category")
         payload = self.client.post({"image": image.image_id, "query": class_name})
-        return _to_pixels(detections_from_payload(payload, query=class_name), image, self.coordinate_space)
+        reply = detections_from_payload(payload, query=class_name)
+        return _to_pixels(reply, image, self.client.coordinate_space)
 
 
 @dataclass(frozen=True)
 class HttpGrounder:
     client: HttpClient
-    coordinate_space: int | None = None
 
     def ground(self, image: ImageRef, expression: str) -> GroundingResult:
         if not expression:
             raise ValueError("empty grounding expression")
         payload = self.client.post({"image": image.image_id, "query": expression})
-        return _to_pixels(detections_from_payload(payload, query=expression), image, self.coordinate_space)
+        reply = detections_from_payload(payload, query=expression)
+        return _to_pixels(reply, image, self.client.coordinate_space)
 
 
 @dataclass(frozen=True)
 class HttpMllm:
     client: HttpClient
-    coordinate_space: int | None = None
 
     def ground_generative(self, image: ImageRef, prompt: str) -> GenerativeGrounding:
         if not prompt:
             raise ValueError("empty prompt")
         payload = self.client.post({"image": image.image_id, "prompt": prompt})
-        return _to_pixels(grounding_from_payload(payload), image, self.coordinate_space)
+        return _to_pixels(grounding_from_payload(payload), image, self.client.coordinate_space)
 
 
 @dataclass(frozen=True)

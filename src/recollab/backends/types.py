@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
+from string import Formatter
 from typing import Any, Mapping, Protocol, Sequence
 
 from ..datamodel import ImageRef
@@ -189,24 +190,56 @@ def _token_score_from(entry: object) -> TokenSpanScore:
     return TokenSpanScore(int(entry["start"]), int(entry["end"]), float(entry["score"]))
 
 
+def _probability(value: object, what: str) -> float:
+    """``value`` as a probability in (0, 1]; anything else is a bad reply."""
+    try:
+        p = float(value)
+    except (TypeError, ValueError):
+        raise BackendError(f"{what} is not a number: {value!r}") from None
+    if not 0.0 < p <= 1.0:
+        raise BackendError(f"{what} out of (0, 1]: {value!r}")
+    return p
+
+
 def grounding_from_payload(payload: Mapping[str, Any]) -> GenerativeGrounding:
     """Parse a generative reply payload into a GenerativeGrounding.
 
     Servers that do not expose token probabilities still satisfy the
     box-implies-probs invariant: a parsed box falls back to unit
-    probabilities for its four coordinates (confidence 1.0).
+    probabilities for its four coordinates (confidence 1.0). The
+    probabilities of a reply without a box are ignored.
     """
     text = str(payload.get("text", ""))
     box, malformed = parse_coordinate_box(text)
-    probs: Sequence[float] = payload.get("coordinate_token_probs") or ()
-    probs = tuple(float(p) for p in probs)
-    if box is not None and not probs:
-        probs = (1.0,) * 4
-    if box is None:
-        probs = ()
+    probs: tuple[float, ...] = ()
+    if box is not None:
+        raw = payload.get("coordinate_token_probs")
+        if raw is not None and not isinstance(raw, list):
+            raise BackendError(f"coordinate_token_probs is not a list: {raw!r}")
+        probs = tuple(_probability(p, "coordinate token probability") for p in raw or ())
+        probs = probs or (1.0,) * 4
     return GenerativeGrounding(
         raw_text=text, box=box, coordinate_token_probs=probs, malformed=malformed
     )
+
+
+def check_prompt_template(template: str, placeholder: str) -> None:
+    """Refuse a prompt template ``str.format`` cannot fill from ``{placeholder}`` alone.
+
+    Every replacement field must be exactly that placeholder (a conversion
+    or format spec may follow it), and braces must balance.
+    """
+    try:
+        names = {name for _, name, _, _ in Formatter().parse(template) if name is not None}
+        others = sorted(names - {placeholder})
+        if not others:
+            template.format(**{placeholder: placeholder})
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValueError(f"prompt template {template!r} is malformed: {exc!r}") from None
+    if others:
+        raise ValueError(
+            f"prompt template {template!r} may use only {{{placeholder}}}, not {others}"
+        )
 
 
 _STANDALONE_LETTER = re.compile(r"\b([A-Za-z])\b")
@@ -249,5 +282,5 @@ def selection_from_payload(
         label = match_option_label(text, offered)
     if label is None:
         raise BackendError(f"selector output {text!r} resolves to no offered label")
-    prob = float(payload.get("label_prob", 1.0))
+    prob = _probability(payload.get("label_prob", 1.0), "selector label_prob")
     return SelectionResult(label=label, label_prob=prob, raw_text=text, offered=tuple(offered))

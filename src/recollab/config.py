@@ -11,16 +11,17 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_type_hints
 
 import yaml
 
+from .backends import ROLES
 from .crs import CrsParams
 from .datamodel import Split
 from .sfa import SfaParams
 
-ROLES = ("extractor", "detector", "grounder", "mllm", "selector")
 PIPELINES = ("specialist", "mllm", "sfa", "crs")
 SPLITS = tuple(split.value for split in Split)
 
@@ -124,9 +125,13 @@ class RunConfig:
         for split in self.datasets:
             if split not in SPLITS:
                 raise ConfigError(f"unknown dataset split {split!r}")
-        for role in self.backends:
+        for role, settings in self.backends.items():
             if role not in ROLES:
                 raise ConfigError(f"unknown backend role {role!r}")
+            if settings.coordinate_space is not None and not ROLES[role].boxes:
+                raise ConfigError(
+                    f"backends.{role}: coordinate_space applies to box-returning roles"
+                )
         for split in self.expected_counts:
             if split not in SPLITS:
                 raise ConfigError(f"expected_counts for unknown split {split!r}")
@@ -162,11 +167,39 @@ def _check_keys(data: Mapping[str, Any], allowed: tuple[str, ...], where: str) -
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+# what a scalar setting of each declared type accepts; no number setting takes a bool
+_SCALARS: Mapping[Any, tuple[tuple[type, ...], str]] = {
+    str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+}
+# a settings class's field types are resolved once
+_type_hints = cache(get_type_hints)
+
+
+def _check_types(cls: type, data: Mapping[str, Any], where: str) -> None:
+    """Refuse a scalar setting whose value is not of its field's declared type."""
+    hints = _type_hints(cls)
+    for name, value in data.items():
+        hint = hints[name]
+        if type(None) in get_args(hint):
+            if value is None:
+                continue
+            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+        if hint not in _SCALARS:
+            continue
+        accepted, described = _SCALARS[hint]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+            raise ConfigError(f"{name} in {where} must be {described}, got {value!r}")
+
+
 def _dataclass_from(cls: type, data: Mapping[str, Any], where: str):
     if not isinstance(data, Mapping):
         raise ConfigError(f"{where} must be a mapping")
     names = tuple(f.name for f in fields(cls))
     _check_keys(data, names, where)
+    _check_types(cls, data, where)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -187,8 +220,6 @@ def _backend_from(role: str, data: Mapping[str, Any]) -> BackendSettings:
     token = _env_override(role, "token")
     if token:
         merged["token"] = token
-    if role in ("extractor", "selector") and merged.get("coordinate_space") is not None:
-        raise ConfigError(f"backends.{role}: coordinate_space applies to box-returning roles")
     return _dataclass_from(BackendSettings, merged, f"backends.{role}")
 
 
@@ -197,6 +228,7 @@ def config_from_dict(data: Mapping[str, Any], base_dir: str | Path = ".") -> Run
         raise ConfigError("config root must be a mapping")
     keys = tuple(f.name for f in fields(RunConfig) if f.name != "base_dir")
     _check_keys(data, keys, "config")
+    _check_types(RunConfig, data, "config")
 
     sfa_params = _dataclass_from(SfaParams, data.get("sfa", {}), "sfa")
     crs_params = _dataclass_from(CrsParams, data.get("crs", {}), "crs")
@@ -211,21 +243,25 @@ def config_from_dict(data: Mapping[str, Any], base_dir: str | Path = ".") -> Run
         isinstance(v, str) for v in datasets.values()
     ):
         raise ConfigError("datasets must map split names to file paths")
+    expected_counts = data.get("expected_counts", {})
+    if not isinstance(expected_counts, Mapping) or not all(
+        isinstance(counts, Mapping)
+        and all(isinstance(n, int) and not isinstance(n, bool) for n in counts.values())
+        for counts in expected_counts.values()
+    ):
+        raise ConfigError("expected_counts must map split names to mappings of integer counts")
 
     return RunConfig(
         pipeline=data.get("pipeline", "sfa"),
-        seed=int(data.get("seed", 0)),
-        output_dir=str(data.get("output_dir", "out")),
+        seed=data.get("seed", 0),
+        output_dir=data.get("output_dir", "out"),
         datasets=dict(datasets),
         backends=backends,
         sfa=sfa_params,
         crs=crs_params,
         tuning=_dataclass_from(TuningSettings, data.get("tuning", {}), "tuning"),
         metrics=_dataclass_from(MetricsSettings, data.get("metrics", {}), "metrics"),
-        expected_counts={
-            split: dict(counts)
-            for split, counts in dict(data.get("expected_counts", {})).items()
-        },
+        expected_counts={split: dict(counts) for split, counts in expected_counts.items()},
         base_dir=Path(base_dir),
     )
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .backends import BackendBundle
-from .backends.types import BackendError, Grounder, match_option_label
+from .backends.types import BackendError, Grounder, check_prompt_template, match_option_label
 from .datamodel import RecTask, TaskSet, image_ref
 from .geometry import BBox, Detection, box_to_pixels, iou, nms
 from .metrics import IOU_THRESHOLD
@@ -109,6 +109,7 @@ class CrsParams:
         check_option_letters(self.k, self.include_none)
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(f"nms threshold out of [0, 1]: {self.nms_threshold}")
+        check_prompt_template(self.question_template, "expression")
 
 
 @dataclass(frozen=True)

@@ -26,23 +26,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .backends import BackendBundle
-from .backends.http import (
-    HttpClient,
-    HttpDetector,
-    HttpGrounder,
-    HttpMllm,
-    HttpSelector,
-    HttpTargetExtractor,
-)
-from .backends.replay import (
-    FixtureStore,
-    ReplayDetector,
-    ReplayGrounder,
-    ReplayMllm,
-    ReplaySelector,
-    ReplayTargetExtractor,
-)
+from .backends import ROLES, BackendBundle
+from .backends.http import HttpClient
+from .backends.replay import FixtureStore
 from .backends.types import BackendError
 from .config import BackendSettings, ConfigError, RunConfig, config_hash, identity_hash
 from .crs import check_option_letters, export_tuning, run_crs, save_tuning
@@ -142,7 +128,7 @@ class BoundedHandle:
     identical call holds no slot. Other calls go straight to the semaphore.
     """
 
-    _CALLS = ("extract", "detect", "ground", "ground_generative", "select")
+    _CALLS = frozenset(role.method for role in ROLES.values())
     _SHARED = ("extract", "detect")
 
     def __init__(self, inner: Any, limit: int, memo: CallMemo | None = None):
@@ -165,40 +151,23 @@ class BoundedHandle:
         return lambda *args: memo.call(name, args, gated)
 
 
-_ADAPTERS: Mapping[tuple[str, str], type] = {
-    ("replay", "extractor"): ReplayTargetExtractor,
-    ("replay", "detector"): ReplayDetector,
-    ("replay", "grounder"): ReplayGrounder,
-    ("replay", "mllm"): ReplayMllm,
-    ("replay", "selector"): ReplaySelector,
-    ("http", "extractor"): HttpTargetExtractor,
-    ("http", "detector"): HttpDetector,
-    ("http", "grounder"): HttpGrounder,
-    ("http", "mllm"): HttpMllm,
-    ("http", "selector"): HttpSelector,
-}
-
-
 def _build_handle(
     role: str, settings: BackendSettings, cfg: RunConfig, memo: CallMemo | None = None
 ) -> BoundedHandle:
-    source: FixtureStore | HttpClient
     if settings.kind == "replay":
         assert settings.fixtures is not None
-        source = FixtureStore(cfg.resolve(settings.fixtures))
+        impl = ROLES[role].replay(FixtureStore(cfg.resolve(settings.fixtures)))
     else:
-        source = HttpClient(
+        client = HttpClient(
             endpoint=settings.endpoint or "",
             token=settings.token,
             timeout=settings.timeout,
             retries=settings.retries,
             backoff=settings.backoff,
             concurrency=settings.concurrency,
+            coordinate_space=settings.coordinate_space,
         )
-    # config allows coordinate_space only on the box-returning http roles
-    space = settings.coordinate_space
-    extra = {} if space is None else {"coordinate_space": space}
-    impl = _ADAPTERS[settings.kind, role](source, **extra)
+        impl = ROLES[role].http(client)
     return BoundedHandle(impl, settings.concurrency, memo)
 
 

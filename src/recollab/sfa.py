@@ -16,7 +16,13 @@ import re
 from dataclasses import dataclass
 
 from .backends import BackendBundle
-from .backends.types import BackendError, Detector, GroundingResult, derive_confidence
+from .backends.types import (
+    BackendError,
+    Detector,
+    GroundingResult,
+    check_prompt_template,
+    derive_confidence,
+)
 from .datamodel import ImageRef, RecTask, image_ref
 from .geometry import Detection
 from .prediction import Pathway, Prediction, RouteDecision
@@ -40,6 +46,8 @@ class SfaParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"routing threshold out of [0, 1]: {self.threshold}")
+        check_prompt_template(self.grounding_prompt, "expression")
+        check_prompt_template(self.focus_suffix, "target")
 
 
 def assess_route(

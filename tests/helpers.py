@@ -426,6 +426,49 @@ def write_mllm_fixtures(root) -> None:
         write_fixture(root / "fixtures", ROLE_GENERATE, task.image, prompt, answer)
 
 
+def build_crs_corpus(root, n_pairs=4, *, select_replies=None):
+    """Dataset + replay grounder and selector fixtures + YAML config for crs runs.
+
+    Every grounder call proposes the five slot boxes. A positive's selector
+    answers the letter of the slot holding its ground truth, a negative's
+    the None option; ``select_replies`` maps a task id to the reply payload
+    recorded instead. Returns the config path.
+    """
+    import yaml
+
+    from recollab.backends.replay import ROLE_GROUND, ROLE_SELECT, write_fixture
+    from recollab.backends.types import detections_from_payload
+    from recollab.crs import build_choice_prompt, generate_candidates
+    from recollab.datamodel import save_taskset
+
+    root = Path(root)
+    fixtures = root / "fixtures"
+    slots = generate_candidates(detections_from_payload(SLOT_PAYLOAD).detections)
+    tasks = []
+    for i in range(n_pairs):
+        pos = make_slot_positive(i)
+        neg = make_negative(i, pos)
+        # the slot scores descend, so the candidate letters follow the slots
+        for task, label in ((pos, slots.candidates[i % len(SLOT_BOXES)][0]), (neg, None)):
+            write_fixture(fixtures, ROLE_GROUND, task.image, task.expression, SLOT_PAYLOAD)
+            prompt = build_choice_prompt(task.expression, slots)
+            reply = {"label": label or prompt.none_label, "label_prob": 0.9}
+            reply = (select_replies or {}).get(task.id, reply)
+            write_fixture(fixtures, ROLE_SELECT, task.image, prompt.text, reply)
+            tasks.append(task)
+    save_taskset(TaskSet.build(Split.TEST, tasks), root / "test.jsonl")
+    backend = {"kind": "replay", "fixtures": "fixtures"}
+    config = {
+        "pipeline": "crs",
+        "output_dir": "out",
+        "datasets": {"test": "test.jsonl"},
+        "backends": {"grounder": backend, "selector": backend},
+    }
+    config_path = root / "run.yaml"
+    config_path.write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
+    return config_path
+
+
 def build_export_corpus(root, n_pos=12, n_neg=4, *, positives=10, negatives=3):
     """Train split + grounder fixtures + config for export-tuning runs."""
     import yaml

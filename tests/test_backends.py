@@ -4,14 +4,17 @@ import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import pytest
 
 from recollab import BBox, Detection, TokenSpanScore, iou
+from recollab.backends import ROLES, BackendBundle
 from recollab.backends.extract import (
     HeuristicTargetExtractor,
     build_extract_prompt,
     parse_target_dict,
+    resolve_target,
 )
 from recollab.backends.http import (
     HttpClient,
@@ -51,6 +54,14 @@ from recollab.datamodel import ImageRef
 from helpers import OracleSelector, http_server, parse_prompt_options
 
 IMG = ImageRef(image_id="img-1", width=640, height=480)
+
+
+def test_the_role_table_names_every_bundle_role_and_each_adapter_defines_its_method():
+    assert tuple(ROLES) == tuple(f.name for f in fields(BackendBundle))
+    for role in ROLES.values():
+        for adapter in (role.replay, role.http):
+            assert role.method in vars(adapter), (adapter, role.method)
+    assert [name for name, role in ROLES.items() if role.boxes] == ["detector", "grounder", "mllm"]
 
 
 # ---------------------------------------------------------------- parsing
@@ -444,6 +455,35 @@ def test_selection_from_payload_resolution():
         selection_from_payload({"text": "A"}, ("A", "A"))
 
 
+@pytest.mark.parametrize(
+    "probs",
+    [[0, 1, 1, 1], [0.5, 1.5, 0.5, 0.5], [-0.1] * 4, [math.nan] * 4, ["x"] * 4, [None] * 4,
+     [[0.5]] * 4, 0.9, "0.9", {"p": 0.9}],
+    ids=["zero", "above 1", "negative", "nan", "string entry", "null entry", "list entry",
+         "number", "string", "object"],
+)
+def test_grounding_from_payload_rejects_bad_token_probabilities(probs):
+    payload = {"text": "[[0, 0, 4, 4]]", "coordinate_token_probs": probs}
+    with pytest.raises(BackendError, match="coordinate"):
+        grounding_from_payload(payload)
+    # a reply without a box keeps ignoring its probabilities
+    boxless = grounding_from_payload({**payload, "text": "no box here"})
+    assert boxless.box is None and boxless.coordinate_token_probs == ()
+
+
+@pytest.mark.parametrize("prob", [0, 0.0, -0.5, 1.5, math.inf, math.nan, "high", None, [0.5]])
+def test_selection_from_payload_rejects_a_bad_label_prob(prob):
+    with pytest.raises(BackendError, match="label_prob"):
+        selection_from_payload({"label": "A", "label_prob": prob}, ("A", "B"))
+
+
+def test_resolve_target_without_any_target_is_a_backend_error():
+    assert resolve_target('{"target": "mug"}', "42 7") == "mug"
+    assert resolve_target("no dict", "the red mug") == "mug"
+    with pytest.raises(BackendError, match="names no target"):
+        resolve_target("no dict", "42 7")
+
+
 def test_replay_selector(tmp_path):
     write_fixture(tmp_path, ROLE_SELECT, IMG.image_id, "prompt-1", {"text": "A", "label_prob": 0.6})
     selector = ReplaySelector(store=FixtureStore(root=tmp_path))
@@ -513,7 +553,7 @@ def test_http_client_connection_failure():
 def test_http_mllm_rescales_coordinates():
     payload = {"text": "[[100, 100, 500, 900]]", "coordinate_token_probs": [0.9] * 4}
     with http_server(default=payload) as (server, url):
-        mllm = HttpMllm(client=HttpClient(endpoint=url), coordinate_space=1000)
+        mllm = HttpMllm(client=HttpClient(endpoint=url, coordinate_space=1000))
         grounding = mllm.ground_generative(IMG, "where is it?")
     assert grounding.box == BBox(64.0, 48.0, 320.0, 432.0)
     assert grounding.raw_text == "[[100, 100, 500, 900]]"
@@ -523,7 +563,7 @@ def test_http_mllm_rescales_coordinates():
 def test_http_detector_rescales_coordinates():
     payload = {"detections": [{"box": [0, 0, 1000, 1000], "score": 0.5}]}
     with http_server(default=payload) as (_, url):
-        detector = HttpDetector(client=HttpClient(endpoint=url), coordinate_space=1000)
+        detector = HttpDetector(client=HttpClient(endpoint=url, coordinate_space=1000))
         result = detector.detect(IMG, "dog")
     assert result.detections[0].box == BBox(0, 0, 640, 480)
 

@@ -48,9 +48,10 @@ from recollab.runner import (
     read_log,
     run_specialist_task,
 )
-from recollab.sfa import run_sfa
+from recollab.sfa import build_focus_prompt, run_sfa
 
 from helpers import (
+    build_crs_corpus,
     build_export_corpus,
     build_sfa_corpus,
     http_server,
@@ -963,6 +964,60 @@ def test_a_crs_k_beyond_the_option_letters_exits_2_before_any_call(tmp_path, cap
     assert main(["run", "-c", str(cfg_path), "--pipeline", "crs"]) == 2
     assert "needs 31 option letters, more than the 26 of A-Z" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, template",
+    [
+        ("sfa", "grounding_prompt", "Where is {expr}?"),
+        ("sfa", "focus_suffix", ", please focus on the {expression}"),
+        ("sfa", "grounding_prompt", "Where is {expression}? answer in [[x0, y0, x1, y1]] {format"),
+        ("crs", "question_template", "Which option matches {0}?"),
+        ("crs", "question_template", "Which option matches {expression}}?"),
+    ],
+)
+def test_a_bad_prompt_template_exits_2_before_any_call(
+    tmp_path, capsys, monkeypatch, section, key, template
+):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config[section] = {key: template}
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    reads = _count_fixture_reads(monkeypatch)
+    assert main(["run", "-c", str(cfg_path)]) == 2
+    assert f"bad {section}: prompt template" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
+
+
+def _assert_only_task_failed(proc, log_path, failed_id, n_tasks):
+    """A run that exited 1 over one bad reply: no traceback, that task failed, the rest predicted."""
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    records = read_records(log_path)[1:]
+    assert len(records) == n_tasks
+    failed = [r for r in records if r["note"] and r["note"].startswith("backend failure")]
+    assert [r["task_id"] for r in failed] == [failed_id]
+
+
+def test_a_malformed_selector_reply_fails_its_task_not_the_run(tmp_path):
+    bad = {"pos-00001": {"label": "B", "label_prob": 0}}
+    cfg_path = build_crs_corpus(tmp_path, n_pairs=3, select_replies=bad)
+    proc = run_cli("run", "-c", cfg_path)
+    _assert_only_task_failed(proc, tmp_path / "out" / LOG_NAME, "pos-00001", 6)
+    assert "label_prob out of (0, 1]" in read_records(tmp_path / "out" / LOG_NAME)[3]["note"]
+
+
+def test_a_malformed_mllm_reply_fails_its_task_not_the_run(tmp_path):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    # pos-00001 routes slow, so its answer comes from the MLLM
+    expression = "the widget near lamp 1"
+    bad = {"text": "[[102, 102, 198, 198]]", "coordinate_token_probs": [0, 1, 1, 1]}
+    prompt = build_focus_prompt(expression, "widget")
+    write_fixture(tmp_path / "fixtures", ROLE_GENERATE, "img-00001", prompt, bad)
+    proc = run_cli("run", "-c", cfg_path)
+    _assert_only_task_failed(proc, tmp_path / "out" / LOG_NAME, "pos-00001", 6)
+    assert "coordinate token probability" in read_records(tmp_path / "out" / LOG_NAME)[3]["note"]
 
 
 def test_run_refuses_log_from_other_config(tmp_path):

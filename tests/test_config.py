@@ -1,6 +1,7 @@
 """Config loading, validation, env overrides, and identity hashing."""
 
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,53 @@ def test_replay_backend_rejects_coordinate_space():
         with pytest.raises(ConfigError, match=f"backends.{role}: coordinate_space"):
             config_from_dict({"backends": {role: entry}})
     config_from_dict({"backends": {"detector": entry, "grounder": entry, "mllm": entry}})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"seed": "abc"}, "seed in config must be an integer, got 'abc'"),
+        ({"seed": True}, "seed in config must be an integer, got True"),
+        ({"output_dir": None}, "output_dir in config must be a string, got None"),
+        ({"pipeline": 5}, "pipeline in config must be a string"),
+        ({"expected_counts": {"test": 5}}, "expected_counts must map split names"),
+        ({"expected_counts": {"test": {"total": "many"}}}, "expected_counts must map split names"),
+        ({"expected_counts": [1, 2]}, "expected_counts must map split names"),
+        ({"sfa": {"focus": "no"}}, "focus in sfa must be true or false, got 'no'"),
+        ({"sfa": {"threshold": "0.2"}}, "threshold in sfa must be a number"),
+        ({"tuning": {"include_none": "false"}}, "include_none in tuning must be true or false"),
+        ({"crs": {"include_none": "false"}}, "include_none in crs must be true or false"),
+        ({"crs": {"k": 2.5}}, "k in crs must be an integer, got 2.5"),
+        (
+            {"backends": {"grounder": {"kind": "http", "endpoint": "http://g/", "retries": 1.5}}},
+            "retries in backends.grounder must be an integer",
+        ),
+        (
+            {"backends": {"mllm": {"kind": "http", "endpoint": "http://m/", "coordinate_space": "1000"}}},
+            "coordinate_space in backends.mllm must be an integer",
+        ),
+    ],
+)
+def test_a_setting_of_the_wrong_type_is_refused(data, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(data)
+
+
+def test_settings_of_their_declared_types_load_as_written():
+    cfg = config_from_dict(
+        {
+            "seed": 3,
+            "output_dir": "elsewhere",
+            "sfa": {"threshold": 1, "focus": False},
+            "tuning": {"include_none": False, "negatives": 0},
+            "backends": {"mllm": {"kind": "http", "endpoint": "http://m/", "coordinate_space": None}},
+            "expected_counts": {"test": {"total": 4}},
+        }
+    )
+    assert (cfg.seed, cfg.output_dir, cfg.sfa.threshold, cfg.sfa.focus) == (3, "elsewhere", 1, False)
+    assert cfg.tuning.include_none is False
+    assert cfg.backends["mllm"].coordinate_space is None
+    assert cfg.expected_counts == {"test": {"total": 4}}
 
 
 def test_tuning_and_metrics_validation():
