@@ -1,8 +1,10 @@
 """Run configuration: a single YAML file, env overrides, and hashing.
 
 Every knob with a published default carries that default here, so a
-minimal config reproduces the reference settings. Unknown keys are
-rejected rather than ignored; a typo should fail loudly.
+minimal config reproduces the reference settings. The file is read by
+one walk over the declared types of these dataclasses: an unknown key or
+a value of another type is refused rather than ignored or coerced, so a
+typo fails loudly.
 """
 
 from __future__ import annotations
@@ -10,16 +12,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, is_dataclass
 from functools import cache
 from pathlib import Path
-from typing import Any, Mapping, get_args, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .backends import ROLES
-from .crs import CrsParams
+from .crs import DEFAULT_INCLUDE_NONE, DEFAULT_TUNING_NEGATIVES, DEFAULT_TUNING_POSITIVES, CrsParams
 from .datamodel import Split
+from .metrics import DEFAULT_KS
 from .sfa import SfaParams
 
 PIPELINES = ("specialist", "mllm", "sfa", "crs")
@@ -74,10 +78,10 @@ class BackendSettings:
 
 @dataclass(frozen=True)
 class TuningSettings:
-    positives: int = 10000
-    negatives: int = 2500
+    positives: int = DEFAULT_TUNING_POSITIVES
+    negatives: int = DEFAULT_TUNING_NEGATIVES
     output: str = "tuning.jsonl"
-    include_none: bool = True
+    include_none: bool = DEFAULT_INCLUDE_NONE
 
     def __post_init__(self) -> None:
         if self.positives < 0 or self.negatives < 0:
@@ -88,10 +92,9 @@ class TuningSettings:
 
 @dataclass(frozen=True)
 class MetricsSettings:
-    ks: tuple[int, ...] = (1, 5)
+    ks: tuple[int, ...] = DEFAULT_KS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
         if not self.ks or any(k < 1 for k in self.ks):
             raise ConfigError(f"metric ks must all be >= 1, got {list(self.ks)}")
 
@@ -146,7 +149,13 @@ class RunConfig:
         return self.resolve(self.datasets[split])
 
     def check_paths(self) -> None:
-        """Referenced datasets and fixture directories must exist."""
+        """Referenced datasets and fixture directories must exist; the output
+        directory, or its nearest existing ancestor, must be a directory."""
+        out_dir = self.resolve(self.output_dir)
+        if not out_dir.is_dir():
+            existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"cannot use output_dir {out_dir}: {existing} is not a directory")
         for split in self.datasets:
             path = self.dataset_path(split)
             if not path.is_file():
@@ -161,109 +170,81 @@ class RunConfig:
                     )
 
 
-def _check_keys(data: Mapping[str, Any], allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-# what a scalar setting of each declared type accepts; no number setting takes a bool
-_SCALARS: Mapping[Any, tuple[tuple[type, ...], str]] = {
+# what a setting of each declared kind accepts; no number setting takes a bool
+_ACCEPTS: Mapping[Any, tuple[tuple[type, ...], str]] = {
     str: ((str,), "a string"),
     bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
+    Mapping: ((Mapping,), "a mapping"),
+    tuple: ((list, tuple), "a list"),
 }
 # a settings class's field types are resolved once
 _type_hints = cache(get_type_hints)
 
 
-def _check_types(cls: type, data: Mapping[str, Any], where: str) -> None:
-    """Refuse a scalar setting whose value is not of its field's declared type."""
-    hints = _type_hints(cls)
-    for name, value in data.items():
-        hint = hints[name]
-        if type(None) in get_args(hint):
-            if value is None:
-                continue
-            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
-        if hint not in _SCALARS:
-            continue
-        accepted, described = _SCALARS[hint]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
-            raise ConfigError(f"{name} in {where} must be {described}, got {value!r}")
+def _build(cls: type, data: Any, where: str, **given: Any) -> Any:
+    """The settings dataclass ``cls`` from the mapping ``data`` of section ``where``.
 
-
-def _dataclass_from(cls: type, data: Mapping[str, Any], where: str):
+    Each key must name a field of ``cls`` that ``given`` does not supply,
+    and its value must have that field's declared type; a field whose key
+    is absent takes its default.
+    """
     if not isinstance(data, Mapping):
-        raise ConfigError(f"{where} must be a mapping")
-    names = tuple(f.name for f in fields(cls))
-    _check_keys(data, names, where)
-    _check_types(cls, data, where)
+        raise ConfigError(f"{where} must be a mapping, got {data!r}")
+    hints = _type_hints(cls)
+    unknown = sorted(map(str, data.keys() - (hints.keys() - given.keys())))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    values = {name: _value(hints[name], value, name, where) for name, value in data.items()}
     try:
-        return cls(**data)
+        return cls(**values, **given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
-def _env_override(role: str, key: str) -> str | None:
-    return os.environ.get(f"{ENV_PREFIX}_{role.upper()}_{key.upper()}")
+def _value(hint: Any, value: Any, name: str, where: str) -> Any:
+    """``value`` as the declared type ``hint`` of setting ``name`` in section ``where``."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    path = name if where == "config" else f"{where}.{name}"
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    kind = get_origin(hint) or hint
+    accepted, described = _ACCEPTS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{name} in {where} must be {described}, got {value!r}")
+    if kind is Mapping:
+        key_hint, item_hint = get_args(hint)
+        return {
+            _value(key_hint, key, "a key", path): _value(item_hint, item, str(key), path)
+            for key, item in value.items()
+        }
+    if kind is tuple:
+        item_hint = get_args(hint)[0]
+        return tuple(_value(item_hint, item, f"{name}[{i}]", where) for i, item in enumerate(value))
+    return value
 
 
-def _backend_from(role: str, data: Mapping[str, Any]) -> BackendSettings:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"backends.{role} must be a mapping")
-    merged = dict(data)
-    endpoint = _env_override(role, "endpoint")
-    if endpoint:
-        merged["endpoint"] = endpoint
-    token = _env_override(role, "token")
-    if token:
-        merged["token"] = token
-    return _dataclass_from(BackendSettings, merged, f"backends.{role}")
+def _with_env_overrides(data: Any) -> Any:
+    """``data`` with each backend's endpoint and token replaced where the environment sets them."""
+    backends = data.get("backends") if isinstance(data, Mapping) else None
+    if not isinstance(backends, Mapping):
+        return data
+    merged = dict(backends)
+    for role in ROLES.keys() & merged.keys():
+        for key in ("endpoint", "token"):
+            value = os.environ.get(f"{ENV_PREFIX}_{role.upper()}_{key.upper()}")
+            if value and isinstance(merged[role], Mapping):
+                merged[role] = {**merged[role], key: value}
+    return {**data, "backends": merged}
 
 
-def config_from_dict(data: Mapping[str, Any], base_dir: str | Path = ".") -> RunConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError("config root must be a mapping")
-    keys = tuple(f.name for f in fields(RunConfig) if f.name != "base_dir")
-    _check_keys(data, keys, "config")
-    _check_types(RunConfig, data, "config")
-
-    sfa_params = _dataclass_from(SfaParams, data.get("sfa", {}), "sfa")
-    crs_params = _dataclass_from(CrsParams, data.get("crs", {}), "crs")
-
-    backends_data = data.get("backends", {})
-    if not isinstance(backends_data, Mapping):
-        raise ConfigError("backends must be a mapping")
-    backends = {role: _backend_from(role, entry) for role, entry in backends_data.items()}
-
-    datasets = data.get("datasets", {})
-    if not isinstance(datasets, Mapping) or not all(
-        isinstance(v, str) for v in datasets.values()
-    ):
-        raise ConfigError("datasets must map split names to file paths")
-    expected_counts = data.get("expected_counts", {})
-    if not isinstance(expected_counts, Mapping) or not all(
-        isinstance(counts, Mapping)
-        and all(isinstance(n, int) and not isinstance(n, bool) for n in counts.values())
-        for counts in expected_counts.values()
-    ):
-        raise ConfigError("expected_counts must map split names to mappings of integer counts")
-
-    return RunConfig(
-        pipeline=data.get("pipeline", "sfa"),
-        seed=data.get("seed", 0),
-        output_dir=data.get("output_dir", "out"),
-        datasets=dict(datasets),
-        backends=backends,
-        sfa=sfa_params,
-        crs=crs_params,
-        tuning=_dataclass_from(TuningSettings, data.get("tuning", {}), "tuning"),
-        metrics=_dataclass_from(MetricsSettings, data.get("metrics", {}), "metrics"),
-        expected_counts={split: dict(counts) for split, counts in expected_counts.items()},
-        base_dir=Path(base_dir),
-    )
+def config_from_dict(data: Any, base_dir: str | Path = ".") -> RunConfig:
+    """The run config a YAML document describes; ``base_dir`` resolves its relative paths."""
+    return _build(RunConfig, _with_env_overrides(data), "config", base_dir=Path(base_dir))
 
 
 def load_config(path: str | Path) -> RunConfig:

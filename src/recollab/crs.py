@@ -33,6 +33,11 @@ DEFAULT_REJECTION_INSTRUCTION = (
     'If no suitable option exists, please select the option corresponding to "None".'
 )
 DEFAULT_ANSWER_INSTRUCTION = "Answer with a single option letter."
+# the None option is offered, at selection and in tuning samples, unless turned off
+DEFAULT_INCLUDE_NONE = True
+# tuning samples requested of each polarity unless told otherwise
+DEFAULT_TUNING_POSITIVES = 10000
+DEFAULT_TUNING_NEGATIVES = 2500
 # options are lettered A to Z
 MAX_OPTIONS = 26
 
@@ -98,7 +103,7 @@ def generate_candidates(
 class CrsParams:
     k: int = DEFAULT_K
     nms_threshold: float = DEFAULT_NMS_THRESHOLD
-    include_none: bool = True
+    include_none: bool = DEFAULT_INCLUDE_NONE
     question_template: str = DEFAULT_QUESTION_TEMPLATE
     rejection_instruction: str = DEFAULT_REJECTION_INSTRUCTION
     answer_instruction: str = DEFAULT_ANSWER_INSTRUCTION
@@ -273,9 +278,9 @@ def export_tuning(
     *,
     k: int = DEFAULT_K,
     nms_threshold: float = DEFAULT_NMS_THRESHOLD,
-    counts: tuple[int, int] = (10000, 2500),
+    counts: tuple[int, int] = (DEFAULT_TUNING_POSITIVES, DEFAULT_TUNING_NEGATIVES),
     seed: int = 0,
-    include_none: bool = True,
+    include_none: bool = DEFAULT_INCLUDE_NONE,
     failures: list[tuple[str, BackendError]],
 ) -> list[TuningSample]:
     """Export shuffled multiple-choice tuning records from a training split.

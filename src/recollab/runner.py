@@ -22,7 +22,7 @@ import threading
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -36,7 +36,7 @@ from .datamodel import DatasetError, RecTask, TaskSet, image_ref, load_taskset, 
 from .metrics import build_report, render_text
 from .prediction import FAILURE_NOTE_PREFIX  # noqa: F401 - bench/run.py imports it from here
 from .prediction import Pathway, Prediction
-from .sfa import build_focus_prompt, ground_slow, run_sfa
+from .sfa import build_grounding_prompt, ground_slow, run_sfa
 
 logger = logging.getLogger(__name__)
 
@@ -210,8 +210,7 @@ def run_specialist_task(task: RecTask, handles: BackendBundle) -> Prediction:
 
 def run_mllm_task(task: RecTask, handles: BackendBundle, cfg: RunConfig) -> Prediction:
     """Vanilla generative baseline: base prompt, no routing, no focus."""
-    prompt = build_focus_prompt(task.expression, "", replace(cfg.sfa, focus=False))
-    return ground_slow(task, handles, prompt)
+    return ground_slow(task, handles, build_grounding_prompt(task.expression, cfg.sfa))
 
 
 @dataclass(frozen=True)
@@ -278,6 +277,8 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
     """
     if not path.exists():
         return None, {}, 0
+    if not path.is_file():
+        raise ConfigError(f"prediction log is not a file: {path}")
     raw = path.read_bytes()
     valid_len = len(raw)
     if raw and not raw.endswith(b"\n"):

@@ -65,11 +65,16 @@ def assess_route(
     return RouteDecision(detection_count=count, target=target, threshold_used=threshold)
 
 
-def build_focus_prompt(expression: str, target: str, params: SfaParams = SfaParams()) -> str:
-    """Grounding prompt for the MLLM, with the focus clause when enabled."""
+def build_grounding_prompt(expression: str, params: SfaParams = SfaParams()) -> str:
+    """Grounding prompt for the MLLM without the focus clause."""
     if not expression:
         raise ValueError("empty expression")
-    base = params.grounding_prompt.format(expression=expression)
+    return params.grounding_prompt.format(expression=expression)
+
+
+def build_focus_prompt(expression: str, target: str, params: SfaParams = SfaParams()) -> str:
+    """Grounding prompt for the MLLM, with the focus clause when enabled."""
+    base = build_grounding_prompt(expression, params)
     if not params.focus:
         return base
     if not target:

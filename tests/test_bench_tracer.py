@@ -98,7 +98,6 @@ def test_the_tracer_counts_every_replay_role_call(tmp_path, monkeypatch, tracing
     assert metrics["backends.distinct_call_ratio"] == 1.0
 
 
-@pytest.mark.filterwarnings("ignore::ResourceWarning")
 def test_the_tracer_nests_each_http_post_in_its_role_call(tmp_path, tracing):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
     config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
@@ -112,5 +111,5 @@ def test_the_tracer_nests_each_http_post_in_its_role_call(tmp_path, tracing):
     names = {span[0]: span[2] for span in spans}
     parents = [names[span[1]] for span in spans if span[2] == "http.post"]
     assert parents == ["backends.grounder.call"] * 6
-    # the run's HTTP sessions are dropped here, where their unclosed sockets may warn
+    # collect the run's HTTP sessions now, so a socket they left open warns in this test
     gc.collect()

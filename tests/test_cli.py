@@ -60,8 +60,6 @@ from helpers import (
     write_mllm_fixtures,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
-
 
 def run_cli(*args, env=None, cwd=None):
     merged = {k: v for k, v in os.environ.items() if k != "RECOLLAB_CRASH_AFTER"}
@@ -1370,6 +1368,37 @@ def test_unknown_pipeline_choice_is_usage_error(tmp_path):
     proc = run_cli("run", "-c", cfg_path, "--pipeline", "turbo")
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr
+
+
+def _assert_usage_error(proc, message):
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, output_dir",
+    [("run", "taken"), ("run", "taken/out"), ("validate", "taken"), ("export-tuning", "taken")],
+)
+def test_an_output_dir_that_cannot_be_a_directory_is_usage_error(tmp_path, command, output_dir):
+    build = build_export_corpus if command == "export-tuning" else build_sfa_corpus
+    cfg_path = build(tmp_path)
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    if command == "run":
+        proc = run_cli(command, "-c", cfg_path, "--output-dir", tmp_path / output_dir)
+    else:
+        config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+        config["output_dir"] = output_dir
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        proc = run_cli(command, "-c", cfg_path)
+    _assert_usage_error(proc, f"{tmp_path / 'taken'} is not a directory")
+
+
+def test_report_of_a_log_path_that_is_a_directory_is_usage_error(tmp_path):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    proc = run_cli("report", "-c", cfg_path, "--log", tmp_path)
+    _assert_usage_error(proc, f"prediction log is not a file: {tmp_path}")
 
 
 def test_config_with_unknown_key_is_usage_error(tmp_path):

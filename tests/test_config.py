@@ -118,9 +118,12 @@ def test_replay_backend_rejects_coordinate_space():
         ({"seed": True}, "seed in config must be an integer, got True"),
         ({"output_dir": None}, "output_dir in config must be a string, got None"),
         ({"pipeline": 5}, "pipeline in config must be a string"),
-        ({"expected_counts": {"test": 5}}, "expected_counts must map split names"),
-        ({"expected_counts": {"test": {"total": "many"}}}, "expected_counts must map split names"),
-        ({"expected_counts": [1, 2]}, "expected_counts must map split names"),
+        ({"expected_counts": {"test": 5}}, "test in expected_counts must be a mapping, got 5"),
+        (
+            {"expected_counts": {"test": {"total": "many"}}},
+            "total in expected_counts.test must be an integer, got 'many'",
+        ),
+        ({"expected_counts": [1, 2]}, "expected_counts in config must be a mapping, got [1, 2]"),
         ({"sfa": {"focus": "no"}}, "focus in sfa must be true or false, got 'no'"),
         ({"sfa": {"threshold": "0.2"}}, "threshold in sfa must be a number"),
         ({"tuning": {"include_none": "false"}}, "include_none in tuning must be true or false"),
@@ -133,6 +136,21 @@ def test_replay_backend_rejects_coordinate_space():
         (
             {"backends": {"mllm": {"kind": "http", "endpoint": "http://m/", "coordinate_space": "1000"}}},
             "coordinate_space in backends.mllm must be an integer",
+        ),
+        ({"metrics": {"ks": "15"}}, "ks in metrics must be a list, got '15'"),
+        ({"metrics": {"ks": [1.9, 5]}}, "ks[0] in metrics must be an integer, got 1.9"),
+        ({"metrics": {"ks": ["1", "5"]}}, "ks[0] in metrics must be an integer, got '1'"),
+        ({"metrics": {"ks": [True]}}, "ks[0] in metrics must be an integer, got True"),
+        ({"metrics": {"ks": 5}}, "ks in metrics must be a list, got 5"),
+        ({"datasets": {"test": 5}}, "test in datasets must be a string, got 5"),
+        (
+            {"backends": {"grounder": {"kind": "http", "endpoint": "http://g/", "retry": 1}}},
+            "unknown key(s) in backends.grounder: retry",
+        ),
+        ({"base_dir": "/elsewhere"}, "unknown key(s) in config: base_dir"),
+        (
+            {"backends": {5: {"kind": "replay", "fixtures": "f"}}},
+            "a key in backends must be a string, got 5",
         ),
     ],
 )
