@@ -33,17 +33,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-c", "--config", required=True, help="path to the YAML run config")
+    # the settings a run is made under; ``report`` takes them too, to find its log
+    overrides = argparse.ArgumentParser(
+        add_help=False, parents=[common], argument_default=argparse.SUPPRESS
+    )
+    overrides.add_argument("--pipeline", choices=PIPELINES, help="override the configured pipeline")
+    overrides.add_argument("--seed", type=int, help="override the configured seed")
+    overrides.add_argument("--output-dir", help="override the configured output directory")
 
     sub.add_parser(
         "validate", parents=[common], help="load configured datasets and check their counts"
     )
 
-    p_run = sub.add_parser(
-        "run", parents=[common], help="evaluate the configured pipeline on the test split"
+    sub.add_parser(
+        "run", parents=[overrides], help="evaluate the configured pipeline on the test split"
     )
-    p_run.add_argument("--pipeline", choices=PIPELINES, help="override the configured pipeline")
-    p_run.add_argument("--seed", type=int, help="override the configured seed")
-    p_run.add_argument("--output-dir", help="override the configured output directory")
 
     sub.add_parser(
         "export-tuning",
@@ -52,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_report = sub.add_parser(
-        "report", parents=[common], help="re-render the report from an existing prediction log"
+        "report", parents=[overrides], help="re-render the report from an existing prediction log"
     )
     p_report.add_argument("--log", help="prediction log path (default: <output_dir>/predictions.jsonl)")
 
@@ -67,14 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = load_config(args.config)
+        given = {k: v for k, v in vars(args).items() if k in ("pipeline", "seed", "output_dir")}
+        cfg = replace(load_config(args.config), **given)
         if args.command == "run":
-            if args.pipeline:
-                cfg = replace(cfg, pipeline=args.pipeline)
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
-            if args.output_dir:
-                cfg = replace(cfg, output_dir=args.output_dir)
             return cmd_run(cfg)
         if args.command == "validate":
             return cmd_validate(cfg)

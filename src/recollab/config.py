@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -21,7 +21,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 import yaml
 
 from .backends import ROLES
-from .crs import DEFAULT_INCLUDE_NONE, DEFAULT_TUNING_NEGATIVES, DEFAULT_TUNING_POSITIVES, CrsParams
+from .crs import CrsParams, TuningParams
 from .datamodel import Split
 from .metrics import DEFAULT_KS
 from .sfa import SfaParams
@@ -77,20 +77,6 @@ class BackendSettings:
 
 
 @dataclass(frozen=True)
-class TuningSettings:
-    positives: int = DEFAULT_TUNING_POSITIVES
-    negatives: int = DEFAULT_TUNING_NEGATIVES
-    output: str = "tuning.jsonl"
-    include_none: bool = DEFAULT_INCLUDE_NONE
-
-    def __post_init__(self) -> None:
-        if self.positives < 0 or self.negatives < 0:
-            raise ConfigError("tuning sample counts must be >= 0")
-        if self.negatives > 0 and not self.include_none:
-            raise ConfigError("negative tuning samples require include_none")
-
-
-@dataclass(frozen=True)
 class MetricsSettings:
     ks: tuple[int, ...] = DEFAULT_KS
 
@@ -115,7 +101,7 @@ class RunConfig:
     backends: Mapping[str, BackendSettings] = field(default_factory=dict)
     sfa: SfaParams = field(default_factory=SfaParams)
     crs: CrsParams = field(default_factory=CrsParams)
-    tuning: TuningSettings = field(default_factory=TuningSettings)
+    tuning: TuningParams = field(default_factory=TuningParams)
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
     expected_counts: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path, compare=False)
@@ -188,7 +174,8 @@ def _build(cls: type, data: Any, where: str, **given: Any) -> Any:
 
     Each key must name a field of ``cls`` that ``given`` does not supply,
     and its value must have that field's declared type; a field whose key
-    is absent takes its default.
+    is absent takes its default, and one without a default is required.
+    A refusal by ``cls`` itself is prefixed with the section.
     """
     if not isinstance(data, Mapping):
         raise ConfigError(f"{where} must be a mapping, got {data!r}")
@@ -196,10 +183,13 @@ def _build(cls: type, data: Any, where: str, **given: Any) -> Any:
     unknown = sorted(map(str, data.keys() - (hints.keys() - given.keys())))
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data:
+            raise ConfigError(f"{f.name} in {where} is required")
     values = {name: _value(hints[name], value, name, where) for name, value in data.items()}
     try:
         return cls(**values, **given)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 

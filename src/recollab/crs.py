@@ -4,7 +4,8 @@ A specialist grounder proposes boxes for the full expression; after NMS
 the top-k survivors become lettered options in a multiple-choice prompt,
 optionally closed by a final None option for rejection. A selector model
 answers with one letter. The same machinery exports instruction-tuning
-samples that teach a model to pick among plausible boxes and to refuse.
+samples that teach a model to pick among plausible boxes and to refuse,
+under both ``CrsParams`` (the candidates) and ``TuningParams`` (the samples).
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ DEFAULT_REJECTION_INSTRUCTION = (
 DEFAULT_ANSWER_INSTRUCTION = "Answer with a single option letter."
 # the None option is offered, at selection and in tuning samples, unless turned off
 DEFAULT_INCLUDE_NONE = True
-# tuning samples requested of each polarity unless told otherwise
-DEFAULT_TUNING_POSITIVES = 10000
-DEFAULT_TUNING_NEGATIVES = 2500
 # options are lettered A to Z
 MAX_OPTIONS = 26
 
@@ -115,6 +113,22 @@ class CrsParams:
         if not 0.0 <= self.nms_threshold <= 1.0:
             raise ValueError(f"nms threshold out of [0, 1]: {self.nms_threshold}")
         check_prompt_template(self.question_template, "expression")
+
+
+@dataclass(frozen=True)
+class TuningParams:
+    """The tuning export's sample counts, its output file and whether it offers None."""
+
+    positives: int = 10000
+    negatives: int = 2500
+    output: str = "tuning.jsonl"
+    include_none: bool = DEFAULT_INCLUDE_NONE
+
+    def __post_init__(self) -> None:
+        if self.positives < 0 or self.negatives < 0:
+            raise ValueError("tuning sample counts must be >= 0")
+        if self.negatives > 0 and not self.include_none:
+            raise ValueError("negative tuning samples require include_none")
 
 
 @dataclass(frozen=True)
@@ -275,32 +289,25 @@ def _build_sample(task: RecTask, cs: CandidateSet, seed: int, include_none: bool
 def export_tuning(
     ts: TaskSet,
     grounder: Grounder,
+    params: CrsParams = CrsParams(),
+    tuning: TuningParams = TuningParams(),
     *,
-    k: int = DEFAULT_K,
-    nms_threshold: float = DEFAULT_NMS_THRESHOLD,
-    counts: tuple[int, int] = (DEFAULT_TUNING_POSITIVES, DEFAULT_TUNING_NEGATIVES),
     seed: int = 0,
-    include_none: bool = DEFAULT_INCLUDE_NONE,
     failures: list[tuple[str, BackendError]],
 ) -> list[TuningSample]:
     """Export shuffled multiple-choice tuning records from a training split.
 
-    Positives are kept only when some top-k candidate already overlaps
-    the ground truth (the sample must be answerable); negatives teach
-    rejection and require the None option. Requested counts beyond the
-    eligible pool shrink to it with a warning. Output is deterministic
-    for a given seed: per-task shuffles are keyed by (seed, task id) and
-    oversampling draws from file order with a seeded RNG.
+    Candidates follow ``params``, samples ``tuning``. Positives are kept
+    only when some top-k candidate already overlaps the ground truth (the
+    sample must be answerable); negatives teach rejection. Requested
+    counts beyond the eligible pool shrink to it with a warning. Output is
+    deterministic for a given seed: per-task shuffles are keyed by (seed,
+    task id) and oversampling draws from file order with a seeded RNG.
 
     A task whose grounder call raises ``BackendError`` is skipped, and its
     id and error are appended to ``failures``.
     """
-    want_pos, want_neg = counts
-    if want_pos < 0 or want_neg < 0:
-        raise ValueError(f"counts must be non-negative, got {counts}")
-    if want_neg > 0 and not include_none:
-        raise ValueError("negative samples require the None option")
-    check_option_letters(k, include_none)
+    check_option_letters(params.k, tuning.include_none)
 
     eligible: dict[str, tuple[RecTask, CandidateSet]] = {}
     pos_ids: list[str] = []
@@ -311,7 +318,7 @@ def export_tuning(
         except BackendError as exc:
             failures.append((task.id, exc))
             continue
-        cs = generate_candidates(grounding.detections, k=k, nms_thr=nms_threshold)
+        cs = generate_candidates(grounding.detections, k=params.k, nms_thr=params.nms_threshold)
         if task.is_positive:
             if task.gt_box is not None and candidate_hit(cs, task.gt_box):
                 eligible[task.id] = (task, cs)
@@ -321,6 +328,7 @@ def export_tuning(
             neg_ids.append(task.id)
 
     chosen: list[str] = []
+    want_pos, want_neg = tuning.positives, tuning.negatives
     for ids, want, kind in ((pos_ids, want_pos, "positive"), (neg_ids, want_neg, "negative")):
         if want > len(ids):
             logger.warning(
@@ -334,12 +342,11 @@ def export_tuning(
             chosen.extend(_sample_rng(seed, f"select:{kind}").sample(ids, want))
 
     chosen_set = set(chosen)
-    samples = [
-        _build_sample(task, cs, seed, include_none)
+    return [
+        _build_sample(task, cs, seed, tuning.include_none)
         for task_id, (task, cs) in eligible.items()
         if task_id in chosen_set
     ]
-    return samples
 
 
 def save_tuning(samples: Iterable[TuningSample], path: str | Path) -> None:

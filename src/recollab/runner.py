@@ -1,5 +1,10 @@
 """Run orchestration.
 
+``run``, ``report`` and ``export-tuning`` are checked by one ``_prepare``
+before any backend call, and every command creates its outputs through
+``_output_dir``. ``run`` and ``report`` read a log only through
+``_read_own_log``, which refuses one written under another identity.
+
 A run whose backends all replay fixtures executes each task on the calling
 thread. A run that calls any HTTP backend overlaps model calls on a worker
 pool with one thread per ``concurrency`` slot of every called role, fed
@@ -43,6 +48,7 @@ logger = logging.getLogger(__name__)
 LOG_NAME = "predictions.jsonl"
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
+REPORT_FILES = (REPORT_JSON, REPORT_TEXT)
 LOG_VERSION = 1
 CRASH_ENV = "RECOLLAB_CRASH_AFTER"
 # Tasks a pooled run keeps submitted per worker thread: enough that workers
@@ -315,15 +321,19 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
     return meta, preds, valid_len
 
 
-def _same_predictions(meta: Mapping[str, Any], cfg: RunConfig) -> bool:
-    """Whether the log with ``meta`` holds predictions ``cfg`` would make.
-
-    A log written before the meta line carried ``identity_hash`` must match
-    the full ``config_hash`` instead.
-    """
-    if "identity_hash" in meta:
-        return meta["identity_hash"] == identity_hash(cfg)
-    return meta.get("config_hash") == config_hash(cfg)
+def _read_own_log(
+    cfg: RunConfig, path: Path
+) -> tuple[dict[str, Any] | None, dict[str, Prediction], int]:
+    """``read_log(path)``, refused unless its meta line's ``identity_hash`` is ``cfg``'s
+    (for a log written before meta lines carried one, its full ``config_hash``)."""
+    meta, preds, valid_len = read_log(path)
+    if meta is not None and (
+        meta["identity_hash"] != identity_hash(cfg)
+        if "identity_hash" in meta
+        else meta.get("config_hash") != config_hash(cfg)
+    ):
+        raise ConfigError(f"log {path} is from a different config; move it or restore that config")
+    return meta, preds, valid_len
 
 
 def _crash_budget() -> int | None:
@@ -364,7 +374,6 @@ def _write_report(
         },
     )
     text = render_text(report)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / REPORT_JSON).write_text(
         json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
@@ -377,17 +386,41 @@ def _write_report(
     return 0
 
 
-def _require_image_sizes(cfg: RunConfig, ts: TaskSet, roles: Iterable[str]) -> None:
-    """Refuse tasks without ``width``/``height`` when a called role rescales boxes to them."""
+def _output_dir(cfg: RunConfig, outputs: Iterable[str]) -> Path:
+    """The output directory, created with that of each of ``outputs``, which must not be one."""
+    out_dir = cfg.resolve(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in (out_dir / name for name in outputs):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the directory of {path}: {exc}") from exc
+    return out_dir
+
+
+def _prepare(
+    cfg: RunConfig, split: str, roles: Iterable[str], caller: str, outputs: Iterable[str]
+) -> tuple[TaskSet, Path]:
+    """The tasks of ``split`` and the output directory of a command that calls ``roles``.
+
+    Paths must exist, ``roles`` be configured and, for a role with
+    ``coordinate_space``, every task carry its ``width``/``height``.
+    """
+    cfg.check_paths()
+    for role in roles:
+        if role not in cfg.backends:
+            raise ConfigError(f"{caller} needs a {role!r} backend")
+    ts = load_taskset(cfg.dataset_path(split), split)
     scaled = [role for role in roles if cfg.backends[role].coordinate_space is not None]
-    if not scaled:
-        return
-    unsized = [t.id for t in ts if "width" not in t.extras or "height" not in t.extras]
+    unsized = scaled and [t.id for t in ts if "width" not in t.extras or "height" not in t.extras]
     if unsized:
         raise ConfigError(
             f"{len(unsized)} task(s) have no width/height, needed to rescale the "
             f"{', '.join(scaled)} replies from coordinate_space (first: {unsized[0]})"
         )
+    return ts, _output_dir(cfg, outputs)
 
 
 def _pool_size(cfg: RunConfig, spec: PipelineSpec) -> int:
@@ -438,28 +471,13 @@ def cmd_run(cfg: RunConfig) -> int:
     Exit status: 0 clean, 1 when task-level backend failures were logged
     (the run still completes), ConfigError propagates for exit 2.
     """
-    cfg.check_paths()
     spec = PIPELINE_SPECS[cfg.pipeline]
-    for role in spec.roles:
-        if role not in cfg.backends:
-            raise ConfigError(f"pipeline {cfg.pipeline!r} needs a {role!r} backend")
-
-    ts = load_taskset(cfg.dataset_path("test"), "test")
-    _require_image_sizes(cfg, ts, spec.roles)
-
-    out_dir = cfg.resolve(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = (LOG_NAME, *REPORT_FILES)
+    ts, out_dir = _prepare(cfg, "test", spec.roles, f"pipeline {cfg.pipeline!r}", outputs)
     log_path = out_dir / LOG_NAME
-
-    meta, done, valid_len = read_log(log_path)
-    if meta is not None:
-        if not _same_predictions(meta, cfg):
-            raise ConfigError(
-                "existing prediction log was written under a different config; "
-                "move it away or restore that config"
-            )
-        if done:
-            logger.info("resuming: %d predictions already logged", len(done))
+    meta, done, valid_len = _read_own_log(cfg, log_path)
+    if done:
+        logger.info("resuming: %d predictions already logged", len(done))
     if log_path.exists() and valid_len != log_path.stat().st_size:
         with open(log_path, "rb+") as tail:
             tail.truncate(valid_len)
@@ -500,21 +518,20 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
     """Re-render the report from an existing prediction log."""
-    cfg.check_paths()
-    out_dir = cfg.resolve(cfg.output_dir)
-    path = log_path if log_path is not None else out_dir / LOG_NAME
-    meta, preds, _ = read_log(path)
+    # the log's raw text is freed before the tasks are loaded, so the two never peak together
+    path = log_path if log_path is not None else cfg.resolve(cfg.output_dir) / LOG_NAME
+    meta, preds, _ = _read_own_log(cfg, path)
     if meta is None:
         raise ConfigError(f"no prediction log at {path}")
-    if not _same_predictions(meta, cfg):
-        raise ConfigError("prediction log was written under a different config")
-    ts = load_taskset(cfg.dataset_path("test"), "test")
+    roles = PIPELINE_SPECS[cfg.pipeline].roles
+    ts, out_dir = _prepare(cfg, "test", roles, f"pipeline {cfg.pipeline!r}", REPORT_FILES)
     return _write_report(cfg, ts, preds, meta, out_dir)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
     """Load and census every configured dataset split."""
     cfg.check_paths()
+    out_dir = _output_dir(cfg, ("validation.json",))
     status = 0
     summaries: dict[str, Any] = {}
     for split in sorted(cfg.datasets):
@@ -530,8 +547,6 @@ def cmd_validate(cfg: RunConfig) -> int:
         summaries[split] = stats.to_dict()
         if not stats.passed:
             status = 1
-    out_dir = cfg.resolve(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "validation.json").write_text(
         json.dumps(summaries, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
@@ -547,33 +562,18 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
     and the status is 1. When every call fails, nothing is written and the
     first error is raised with the count.
     """
-    cfg.check_paths()
-    if "grounder" not in cfg.backends:
-        raise ConfigError("export-tuning needs a grounder backend")
     try:
         check_option_letters(cfg.crs.k, cfg.tuning.include_none)
     except ValueError as exc:
         raise ConfigError(f"crs.k and tuning.include_none: {exc}") from exc
-    ts = load_taskset(cfg.dataset_path("train"), "train")
-    _require_image_sizes(cfg, ts, ("grounder",))
-    handles = build_backends(cfg)
+    ts, out_dir = _prepare(cfg, "train", ("grounder",), "export-tuning", (cfg.tuning.output,))
     failures: list[tuple[str, BackendError]] = []
-    samples = export_tuning(
-        ts,
-        handles.require("grounder"),
-        k=cfg.crs.k,
-        nms_threshold=cfg.crs.nms_threshold,
-        counts=(cfg.tuning.positives, cfg.tuning.negatives),
-        seed=cfg.seed,
-        include_none=cfg.tuning.include_none,
-        failures=failures,
-    )
+    grounder = build_backends(cfg).require("grounder")
+    samples = export_tuning(ts, grounder, cfg.crs, cfg.tuning, seed=cfg.seed, failures=failures)
     if failures and len(failures) == len(ts):
         # nothing was grounded: a wrong endpoint or fixture directory, not an outage
         exc = failures[0][1]
         raise BackendError(f"{exc} (the grounder failed on all {len(ts)} tasks)") from exc
-    out_dir = cfg.resolve(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / cfg.tuning.output
     save_tuning(samples, path)
     positives = sum(1 for s in samples if s.answer_box() is not None)

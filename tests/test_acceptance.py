@@ -25,7 +25,14 @@ import pytest
 from recollab.backends import BackendBundle
 from recollab.backends.replay import ROLE_GROUND, FixtureStore, ReplayGrounder, write_fixture
 from recollab.backends.types import GroundingResult
-from recollab.crs import CrsParams, export_tuning, generate_candidates, run_crs, save_tuning
+from recollab.crs import (
+    CrsParams,
+    TuningParams,
+    export_tuning,
+    generate_candidates,
+    run_crs,
+    save_tuning,
+)
 from recollab.datamodel import (
     EvalPair,
     Split,
@@ -359,7 +366,9 @@ def test_criterion_07_tuning_export_invariants(tmp_path):
         ts = TaskSet.build(Split.TRAIN, tasks)
         gt_by_image = {t.image: t.gt_box for t in tasks if t.is_positive}
 
-        samples = export_tuning(ts, SlotGrounder(), failures=[], counts=(4000, 1000), seed=11)
+        samples = export_tuning(
+            ts, SlotGrounder(), failures=[], tuning=TuningParams(4000, 1000), seed=11
+        )
         assert len(samples) == 5000
 
         positive = [s for s in samples if s.answer_box() is not None]
@@ -379,7 +388,9 @@ def test_criterion_07_tuning_export_invariants(tmp_path):
         for label, count in counts.items():
             assert abs(count - 800) <= 3 * sigma, f"answer position {label} skewed: {count}"
 
-        again = export_tuning(ts, SlotGrounder(), failures=[], counts=(4000, 1000), seed=11)
+        again = export_tuning(
+            ts, SlotGrounder(), failures=[], tuning=TuningParams(4000, 1000), seed=11
+        )
         save_tuning(samples, tmp_path / "a.jsonl")
         save_tuning(again, tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()

@@ -1216,6 +1216,23 @@ def test_run_refuses_unsized_tasks_for_a_rescaling_role(tmp_path, capsys):
     assert read_records(tmp_path / "out" / LOG_NAME)[1:] == replayed
 
 
+@pytest.mark.parametrize(
+    "command, build",
+    [("run", build_sfa_corpus), ("run", build_crs_corpus), ("export-tuning", build_export_corpus)],
+)
+def test_a_missing_role_exits_2_naming_it_before_any_call(
+    tmp_path, monkeypatch, capsys, command, build
+):
+    cfg_path = build(tmp_path)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    del config["backends"]["grounder"]
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    reads = _count_fixture_reads(monkeypatch)
+    assert main([command, "-c", str(cfg_path)]) == 2
+    assert "needs a 'grounder' backend" in capsys.readouterr().err
+    assert reads == [] and not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------- CLI: report
 
 
@@ -1250,6 +1267,22 @@ def test_report_without_log_is_usage_error(tmp_path):
     proc = run_cli("report", "-c", cfg_path)
     assert proc.returncode == 2
     assert "no prediction log" in proc.stderr
+
+
+def test_report_takes_the_flags_a_run_was_made_under(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    write_mllm_fixtures(tmp_path)
+    flags = ["--pipeline", "mllm", "--seed", "5", "--output-dir", "out2"]
+    assert main(["run", "-c", str(cfg_path), *flags]) == 0
+    report = tmp_path / "out2" / REPORT_JSON
+    written = report.read_bytes()
+    report.unlink()
+
+    assert main(["report", "-c", str(cfg_path), *flags]) == 0
+    assert report.read_bytes() == written
+    capsys.readouterr()
+    assert main(["report", "-c", str(cfg_path), *flags[:3], "6", *flags[4:]]) == 2
+    assert "different config" in capsys.readouterr().err
 
 
 def test_report_refuses_log_from_other_config(tmp_path):
@@ -1316,6 +1349,42 @@ def test_export_tuning_skips_a_failed_grounder_call(tmp_path, capsys, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "grounder failed on 1 of 16 task(s), first on pos-00003" in warnings[0]
+
+
+def test_export_tuning_creates_the_directory_of_its_output(tmp_path):
+    cfg_path = build_export_corpus(tmp_path, n_pos=12, n_neg=4, positives=10, negatives=3)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["tuning"]["output"] = "sub/tuning.jsonl"
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["export-tuning", "-c", str(cfg_path)]) == 0
+    assert len(read_records(tmp_path / "out" / "sub" / "tuning.jsonl")) == 13
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("export-tuning", "."),
+        ("export-tuning", "sub"),
+        ("run", REPORT_JSON),
+        ("validate", "validation.json"),
+    ],
+)
+def test_an_output_that_is_a_directory_exits_2_before_any_call(
+    tmp_path, monkeypatch, capsys, command, output
+):
+    build = build_export_corpus if command == "export-tuning" else build_sfa_corpus
+    cfg_path = build(tmp_path)
+    if command == "export-tuning":
+        config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+        config["tuning"]["output"] = output
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    if output != ".":
+        (tmp_path / "out" / output).mkdir(parents=True)
+    reads = _count_fixture_reads(monkeypatch)
+    assert main([command, "-c", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write {tmp_path / 'out' / output}: it is a directory\n"
+    assert reads == [] and out == ""
 
 
 @pytest.mark.parametrize("tuning_none", [True, False])

@@ -11,12 +11,12 @@ from recollab.config import (
     ConfigError,
     MetricsSettings,
     RunConfig,
-    TuningSettings,
     config_from_dict,
     config_hash,
     config_to_dict,
     load_config,
 )
+from recollab.crs import TuningParams
 
 
 def minimal_yaml(tmp_path, body=""):
@@ -152,6 +152,24 @@ def test_replay_backend_rejects_coordinate_space():
             {"backends": {5: {"kind": "replay", "fixtures": "f"}}},
             "a key in backends must be a string, got 5",
         ),
+        # a missing required key, and a refusal by the settings type, name the section
+        ({"backends": {"grounder": {}}}, "kind in backends.grounder is required"),
+        (
+            {"backends": {"grounder": {"endpoint": "http://g/"}}},
+            "kind in backends.grounder is required",
+        ),
+        (
+            {"backends": {"grounder": {"kind": "http"}}},
+            "bad backends.grounder: http backend needs an endpoint",
+        ),
+        (
+            {"backends": {"detector": {"kind": "replay", "fixtures": "f", "timeout": 0}}},
+            "bad backends.detector: timeout must be positive, got 0",
+        ),
+        (
+            {"backends": {"mllm": {"kind": "rpc"}}},
+            "bad backends.mllm: backend kind must be http or replay, got 'rpc'",
+        ),
     ],
 )
 def test_a_setting_of_the_wrong_type_is_refused(data, message):
@@ -177,11 +195,11 @@ def test_settings_of_their_declared_types_load_as_written():
 
 
 def test_tuning_and_metrics_validation():
-    with pytest.raises(ConfigError):
-        TuningSettings(positives=-1)
-    with pytest.raises(ConfigError, match="include_none"):
-        TuningSettings(negatives=5, include_none=False)
-    TuningSettings(negatives=0, include_none=False)
+    with pytest.raises(ValueError):
+        TuningParams(positives=-1)
+    with pytest.raises(ValueError, match="include_none"):
+        TuningParams(negatives=5, include_none=False)
+    TuningParams(negatives=0, include_none=False)
     with pytest.raises(ConfigError):
         MetricsSettings(ks=())
     with pytest.raises(ConfigError):

@@ -1,18 +1,31 @@
-"""The Python examples in the README and docs/ run as written."""
+"""The Python examples in the README and docs/ run as written, and their
+``recollab`` command lines parse."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from recollab.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
 PAGES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 EXAMPLES = [
     pytest.param(code, id=f"{page.relative_to(ROOT)}:{n}")
     for page in PAGES
     for n, code in enumerate(PYTHON_BLOCK.findall(page.read_text(encoding="utf-8")), start=1)
+]
+
+COMMANDS = [
+    pytest.param(line, id=f"{page.relative_to(ROOT)}:{line}")
+    for page in PAGES
+    for block in SH_BLOCK.findall(page.read_text(encoding="utf-8"))
+    for line in block.splitlines()
+    if line.startswith("recollab ")
 ]
 
 
@@ -24,3 +37,15 @@ def test_the_docs_have_python_examples():
 def test_python_example_runs(code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # examples that write files write them here
     exec(compile(code, "<example>", "exec"), {"__name__": "example"})
+
+
+def test_the_docs_have_command_lines():
+    assert len(COMMANDS) >= 5
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_documented_command_line_parses(line):
+    try:
+        build_parser().parse_args(shlex.split(line)[1:])
+    except SystemExit as exc:
+        pytest.fail(f"{line!r} does not parse (exit {exc.code})")
