@@ -13,9 +13,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence, TypeVar
 
-import requests
-from requests.adapters import DEFAULT_POOLSIZE, HTTPAdapter
-
 from .extract import build_extract_prompt, resolve_target
 from .types import (
     BackendError,
@@ -41,6 +38,7 @@ class HttpClient:
     client's session pools ``concurrency`` connections, one per call the
     role may have in flight. ``coordinate_space`` is the N of the N x N
     grid the server's boxes are in, or None when it answers in pixels.
+    Building the first client imports ``requests``.
     """
 
     endpoint: str
@@ -48,11 +46,14 @@ class HttpClient:
     timeout: float = 60.0
     retries: int = 2
     backoff: float = 0.5
-    concurrency: int = DEFAULT_POOLSIZE
+    concurrency: int = 10  # requests' own pool size
     coordinate_space: int | None = None
-    session: requests.Session = field(init=False, repr=False, compare=False)
+    session: Any = field(init=False, repr=False, compare=False)  # a requests.Session
 
     def __post_init__(self) -> None:
+        import requests
+        from requests.adapters import HTTPAdapter
+
         session = requests.Session()
         adapter = HTTPAdapter(pool_maxsize=self.concurrency)
         session.mount("http://", adapter)
@@ -60,6 +61,8 @@ class HttpClient:
         object.__setattr__(self, "session", session)
 
     def post(self, payload: Mapping[str, Any]) -> dict[str, Any]:
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"

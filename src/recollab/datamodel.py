@@ -2,7 +2,8 @@
 
 Annotation files are UTF-8 line-delimited JSON, one task per line. Boxes
 are ``[x0, y0, x1, y1]`` pixel arrays. Unknown fields are preserved on the
-task and written back on save, but are otherwise ignored.
+task and written back on save, but are otherwise ignored. Tasks loaded
+together share one object per equal string, integer and negative kind.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def image_ref(task: RecTask) -> ImageRef:
     return ImageRef(image_id=task.image, width=int(width), height=int(height))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegativeKind:
     """Taxonomy of a negative: edit kind x facet x locus.
 
@@ -118,7 +119,7 @@ class NegativeKind:
         return f"{self.edit.value}.{self.facet.value}.{self.locus.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecTask:
     """One benchmark item: an image, an expression, and its ground truth.
 
@@ -240,15 +241,9 @@ class EvalPair:
             )
 
 
-_FIELD_ORDER = (
-    "id",
-    "image",
-    "expression",
-    "polarity",
-    "difficulty",
-    "negative_kind",
-    "gt_box",
-    "paired_positive",
+# the keys a task's own fields are read from; every other key is an extra
+_FIELDS = frozenset(
+    "id image expression polarity difficulty negative_kind gt_box paired_positive".split()
 )
 
 
@@ -269,34 +264,55 @@ def task_to_record(task: RecTask) -> dict[str, Any]:
     if task.paired_positive is not None:
         record["paired_positive"] = task.paired_positive
     for key in sorted(task.extras):
-        if key not in _FIELD_ORDER:
+        if key not in _FIELDS:
             record[key] = task.extras[key]
     return record
 
 
-def record_to_task(record: Mapping[str, Any], *, line: int | None = None) -> RecTask:
-    """Parse and invariant-check one JSON record."""
+def _member(enum: type[Enum], value: Any) -> Any:
+    """``enum(value)``, found in its value map; a value outside it goes to ``enum`` to raise."""
+    try:
+        return enum._value2member_map_[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
+def _negative_kind(data: Any, shared: dict) -> NegativeKind:
+    """The one ``NegativeKind`` in ``shared`` for ``data``; only a new or bad kind is parsed."""
+    try:
+        return shared[data["edit"], data["facet"], data["locus"]]
+    except (KeyError, TypeError):
+        kind = NegativeKind.from_dict(data)
+        return shared.setdefault((kind.edit.value, kind.facet.value, kind.locus.value), kind)
+
+
+def record_to_task(
+    record: Mapping[str, Any], *, line: int | None = None, shared: dict | None = None
+) -> RecTask:
+    """Parse and invariant-check one JSON record; a value ``shared`` holds is taken from it."""
+    shared = {} if shared is None else shared
+    share = shared.setdefault
     try:
         task_id = record["id"]
         image = record["image"]
         expression = record["expression"]
-        polarity = Polarity(record["polarity"])
+        polarity = _member(Polarity, record["polarity"])
     except KeyError as exc:
         raise DatasetError(f"missing required field {exc.args[0]!r}", line=line) from exc
     except ValueError as exc:
         raise DatasetError(f"bad polarity: {exc}", line=line) from exc
 
-    difficulty = None
-    if record.get("difficulty") is not None:
+    difficulty = record.get("difficulty")
+    if difficulty is not None:
         try:
-            difficulty = Difficulty(record["difficulty"])
+            difficulty = _member(Difficulty, difficulty)
         except ValueError as exc:
             raise DatasetError(f"bad difficulty: {exc}", line=line, task_id=task_id) from exc
 
-    negative_kind = None
-    if record.get("negative_kind") is not None:
+    negative_kind = record.get("negative_kind")
+    if negative_kind is not None:
         try:
-            negative_kind = NegativeKind.from_dict(record["negative_kind"])
+            negative_kind = _negative_kind(negative_kind, shared)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad negative_kind: {exc}", line=line, task_id=task_id) from exc
 
@@ -307,7 +323,18 @@ def record_to_task(record: Mapping[str, Any], *, line: int | None = None) -> Rec
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"bad gt_box: {exc}", line=line, task_id=task_id) from exc
 
-    extras = {k: v for k, v in record.items() if k not in _FIELD_ORDER}
+    paired_positive = record.get("paired_positive")
+    try:
+        task_id, image = share(task_id, task_id), share(image, image)
+        expression = share(expression, expression)
+        paired_positive = share(paired_positive, paired_positive)
+    except TypeError:
+        pass  # an unhashable value is kept as it is
+    extras = {
+        share(k, k): share(v, v) if type(v) is int else v
+        for k, v in record.items()
+        if k not in _FIELDS
+    }
     try:
         return RecTask(
             id=task_id,
@@ -317,7 +344,7 @@ def record_to_task(record: Mapping[str, Any], *, line: int | None = None) -> Rec
             difficulty=difficulty,
             negative_kind=negative_kind,
             gt_box=gt_box,
-            paired_positive=record.get("paired_positive"),
+            paired_positive=paired_positive,
             extras=extras,
         )
     except DatasetError as exc:
@@ -330,6 +357,7 @@ def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
     """Load a line-delimited annotation file into an invariant-checked TaskSet."""
     split = Split(split)
     tasks: list[RecTask] = []
+    shared: dict = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -341,7 +369,7 @@ def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
                 raise DatasetError(f"malformed JSON: {exc.msg}", line=line_no) from exc
             if not isinstance(record, dict):
                 raise DatasetError("record is not a JSON object", line=line_no)
-            tasks.append(record_to_task(record, line=line_no))
+            tasks.append(record_to_task(record, line=line_no, shared=shared))
     return TaskSet.build(split, tasks)
 
 

@@ -16,7 +16,7 @@ _INF = math.inf
 _COORDS = ("x0", "y0", "x1", "y1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BBox:
     """Axis-aligned rectangle ``(x0, y0, x1, y1)`` with ``x0 <= x1, y0 <= y1``.
 

@@ -10,6 +10,7 @@ marks a failed task has one spelling.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -29,7 +30,7 @@ class Pathway(str, Enum):
     CRS = "crs"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RouteDecision:
     """Outcome of difficulty assessment for one task.
 
@@ -65,7 +66,7 @@ class RouteDecision:
         """Inverse of ``to_dict``; a ``level`` that contradicts the count is refused."""
         decision = cls(
             detection_count=int(data["detection_count"]),
-            target=data["target"],
+            target=sys.intern(data["target"]),
             threshold_used=float(data["threshold_used"]),
         )
         if data["level"] != decision.level.value:
@@ -76,7 +77,7 @@ class RouteDecision:
         return decision
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """A pipeline's answer for one task.
 
@@ -162,8 +163,10 @@ class Prediction:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> Prediction:
         """Inverse of ``to_dict``. A line without a ``ranked_boxes`` key gets
-        the default, the chosen box alone, as a constructed record does."""
+        the default, the chosen box alone, as a constructed record does. The
+        decision's target and the note, which repeat across a log, are interned."""
         box = data.get("box")
+        note = data.get("note")
         decision = data.get("decision")
         entries = data.get("ranked_boxes")
         ranked = None
@@ -185,6 +188,6 @@ class Prediction:
             pathway=Pathway(data["pathway"]),
             decision=RouteDecision.from_dict(decision) if decision else None,
             raw=data.get("raw"),
-            note=data.get("note"),
+            note=None if note is None else sys.intern(note),
             ranked_boxes=ranked,
         )

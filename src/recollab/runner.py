@@ -285,39 +285,39 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
         return None, {}, 0
     if not path.is_file():
         raise ConfigError(f"prediction log is not a file: {path}")
-    raw = path.read_bytes()
-    valid_len = len(raw)
-    if raw and not raw.endswith(b"\n"):
-        cut = raw.rfind(b"\n") + 1
-        logger.warning("prediction log ends mid-record; ignoring %d bytes", valid_len - cut)
-        raw = raw[:cut]
-        valid_len = cut
     meta: dict[str, Any] | None = None
     preds: dict[str, Prediction] = {}
-    for line_no, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"prediction log line {line_no} is not valid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ConfigError(f"prediction log line {line_no} is not a JSON object")
-        kind = record.get("record")
-        if kind == "meta":
-            if meta is None:
-                meta = record
-        elif kind == "prediction":
+    valid_len = 0
+    # lines end at b"\n" only: a reply may hold U+2028 or \f, which the log keeps raw
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.endswith(b"\n"):
+                logger.warning("prediction log ends mid-record; ignoring %d bytes", len(line))
+                break
+            valid_len += len(line)
+            if not line.strip():
+                continue
             try:
-                pred = Prediction.from_dict(record)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"prediction log line {line_no} is not a valid prediction record: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            preds[pred.task_id] = pred
-        else:
-            raise ConfigError(f"prediction log line {line_no} has unknown record kind {kind!r}")
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise ConfigError(f"prediction log line {line_no} is not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ConfigError(f"prediction log line {line_no} is not a JSON object")
+            kind = record.get("record")
+            if kind == "meta":
+                if meta is None:
+                    meta = record
+            elif kind == "prediction":
+                try:
+                    pred = Prediction.from_dict(record)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"prediction log line {line_no} is not a valid prediction record: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+                preds[pred.task_id] = pred
+            else:
+                raise ConfigError(f"prediction log line {line_no} has unknown record kind {kind!r}")
     return meta, preds, valid_len
 
 
@@ -387,10 +387,14 @@ def _write_report(
 
 
 def _output_dir(cfg: RunConfig, outputs: Iterable[str]) -> Path:
-    """The output directory, created with that of each of ``outputs``, which must not be one."""
+    """The output directory, created with that of each of ``outputs``, a file under it."""
     out_dir = cfg.resolve(cfg.output_dir)
+    paths = [out_dir / name for name in outputs]
+    for path in paths:
+        if not path.resolve().is_relative_to(out_dir.resolve()):
+            raise ConfigError(f"cannot write {path}: it is outside output_dir {out_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path in (out_dir / name for name in outputs):
+    for path in paths:
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
         try:

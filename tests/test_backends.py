@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import recollab
 from recollab import BBox, Detection, TokenSpanScore, iou
 from recollab.backends import ROLES, BackendBundle
 from recollab.backends.extract import (
@@ -494,6 +499,39 @@ def test_replay_selector(tmp_path):
 
 
 # ------------------------------------------------------------------- http
+
+
+_ROLE_BUILDS = """
+import sys
+from recollab import cli, runner
+from recollab.config import BackendSettings, RunConfig
+
+def loaded():
+    return [m for m in ("requests", "urllib3", "charset_normalizer") if m in sys.modules]
+
+print(loaded())
+replay = BackendSettings(kind="replay", fixtures="fixtures")
+runner.build_backends(RunConfig(pipeline="specialist", backends={"grounder": replay}))
+print(loaded())
+http = BackendSettings(kind="http", endpoint="http://127.0.0.1:9/ground")
+runner.build_backends(RunConfig(pipeline="specialist", backends={"grounder": http}))
+print("requests" in sys.modules)
+"""
+
+
+def test_requests_is_imported_only_by_building_an_http_role():
+    # a fresh interpreter, since this one imported requests for the tests below
+    src = str(Path(recollab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROLE_BUILDS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "True"]
 
 
 def test_http_detector_round_trip():

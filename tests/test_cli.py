@@ -147,6 +147,30 @@ def test_read_log_rejects_corrupt_line(tmp_path):
         read_log(path)
 
 
+# every line boundary of str.splitlines except "\n" and "\r"; a log leaves them raw
+_OTHER_LINE_BREAKS = "\u2028\u2029\u0085\v\f\x1c\x1d\x1e"
+
+
+def test_a_reply_holding_other_line_breaks_is_read_back_unchanged(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    log_path = tmp_path / "out" / LOG_NAME
+    report = (tmp_path / "out" / REPORT_JSON).read_bytes()
+    meta, *records = read_records(log_path)
+    text = f"no box{_OTHER_LINE_BREAKS}here"
+    records[-1]["raw"] = {"text": text}
+    with open(log_path, "w", encoding="utf-8") as handle:
+        for record in (meta, *records):
+            runner._write_record(handle, record)
+
+    _, preds, valid_len = read_log(log_path)
+    assert preds[records[-1]["task_id"]].raw == {"text": text}
+    assert valid_len == log_path.stat().st_size
+    capsys.readouterr()
+    assert main(["report", "-c", str(cfg_path)]) == 0
+    assert (tmp_path / "out" / REPORT_JSON).read_bytes() == report
+
+
 def _drop_confidence(record):
     del record["confidence"]
 
@@ -1358,6 +1382,29 @@ def test_export_tuning_creates_the_directory_of_its_output(tmp_path):
     cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
     assert main(["export-tuning", "-c", str(cfg_path)]) == 0
     assert len(read_records(tmp_path / "out" / "sub" / "tuning.jsonl")) == 13
+
+
+@pytest.mark.parametrize("output", ["../../escaped.jsonl", "absolute"])
+def test_a_tuning_output_outside_output_dir_exits_2_writing_nothing(
+    tmp_path, monkeypatch, capsys, output
+):
+    root = tmp_path / "a" / "b"
+    cfg_path = build_export_corpus(root)
+    if output == "absolute":
+        output = str(tmp_path / "absolute.jsonl")
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["tuning"]["output"] = output
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    reads = _count_fixture_reads(monkeypatch)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["export-tuning", "-c", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == (
+        f"error: cannot write {root / 'out' / output}: "
+        f"it is outside output_dir {root / 'out'}\n"
+    )
+    assert reads == [] and out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(

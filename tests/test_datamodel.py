@@ -27,6 +27,7 @@ from recollab.datamodel import (
     record_to_task,
     task_to_record,
 )
+from recollab.prediction import Pathway, Prediction, RouteDecision
 
 from helpers import make_negative, make_positive, paired_taskset
 
@@ -296,3 +297,88 @@ def test_difficulty_unlabeled_bucket():
     pos = make_positive(0, difficulty=None)
     report = validate_counts(TaskSet.build(Split.TEST, [pos]))
     assert report.by_difficulty["unlabeled"] == 1
+
+
+# ------------------------------------------------- shared values, slotted records
+
+
+def _sharing_records():
+    """A positive, a negative-expression and a negative-image task on it, and a second
+    positive whose negative has the first negatives' kind."""
+    kind = NegativeKind(edit=NegEdit.SWAP, facet=NegFacet.OBJECT, locus=NegLocus.L1)
+    pos = make_positive(0, image="img-0", extras={"width": 640, "height": 480})
+    other = make_positive(1, extras={"width": 640, "height": 480})
+    tasks = [
+        pos,
+        make_negative(0, pos, kind=kind, image="img-0", expression="the missing object"),
+        make_negative(1, pos, Polarity.NEGATIVE_IMAGE, kind=kind, expression=pos.expression),
+        other,
+        make_negative(2, other, kind=kind),
+    ]
+    # each record is decoded on its own, so no two hold the same string object
+    return [json.loads(json.dumps(task_to_record(task))) for task in tasks]
+
+
+def _write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+def test_load_taskset_holds_equal_values_once(tmp_path):
+    path = _write_records(tmp_path / "t.jsonl", _sharing_records())
+    pos, neg_expr, neg_img, other, neg_other = load_taskset(path, "test").tasks
+    assert neg_expr.image is pos.image
+    assert neg_img.expression is pos.expression
+    assert neg_expr.paired_positive is pos.id and neg_img.paired_positive is pos.id
+    assert neg_other.paired_positive is other.id
+    assert neg_expr.negative_kind is neg_img.negative_kind is neg_other.negative_kind
+    assert sorted(other.extras) == ["height", "width"]
+    for key, value in other.extras.items():
+        assert next(k for k in pos.extras if k == key) is key
+        assert pos.extras[key] is value
+
+
+def test_load_taskset_equals_unshared_record_to_task(tmp_path):
+    records = _sharing_records()
+    path = _write_records(tmp_path / "t.jsonl", records)
+    loaded = load_taskset(path, "test").tasks
+    assert list(loaded) == [record_to_task(r) for r in records]
+
+
+def test_the_record_types_are_slotted():
+    pos = make_positive(0)
+    neg = make_negative(0, pos)
+    decision = RouteDecision(detection_count=1, target="widget", threshold_used=0.2)
+    pred = Prediction("t", pos.gt_box, 0.5, Pathway.FAST, decision=decision)
+    for value in (pos, neg.negative_kind, pos.gt_box, decision, pred):
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+_BAD_VALUES = {"unknown": "bogus", "list": ["swap"], "dict": {"a": 1}}
+
+
+@pytest.mark.parametrize("value_id", list(_BAD_VALUES))
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("polarity", "[line 3] bad polarity: {} is not a valid Polarity"),
+        ("difficulty", "[line 3, task 'neg-00009'] bad difficulty: {} is not a valid Difficulty"),
+        ("edit", "[line 3, task 'neg-00009'] bad negative_kind: {} is not a valid NegEdit"),
+        ("facet", "[line 3, task 'neg-00009'] bad negative_kind: {} is not a valid NegFacet"),
+        ("locus", "[line 3, task 'neg-00009'] bad negative_kind: {} is not a valid NegLocus"),
+    ],
+)
+def test_a_bad_enum_value_is_refused_with_its_message(tmp_path, field, message, value_id):
+    # the second line loads a kind first, so the third is looked up among known ones
+    records = _sharing_records()[:2]
+    bad = json.loads(json.dumps(records[1]))
+    bad["id"] = "neg-00009"
+    value = _BAD_VALUES[value_id]
+    if field in ("edit", "facet", "locus"):
+        bad["negative_kind"][field] = value
+    else:
+        bad[field] = value
+    path = _write_records(tmp_path / "bad.jsonl", [*records, bad])
+    with pytest.raises(DatasetError) as exc_info:
+        load_taskset(path, "test")
+    assert str(exc_info.value) == message.format(repr(value))
