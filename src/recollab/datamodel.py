@@ -138,6 +138,18 @@ class RecTask:
     extras: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if type(self.id) is not str:
+            raise DatasetError(f"id must be a string, got {self.id!r}")
+        if type(self.image) is not str:
+            raise DatasetError(f"image must be a string, got {self.image!r}", task_id=self.id)
+        if type(self.expression) is not str:
+            raise DatasetError(
+                f"expression must be a string, got {self.expression!r}", task_id=self.id
+            )
+        if self.paired_positive is not None and type(self.paired_positive) is not str:
+            raise DatasetError(
+                f"paired_positive must be a string, got {self.paired_positive!r}", task_id=self.id
+            )
         if not self.id:
             raise DatasetError("empty task id")
         if not self.image:
@@ -214,8 +226,9 @@ class TaskSet:
     def __iter__(self) -> Iterator[RecTask]:
         return iter(self.tasks)
 
-    def get(self, task_id: str) -> RecTask:
-        return self._by_id[task_id]
+    def get(self, task_id: str) -> RecTask | None:
+        """The task with ``task_id``, or None if the split has none."""
+        return self._by_id.get(task_id)
 
     def positives(self) -> list[RecTask]:
         return [t for t in self.tasks if t.is_positive]
@@ -329,7 +342,7 @@ def record_to_task(
         expression = share(expression, expression)
         paired_positive = share(paired_positive, paired_positive)
     except TypeError:
-        pass  # an unhashable value is kept as it is
+        pass  # an unhashable value is kept as it is, for RecTask to refuse
     extras = {
         share(k, k): share(v, v) if type(v) is int else v
         for k, v in record.items()

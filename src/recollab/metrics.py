@@ -11,10 +11,12 @@ Three metrics, all ratios of per-item indicators:
 * AUROC over confidences: the probability a positive sample outranks a
   negative one, ties counted half.
 
-Every metric reads ``prediction.Prediction`` records keyed by task id:
-P@k and R@k their ``ranked_boxes``, AUROC their ``confidence``. A task
-with no record counts as a miss at confidence 0 (P@k, AUROC) or drops
-its pair (R@k).
+Every metric reads one ``Score`` row per task id, which ``score(pred,
+task)`` makes from a ``prediction.Prediction``: a positive's hit rank and
+the confidence there, a negative's ranked confidences, and the
+confidence, pathway and failure of each. The metrics also take
+``Prediction`` records and score them first. A task with no record
+counts as a miss at confidence 0 (P@k, AUROC) or drops its pair (R@k).
 
 Each positive and each pair is scored once, as the rank of its first box
 above the fixed IoU bar (``NO_HIT`` if none); a hit at k is ``rank < k``,
@@ -30,11 +32,11 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .datamodel import EvalPair, RecTask, TaskSet, pair_negatives
 from .geometry import BBox, iou
-from .prediction import Prediction
+from .prediction import Pathway, Prediction
 
 logger = logging.getLogger(__name__)
 
@@ -48,27 +50,72 @@ COST_PROVENANCE = (
 )
 
 
-def _hit_rank(pred: Prediction | None, gt: BBox | None) -> float:
+@dataclass(frozen=True, slots=True)
+class Score:
+    """What the metrics read of one prediction, scored against its task.
+
+    A positive's row has its hit ``rank`` and the confidence of its box at
+    that rank (0 for ``NO_HIT``); a negative's has the ``confidences`` of
+    its ranked boxes. A prediction scored without a task has neither.
+    """
+
+    confidence: float
+    pathway: Pathway
+    failed: bool
+    rank: float | None = None
+    rank_confidence: float = 0.0
+    confidences: tuple[float, ...] | None = None
+
+
+def score(pred: Prediction, task: RecTask | None) -> Score:
+    """``pred``'s row against ``task``, which is None for a task outside the task set."""
+    if task is None:
+        return Score(pred.confidence, pred.pathway, pred.failed)
+    if not task.is_positive:
+        confidences = tuple(conf for _, conf in pred.ranked_boxes)
+        return Score(pred.confidence, pred.pathway, pred.failed, confidences=confidences)
+    rank = _hit_rank(pred, task.gt_box)
+    conf = 0.0 if rank == NO_HIT else pred.ranked_boxes[rank][1]
+    return Score(pred.confidence, pred.pathway, pred.failed, rank, conf)
+
+
+def _hit_rank(pred: Prediction, gt: BBox) -> float:
     """Index of the first ranked box strictly above the IoU bar; NO_HIT if none."""
-    if pred is not None:
-        assert gt is not None
-        for rank, (box, _) in enumerate(pred.ranked_boxes):
-            if iou(box, gt) > IOU_THRESHOLD:
-                return rank
+    for rank, (box, _) in enumerate(pred.ranked_boxes):
+        if iou(box, gt) > IOU_THRESHOLD:
+            return rank
     return NO_HIT
 
 
-def _positive_ranks(
-    preds: Mapping[str, Prediction], positives: Iterable[RecTask]
-) -> dict[str, float]:
+def _scored(
+    preds: Mapping[str, Prediction | Score], task_of: Callable[[str], RecTask | None]
+) -> Mapping[str, Score]:
+    """``preds`` with each ``Prediction`` scored against ``task_of`` its task id."""
+    if all(isinstance(row, Score) for row in preds.values()):
+        return preds
+    return {
+        task_id: row if isinstance(row, Score) else score(row, task_of(task_id))
+        for task_id, row in preds.items()
+    }
+
+
+def _unscored(task: RecTask) -> ValueError:
+    return ValueError(f"the prediction for task {task.id} was not scored against it")
+
+
+def _positive_ranks(rows: Mapping[str, Score], positives: Iterable[RecTask]) -> dict[str, float]:
     """Hit rank of each positive by task id; a missing prediction is a miss."""
-    return {task.id: _hit_rank(preds.get(task.id), task.gt_box) for task in positives}
+    ranks: dict[str, float] = {}
+    for task in positives:
+        row = rows.get(task.id)
+        if row is not None and row.rank is None:
+            raise _unscored(task)
+        ranks[task.id] = NO_HIT if row is None else row.rank
+    return ranks
 
 
 def _pair_ranks(
-    pairs: Sequence[EvalPair],
-    preds: Mapping[str, Prediction],
-    pos_ranks: Mapping[str, float],
+    pairs: Sequence[EvalPair], rows: Mapping[str, Score], pos_ranks: Mapping[str, float]
 ) -> list[float | None]:
     """Each pair's hit rank among both members' pooled boxes; None when dropped.
 
@@ -78,15 +125,17 @@ def _pair_ranks(
     """
     ranks: list[float | None] = []
     for pair in pairs:
-        pos_pred = preds.get(pair.positive.id)
-        neg_pred = preds.get(pair.negative.id)
-        if pos_pred is None or neg_pred is None:
+        pos_row = rows.get(pair.positive.id)
+        neg_row = rows.get(pair.negative.id)
+        if pos_row is None or neg_row is None:
             ranks.append(None)
             continue
+        if neg_row.confidences is None:
+            raise _unscored(pair.negative)
         rank = pos_ranks[pair.positive.id]
         if rank != NO_HIT:
-            conf = pos_pred.ranked_boxes[int(rank)][1]
-            rank += sum(1 for _, other in neg_pred.ranked_boxes if other > conf)
+            conf = pos_row.rank_confidence
+            rank += sum(1 for other in neg_row.confidences if other > conf)
         ranks.append(rank)
     return ranks
 
@@ -95,7 +144,7 @@ def _hits(ranks: Iterable[float], k: int) -> int:
     return sum(1 for rank in ranks if rank < k)
 
 
-def precision_at_k(preds: Mapping[str, Prediction], ts: TaskSet, k: int) -> float:
+def precision_at_k(preds: Mapping[str, Prediction | Score], ts: TaskSet, k: int) -> float:
     """Fraction of positives with a top-k box strictly above the IoU bar."""
     positives = ts.positives()
     if not positives:
@@ -103,14 +152,18 @@ def precision_at_k(preds: Mapping[str, Prediction], ts: TaskSet, k: int) -> floa
     for task in positives:
         if task.id not in preds:
             logger.warning("no prediction for positive task %s; counting a miss", task.id)
-    ranks = _positive_ranks(preds, positives)
+    ranks = _positive_ranks(_scored(preds, ts.get), positives)
     return _hits(ranks.values(), k) / len(ranks)
 
 
-def recall_at_k(pairs: Sequence[EvalPair], preds: Mapping[str, Prediction], k: int) -> float:
+def recall_at_k(
+    pairs: Sequence[EvalPair], preds: Mapping[str, Prediction | Score], k: int
+) -> float:
     """Hit fraction over pairs after pooling both members' ranked boxes."""
+    members = {task.id: task for pair in pairs for task in (pair.positive, pair.negative)}
+    rows = _scored(preds, members.get)
     positives = {pair.positive.id: pair.positive for pair in pairs}.values()
-    ranks = _pair_ranks(pairs, preds, _positive_ranks(preds, positives))
+    ranks = _pair_ranks(pairs, rows, _positive_ranks(rows, positives))
     for pair, rank in zip(pairs, ranks):
         if rank is None:
             logger.warning(
@@ -247,9 +300,9 @@ def _auroc_cell(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> Cel
     return Cell(value=numerator / pairs, numerator=numerator, denominator=pairs)
 
 
-def _confidence(preds: Mapping[str, Prediction], task: RecTask) -> float:
-    pred = preds.get(task.id)
-    return 0.0 if pred is None else pred.confidence
+def _confidence(rows: Mapping[str, Score], task: RecTask) -> float:
+    row = rows.get(task.id)
+    return 0.0 if row is None else row.confidence
 
 
 def _kind_key(task: RecTask) -> str | None:
@@ -266,7 +319,7 @@ def _grouped(items: Iterable[tuple[str | None, Any]]) -> dict[str, list[Any]]:
 
 
 def build_report(
-    preds: Mapping[str, Prediction],
+    preds: Mapping[str, Prediction | Score],
     ts: TaskSet,
     *,
     ks: Sequence[int] = DEFAULT_KS,
@@ -277,13 +330,15 @@ def build_report(
 
     Group keys come in a fixed order: overall, then difficulties for
     precision, negative kinds for recall, and polarities then negative kinds
-    for AUROC. Difficulty and polarity values sort in their enum order.
+    for AUROC. Difficulty and polarity values sort in their enum order. Every
+    prediction counts in the pathway counts, one for a task outside ``ts`` too.
     """
+    rows = _scored(preds, ts.get)
     positives = ts.positives()
     negatives = ts.negatives()
     pairs = pair_negatives(ts)
 
-    pos_ranks = _positive_ranks(preds, positives)
+    pos_ranks = _positive_ranks(rows, positives)
     precision_groups = {
         "overall": list(pos_ranks.values()),
         **_grouped(
@@ -291,7 +346,7 @@ def build_report(
         ),
     }
 
-    pair_ranks = _pair_ranks(pairs, preds, pos_ranks)
+    pair_ranks = _pair_ranks(pairs, rows, pos_ranks)
     dropped = pair_ranks.count(None)
     if dropped:
         logger.warning("%d pairs dropped for missing predictions", dropped)
@@ -305,8 +360,8 @@ def build_report(
     precision = {k: {g: _hit_cell(r, k) for g, r in precision_groups.items()} for k in ks}
     recall = {k: {g: _hit_cell(r, k) for g, r in recall_groups.items()} for k in ks}
 
-    pos_scores = [_confidence(preds, t) for t in positives]
-    neg_scores = [_confidence(preds, t) for t in negatives]
+    pos_scores = [_confidence(rows, t) for t in positives]
+    neg_scores = [_confidence(rows, t) for t in negatives]
     auroc_groups = {
         "overall": neg_scores,
         **_grouped((t.polarity.value, score) for t, score in zip(negatives, neg_scores)),
@@ -315,8 +370,8 @@ def build_report(
     auroc_cells = {g: _auroc_cell(pos_scores, scores) for g, scores in auroc_groups.items()}
 
     counts: dict[str, int] = {}
-    for pred in preds.values():
-        counts[pred.pathway.value] = counts.get(pred.pathway.value, 0) + 1
+    for row in rows.values():
+        counts[row.pathway.value] = counts.get(row.pathway.value, 0) + 1
     pathways = PathwayStats(counts=counts, unit_costs=dict(unit_costs or {}))
 
     return EvalReport(

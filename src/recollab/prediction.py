@@ -10,7 +10,6 @@ marks a failed task has one spelling.
 from __future__ import annotations
 
 import logging
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -44,6 +43,8 @@ class RouteDecision:
     threshold_used: float
 
     def __post_init__(self) -> None:
+        if type(self.target) is not str:
+            raise TypeError(f"target must be a string, got {self.target!r}")
         if self.detection_count < 0:
             raise ValueError("detection_count must be >= 0")
         if not 0.0 <= self.threshold_used <= 1.0:
@@ -66,7 +67,7 @@ class RouteDecision:
         """Inverse of ``to_dict``; a ``level`` that contradicts the count is refused."""
         decision = cls(
             detection_count=int(data["detection_count"]),
-            target=sys.intern(data["target"]),
+            target=data["target"],
             threshold_used=float(data["threshold_used"]),
         )
         if data["level"] != decision.level.value:
@@ -99,6 +100,8 @@ class Prediction:
     ranked_boxes: tuple[tuple[BBox, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.note is not None and type(self.note) is not str:
+            raise TypeError(f"note must be a string, got {self.note!r}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
         if self.box is not None and self.confidence == 0.0:
@@ -163,10 +166,8 @@ class Prediction:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> Prediction:
         """Inverse of ``to_dict``. A line without a ``ranked_boxes`` key gets
-        the default, the chosen box alone, as a constructed record does. The
-        decision's target and the note, which repeat across a log, are interned."""
+        the default, the chosen box alone, as a constructed record does."""
         box = data.get("box")
-        note = data.get("note")
         decision = data.get("decision")
         entries = data.get("ranked_boxes")
         ranked = None
@@ -188,6 +189,6 @@ class Prediction:
             pathway=Pathway(data["pathway"]),
             decision=RouteDecision.from_dict(decision) if decision else None,
             raw=data.get("raw"),
-            note=None if note is None else sys.intern(note),
+            note=data.get("note"),
             ranked_boxes=ranked,
         )

@@ -12,10 +12,12 @@ through an in-order window a few tasks per worker deep; per-backend
 semaphores alone bound each role's in-flight calls. Either way results are
 written to an append-only prediction log in dataset order, which makes
 repeat runs byte-identical and lets an interrupted run resume by skipping
-already-logged task ids. Within a run, identical extractor and detector
-calls, the only ones paired tasks repeat, are made once and shared: a
-result lives only while a pending task can still reuse it, and a failed
-call is never shared with later callers.
+already-logged task ids. A prediction, written or read back, is kept only
+as its ``metrics.Score`` row, and the report is built from those rows.
+Within a run, identical extractor and detector calls, the only ones paired
+tasks repeat, are made once and shared: a result lives only while a
+pending task can still reuse it, and a failed call is never shared with
+later callers.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .backends.types import BackendError
 from .config import BackendSettings, ConfigError, RunConfig, config_hash, identity_hash
 from .crs import check_option_letters, export_tuning, run_crs, save_tuning
 from .datamodel import DatasetError, RecTask, TaskSet, image_ref, load_taskset, validate_counts
-from .metrics import build_report, render_text
+from .metrics import Score, build_report, render_text, score
 from .prediction import FAILURE_NOTE_PREFIX  # noqa: F401 - bench/run.py imports it from here
 from .prediction import Pathway, Prediction
 from .sfa import build_grounding_prompt, ground_slow, run_sfa
@@ -275,8 +277,16 @@ def _write_record(handle, record: Mapping[str, Any]) -> None:
     handle.flush()
 
 
-def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], int]:
-    """Parse a prediction log; returns (meta, predictions, valid byte length).
+def read_log(
+    path: Path, ts: TaskSet | None = None
+) -> tuple[dict[str, Any] | None, dict[str, Score], int]:
+    """Parse a prediction log; returns (meta, score rows by task id, valid byte length).
+
+    Each prediction is checked by ``Prediction.from_dict``, scored against
+    its task in ``ts`` and dropped, so no more than one is held at a time.
+    Without ``ts``, or for a task outside it, a row holds only the
+    confidence, pathway and failure: enough to resume a run or count its
+    failures, not to score it.
 
     A torn final line (no trailing newline, from a hard crash) is excluded
     from the valid length so a resuming run can truncate it away.
@@ -286,7 +296,7 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
     if not path.is_file():
         raise ConfigError(f"prediction log is not a file: {path}")
     meta: dict[str, Any] | None = None
-    preds: dict[str, Prediction] = {}
+    rows: dict[str, Score] = {}
     valid_len = 0
     # lines end at b"\n" only: a reply may hold U+2028 or \f, which the log keeps raw
     with open(path, "rb") as handle:
@@ -315,25 +325,27 @@ def read_log(path: Path) -> tuple[dict[str, Any] | None, dict[str, Prediction], 
                         f"prediction log line {line_no} is not a valid prediction record: "
                         f"{type(exc).__name__}: {exc}"
                     ) from exc
-                preds[pred.task_id] = pred
+                task = ts.get(pred.task_id) if ts is not None else None
+                # keyed by the task's own id string, which the task set already holds
+                rows[pred.task_id if task is None else task.id] = score(pred, task)
             else:
                 raise ConfigError(f"prediction log line {line_no} has unknown record kind {kind!r}")
-    return meta, preds, valid_len
+    return meta, rows, valid_len
 
 
 def _read_own_log(
-    cfg: RunConfig, path: Path
-) -> tuple[dict[str, Any] | None, dict[str, Prediction], int]:
-    """``read_log(path)``, refused unless its meta line's ``identity_hash`` is ``cfg``'s
+    cfg: RunConfig, path: Path, ts: TaskSet
+) -> tuple[dict[str, Any] | None, dict[str, Score], int]:
+    """``read_log(path, ts)``, refused unless its meta line's ``identity_hash`` is ``cfg``'s
     (for a log written before meta lines carried one, its full ``config_hash``)."""
-    meta, preds, valid_len = read_log(path)
+    meta, rows, valid_len = read_log(path, ts)
     if meta is not None and (
         meta["identity_hash"] != identity_hash(cfg)
         if "identity_hash" in meta
         else meta.get("config_hash") != config_hash(cfg)
     ):
         raise ConfigError(f"log {path} is from a different config; move it or restore that config")
-    return meta, preds, valid_len
+    return meta, rows, valid_len
 
 
 def _crash_budget() -> int | None:
@@ -352,17 +364,17 @@ def _crash_budget() -> int | None:
 def _write_report(
     cfg: RunConfig,
     ts: TaskSet,
-    preds: Mapping[str, Prediction],
+    rows: Mapping[str, Score],
     meta: Mapping[str, Any],
     out_dir: Path,
 ) -> int:
-    """Score the predictions, write and print the report.
+    """Build the report from the score rows, write and print it.
 
     Returns 1 when backend failures were logged, else 0.
     """
-    failed = sum(1 for pred in preds.values() if pred.failed)
+    failed = sum(1 for row in rows.values() if row.failed)
     report = build_report(
-        preds,
+        rows,
         ts,
         ks=cfg.metrics.ks,
         unit_costs=pathway_units(cfg),
@@ -479,14 +491,14 @@ def cmd_run(cfg: RunConfig) -> int:
     outputs = (LOG_NAME, *REPORT_FILES)
     ts, out_dir = _prepare(cfg, "test", spec.roles, f"pipeline {cfg.pipeline!r}", outputs)
     log_path = out_dir / LOG_NAME
-    meta, done, valid_len = _read_own_log(cfg, log_path)
-    if done:
-        logger.info("resuming: %d predictions already logged", len(done))
+    meta, rows, valid_len = _read_own_log(cfg, log_path, ts)
+    if rows:
+        logger.info("resuming: %d predictions already logged", len(rows))
     if log_path.exists() and valid_len != log_path.stat().st_size:
         with open(log_path, "rb+") as tail:
             tail.truncate(valid_len)
 
-    pending = [task for task in ts if task.id not in done]
+    pending = [task for task in ts if task.id not in rows]
     memo = CallMemo(pending)
     handles = build_backends(cfg, memo)
     crash_after = _crash_budget()
@@ -494,7 +506,6 @@ def cmd_run(cfg: RunConfig) -> int:
         lambda task: spec.worker(task, handles, cfg), pending, _pool_size(cfg, spec)
     )
 
-    preds: dict[str, Prediction] = dict(done)
     with open(log_path, "a", encoding="utf-8") as log_file, closing(results):
         if meta is None:
             meta = {
@@ -511,25 +522,27 @@ def cmd_run(cfg: RunConfig) -> int:
         for pred, task in zip(results, pending):
             _write_record(log_file, {"record": "prediction", **pred.to_dict()})
             memo.release(task)
-            preds[pred.task_id] = pred
+            rows[task.id] = score(pred, task)
             written += 1
             if crash_after is not None and written >= crash_after:
                 logger.warning("crash hook: exiting after %d records", written)
                 os._exit(3)
 
-    return _write_report(cfg, ts, preds, meta, out_dir)
+    return _write_report(cfg, ts, rows, meta, out_dir)
 
 
 def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
     """Re-render the report from an existing prediction log."""
-    # the log's raw text is freed before the tasks are loaded, so the two never peak together
     path = log_path if log_path is not None else cfg.resolve(cfg.output_dir) / LOG_NAME
-    meta, preds, _ = _read_own_log(cfg, path)
-    if meta is None:
+    if not path.exists():
         raise ConfigError(f"no prediction log at {path}")
+    # the tasks load first, so each log line is scored as it is read and then dropped
     roles = PIPELINE_SPECS[cfg.pipeline].roles
     ts, out_dir = _prepare(cfg, "test", roles, f"pipeline {cfg.pipeline!r}", REPORT_FILES)
-    return _write_report(cfg, ts, preds, meta, out_dir)
+    meta, rows, _ = _read_own_log(cfg, path, ts)
+    if meta is None:
+        raise ConfigError(f"no prediction log at {path}")
+    return _write_report(cfg, ts, rows, meta, out_dir)
 
 
 def cmd_validate(cfg: RunConfig) -> int:

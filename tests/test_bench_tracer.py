@@ -1,14 +1,16 @@
 """The benchmark's tracer still sees every role call the pipelines make.
 
 ``bench/tracer.py`` patches the adapter classes, ``BoundedHandle.__getattr__``,
-``FixtureStore.get`` and ``HttpClient.post`` by name. These tests run it,
-unchanged, around ``runner.cmd_run`` on small corpora, so a renamed or moved
-seam fails here and not only in the traced benchmark run.
+``FixtureStore.get``, ``HttpClient.post``, ``runner.read_log`` and
+``metrics.build_report`` by name. These tests run it, unchanged, around
+``runner.cmd_run`` and ``runner.cmd_report`` on small corpora, so a renamed
+or moved seam fails here and not only in the traced benchmark run.
 """
 
 import gc
 import importlib
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,14 +46,14 @@ def tracing(monkeypatch):
     return importlib.import_module("tracer")
 
 
-def _traced_run(tracing, cfg):
-    """``cmd_run`` under a fresh tracer, checking its uninstall; returns (metrics, spans)."""
+def _traced_run(tracing, cfg, command=runner.cmd_run):
+    """``command(cfg)`` under a fresh tracer, checking its uninstall; returns (metrics, spans)."""
     tracer = tracing.Tracer()
     tracer.install()
     patched = list(tracer._patcher._undo)
     try:
         t0 = time.perf_counter()
-        assert runner.cmd_run(cfg) == 0
+        assert command(cfg) == 0
         wall = time.perf_counter() - t0
     finally:
         tracer.uninstall()
@@ -113,3 +115,19 @@ def test_the_tracer_nests_each_http_post_in_its_role_call(tmp_path, tracing):
     assert parents == ["backends.grounder.call"] * 6
     # collect the run's HTTP sessions now, so a socket they left open warns in this test
     gc.collect()
+
+
+def test_the_tracer_spans_the_report_seams(tmp_path, tracing):
+    cfg = load_config(build_sfa_corpus(tmp_path, n_pairs=3))
+    assert runner.cmd_run(cfg) == 0
+    logged = len(runner.read_log(tmp_path / "out" / runner.LOG_NAME)[1])
+    metrics, spans = _traced_run(tracing, cfg, runner.cmd_report)
+    names = {span[0]: span[2] for span in spans}
+    counts = Counter(names.values())
+    assert counts["runner.read_log"] == counts["metrics.build_report"] == 1
+    # every line is parsed inside the log read, not after it
+    parents = [names.get(span[1]) for span in spans if span[2] == "prediction.from_dict"]
+    assert logged == 6 and parents == ["runner.read_log"] * logged
+    assert metrics["runner.read_log_s"] > 0 and metrics["metrics.build_report_s"] > 0
+    # bench/run.py's setup_once times this call on an empty output directory
+    assert runner.read_log(tmp_path / "empty" / runner.LOG_NAME) == (None, {}, 0)

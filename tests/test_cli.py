@@ -4,6 +4,7 @@ End-to-end tests run the installed console entry through a subprocess so
 os._exit in the crash hook cannot take the test process down with it.
 """
 
+import gc
 import hashlib
 import json
 import logging
@@ -35,7 +36,7 @@ from recollab.cli import main
 from recollab.config import PIPELINES, BackendSettings, ConfigError, load_config
 from recollab.datamodel import ImageRef, Split, TaskSet, load_taskset
 from recollab.geometry import BBox, Detection
-from recollab.metrics import precision_at_k
+from recollab.metrics import build_report, precision_at_k
 from recollab.prediction import Pathway, Prediction
 from recollab.runner import (
     LOG_NAME,
@@ -123,14 +124,17 @@ def test_read_log_defaults_missing_ranked_boxes_to_the_chosen_box(tmp_path):
     record = json.loads(_pred_line(task.id))
     record["box"] = task.gt_box.as_list()
     del record["ranked_boxes"]
+    assert Prediction.from_dict(record).ranked_boxes == ((task.gt_box, 0.5),)
+    # a line's chosen box is built once and shared with its top ranked entry
+    other = Prediction.from_dict(json.loads(_pred_line("t2")))
+    assert other.box is other.ranked_boxes[0][0]
+
     path = tmp_path / "log.jsonl"
     path.write_text(json.dumps(record) + "\n" + _pred_line("t2") + "\n", encoding="utf-8")
-
-    _, preds, _ = read_log(path)
-    assert preds[task.id].ranked_boxes == ((task.gt_box, 0.5),)
-    assert precision_at_k(preds, TaskSet.build(Split.TEST, [task]), k=1) == 1.0
-    # a line's chosen box is built once and shared with its top ranked entry
-    assert preds["t2"].box is preds["t2"].ranked_boxes[0][0]
+    ts = TaskSet.build(Split.TEST, [task])
+    _, rows, _ = read_log(path, ts)
+    assert (rows[task.id].rank, rows[task.id].rank_confidence) == (0, 0.5)
+    assert precision_at_k(rows, ts, k=1) == 1.0
 
 
 def test_read_log_rejects_unknown_record_kind(tmp_path):
@@ -163,8 +167,9 @@ def test_a_reply_holding_other_line_breaks_is_read_back_unchanged(tmp_path, caps
         for record in (meta, *records):
             runner._write_record(handle, record)
 
-    _, preds, valid_len = read_log(log_path)
-    assert preds[records[-1]["task_id"]].raw == {"text": text}
+    # a line split at one of those breaks would not parse, and read_log would refuse it
+    _, rows, valid_len = read_log(log_path)
+    assert list(rows) == [record["task_id"] for record in records]
     assert valid_len == log_path.stat().st_size
     capsys.readouterr()
     assert main(["report", "-c", str(cfg_path)]) == 0
@@ -196,8 +201,22 @@ def _assert_damaged_log_refused(tmp_path, capsys, replace_line_2, *messages):
     assert len(log_path.read_text(encoding="utf-8").splitlines()) == 3
 
 
+def _number_the_note(record):
+    record["note"] = 5
+
+
+def _number_the_target(record):
+    record["decision"]["target"] = 5
+
+
 @pytest.mark.parametrize(
-    "damage, error", [(_drop_confidence, "KeyError"), (_contradict_the_route, "ValueError")]
+    "damage, error",
+    [
+        (_drop_confidence, "KeyError"),
+        (_contradict_the_route, "ValueError"),
+        (_number_the_note, "TypeError: note must be a string, got 5"),
+        (_number_the_target, "TypeError: target must be a string, got 5"),
+    ],
 )
 def test_a_malformed_prediction_record_is_a_usage_error(tmp_path, capsys, damage, error):
     def replace(line):
@@ -676,6 +695,7 @@ def test_validate_reports_malformed_dataset(tmp_path):
         ("width", 0, "width must be a positive integer, got 0"),
         ("width", "wide", "width must be a positive integer, got 'wide'"),
         ("image", "", "empty image"),
+        ("image", ["img-00000"], "image must be a string, got ['img-00000']"),
     ],
 )
 def test_a_task_field_the_runner_reads_is_checked_at_load(tmp_path, capsys, field, value, message):
@@ -1320,6 +1340,81 @@ def test_report_refuses_log_from_other_config(tmp_path):
     proc = run_cli("report", "-c", cfg_path)
     assert proc.returncode == 2
     assert "different config" in proc.stderr
+
+
+def _rewrite_log(log_path, ts, case):
+    """Turn the log of a clean run into the log of ``case``; returns its prediction records."""
+    meta, *records = read_records(log_path)
+    if case == "missing":
+        records = [r for r in records if r["task_id"] != ts.negatives()[0].id]
+    elif case == "orphan":
+        ghost = Prediction.backend_failure("ghost", Pathway.SLOW, RuntimeError("gone"))
+        records.append({"record": "prediction", **ghost.to_dict()})
+    with open(log_path, "w", encoding="utf-8") as handle:
+        for record in (meta, *records):
+            runner._write_record(handle, record)
+    return records
+
+
+@pytest.mark.parametrize("case", ["sfa", "crs", "failed", "missing", "orphan"])
+def test_the_report_from_score_rows_equals_the_report_from_predictions(tmp_path, case):
+    if case == "crs":
+        cfg_path = build_crs_corpus(tmp_path, n_pairs=4)
+    else:
+        omit = "pos-00001" if case == "failed" else None
+        cfg_path = build_sfa_corpus(tmp_path, n_pairs=4, omit_generate_for=omit)
+    assert main(["run", "-c", str(cfg_path)]) == (1 if case == "failed" else 0)
+    log_path = tmp_path / "out" / LOG_NAME
+    ts = load_taskset(load_config(cfg_path).dataset_path("test"), "test")
+    records = _rewrite_log(log_path, ts, case)
+    preds = {r["task_id"]: Prediction.from_dict(r) for r in records}
+
+    _, rows, _ = read_log(log_path, ts)
+    assert list(rows) == list(preds)
+    want = build_report(preds, ts).to_dict()
+    assert build_report(rows, ts).to_dict() == want
+    pairs = want["recall_at_k"]["1"]["overall"]["denominator"]
+    assert pairs == len(ts.negatives()) - (case == "missing")
+    # rows read without the task set cannot be scored against it
+    with pytest.raises(ValueError, match="not scored against it"):
+        build_report(read_log(log_path)[1], ts)
+
+    failed = sum(pred.failed for pred in preds.values())
+    assert failed == (case in ("failed", "orphan"))
+    assert main(["report", "-c", str(cfg_path)]) == (1 if failed else 0)
+    report = json.loads((tmp_path / "out" / REPORT_JSON).read_text(encoding="utf-8"))
+    assert report["metadata"]["failed_tasks"] == failed
+    assert report["pathways"]["counts"] == want["pathways"]["counts"]
+    assert sum(report["pathways"]["counts"].values()) == len(preds)
+    for key in ("precision_at_k", "recall_at_k", "auroc"):
+        assert report[key] == want[key]
+
+
+def test_no_more_than_one_prediction_is_alive_while_the_report_is_built(tmp_path, monkeypatch):
+    cfg = load_config(build_sfa_corpus(tmp_path, n_pairs=6))
+
+    def live_predictions():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is Prediction)
+
+    live = []
+    build = runner.build_report
+
+    def counting_build(*args, **kwargs):
+        live.append(live_predictions() - before)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "build_report", counting_build)
+    before = live_predictions()
+    assert runner.cmd_run(cfg) == 0
+    log_path = tmp_path / "out" / LOG_NAME
+    lines = log_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    log_path.write_text("".join(lines[:8]), encoding="utf-8")
+    assert runner.cmd_run(cfg) == 0
+    assert runner.cmd_report(cfg) == 0
+    # a run still names the last prediction it wrote; a report holds none
+    assert live == [1, 1, 0]
+    assert len(lines) - 1 == len(load_taskset(cfg.dataset_path("test"), "test")) == 12
 
 
 # ------------------------------------------------------ CLI: export-tuning

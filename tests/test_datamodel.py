@@ -382,3 +382,27 @@ def test_a_bad_enum_value_is_refused_with_its_message(tmp_path, field, message, 
     with pytest.raises(DatasetError) as exc_info:
         load_taskset(path, "test")
     assert str(exc_info.value) == message.format(repr(value))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", 5, "[line 3] id must be a string, got 5"),
+        ("image", ["img-0"], "[line 3] [task 'neg-00009'] image must be a string, got ['img-0']"),
+        ("expression", 7.5, "[line 3] [task 'neg-00009'] expression must be a string, got 7.5"),
+        (
+            "paired_positive",
+            0,
+            "[line 3] [task 'neg-00009'] paired_positive must be a string, got 0",
+        ),
+    ],
+)
+def test_a_non_string_id_image_expression_or_pair_is_refused(tmp_path, field, value, message):
+    records = _sharing_records()[:2]
+    bad = json.loads(json.dumps(records[1]))
+    bad["id"] = "neg-00009"
+    bad[field] = value
+    path = _write_records(tmp_path / "bad.jsonl", [*records, bad])
+    with pytest.raises(DatasetError) as exc_info:
+        load_taskset(path, "test")
+    assert str(exc_info.value) == message
