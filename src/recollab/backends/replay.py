@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -36,10 +37,13 @@ ROLE_GENERATE = "generate"
 ROLE_SELECT = "select"
 
 
+# one encoder for every key: json.dumps with these options builds a new one per call
+_encode_key = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
 def fixture_key(role: str, image_id: str, query: str) -> str:
     """Stable content key: hash of the canonical (role, image, query) triple."""
-    canon = json.dumps([role, image_id, query], ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:32]
+    return hashlib.sha256(_encode_key([role, image_id, query]).encode("utf-8")).hexdigest()[:32]
 
 
 def write_fixture(
@@ -57,30 +61,48 @@ def write_fixture(
 
 @dataclass(frozen=True)
 class FixtureStore:
-    """Read-only view of a fixture directory. Lookups are pure and lock-free."""
+    """Read-only view of a fixture directory. Lookups are pure and lock-free.
+
+    A file is read as UTF-8 bytes. Its header line may end in ``\\n``,
+    ``\\r\\n`` or ``\\r``, and its record must be a JSON object. A file that
+    breaks any of these rules, or whose record names another key, raises a
+    ``BackendError``.
+    """
 
     root: Path
+    _prefix: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "root", Path(self.root))
+        object.__setattr__(self, "_prefix", os.path.join(self.root, ""))
 
     def get(self, role: str, image_id: str, query: str) -> dict[str, Any]:
         key = fixture_key(role, image_id, query)
-        path = self.root / f"{key}.json"
+        path = f"{self._prefix}{key}.json"
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
         except FileNotFoundError:
             raise FixtureMissError(
                 f"no fixture for role={role!r} image={image_id!r} query={query!r} "
                 f"(key {key}) under {self.root}"
             ) from None
-        header, _, rest = text.partition("\n")
-        if header != FIXTURE_HEADER:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BackendError(f"fixture {path} is not valid UTF-8: {exc}") from None
+        end = len(FIXTURE_HEADER)
+        # the header line ends at the first "\n", "\r\n" or "\r"; a "\n" after a
+        # "\r" is left to the record, where JSON reads it as whitespace
+        if not text.startswith(FIXTURE_HEADER) or text[end : end + 1] not in ("\n", "\r", ""):
+            header = text.partition("\n")[0].partition("\r")[0]
             raise BackendError(f"fixture {path} has unsupported header {header!r}")
         try:
-            record = json.loads(rest)
+            record = json.loads(text[end + 1 :])
         except json.JSONDecodeError as exc:
             raise BackendError(f"fixture {path} is not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise BackendError(f"fixture {path} record is not a JSON object")
         stored = (record.get("role"), record.get("image"), record.get("query"))
         if stored != (role, image_id, query):
             raise BackendError(f"fixture {path} key mismatch: stored {stored}")

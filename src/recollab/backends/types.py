@@ -166,28 +166,30 @@ def detections_from_payload(payload: Mapping[str, object], query: str = "") -> G
     if not isinstance(raw, list):
         raise BackendError("detection payload missing 'detections' list")
     dets: list[Detection] = []
+    # BBox.from_list and the token-score parse are inlined: this loop runs for
+    # every proposal of every detector and grounder reply
     for entry in raw:
         if not isinstance(entry, dict):
             raise BackendError("detection entry is not an object")
         try:
-            dets.append(
-                Detection(
-                    box=BBox.from_list(entry["box"]),
-                    score=float(entry["score"]),
-                    token_scores=tuple(map(_token_score_from, entry.get("token_scores", ()))),
+            coords = entry["box"]
+            if len(coords) != 4:
+                raise ValueError(f"expected 4 coordinates, got {len(coords)}")
+            box = BBox(*coords)
+            score = float(entry["score"])
+            tokens = []
+            for tok in entry.get("token_scores", ()):
+                if not isinstance(tok, dict):
+                    raise ValueError("token score entry is not an object")
+                tokens.append(
+                    TokenSpanScore(int(tok["start"]), int(tok["end"]), float(tok["score"]))
                 )
-            )
+            dets.append(Detection(box, score, tuple(tokens)))
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"bad detection entry: {exc}") from exc
     # a stable sort: equal scores keep payload order, also with reverse=True
     dets.sort(key=attrgetter("score"), reverse=True)
     return GroundingResult(detections=tuple(dets), query=query)
-
-
-def _token_score_from(entry: object) -> TokenSpanScore:
-    if not isinstance(entry, dict):
-        raise ValueError("token score entry is not an object")
-    return TokenSpanScore(int(entry["start"]), int(entry["end"]), float(entry["score"]))
 
 
 def _probability(value: object, what: str) -> float:

@@ -101,7 +101,7 @@ class TokenSpanScore(_TokenSpan):
         return self.start < end and start < self.end
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A box with a confidence score and optional per-token match scores."""
 

@@ -32,9 +32,10 @@ import logging
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .datamodel import EvalPair, RecTask, TaskSet, pair_negatives
+from .datamodel import EvalPair, NegativeKind, RecTask, TaskSet, pair_negatives
 from .geometry import BBox, iou
 from .prediction import Pathway, Prediction
 
@@ -179,7 +180,7 @@ def auroc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
     """P(pos > neg) + half P(pos = neg), by exact counting."""
     if not pos_scores or not neg_scores:
         raise ValueError("auroc undefined on empty score lists")
-    value = _auroc_cell(pos_scores, neg_scores).value
+    value = _auroc_cell(sorted(pos_scores), neg_scores).value
     assert value is not None
     return value
 
@@ -286,16 +287,20 @@ def _hit_cell(ranks: Sequence[float], k: int) -> Cell:
     return Cell(value=hits / len(ranks), numerator=hits, denominator=len(ranks))
 
 
-def _auroc_cell(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> Cell:
-    pairs = len(pos_scores) * len(neg_scores)
+def _auroc_cell(ordered_pos: Sequence[float], neg_scores: Sequence[float]) -> Cell:
+    """The AUROC cell of ``neg_scores`` against ``ordered_pos``, the positive scores sorted.
+
+    Each negative counts the positives above it and those tied with it, so
+    the positives are sorted once for every group, not each group's negatives.
+    """
+    pairs = len(ordered_pos) * len(neg_scores)
     if pairs == 0:
         return _absent(pairs)
-    ordered = sorted(neg_scores)
     wins = ties = 0
-    for score in pos_scores:
-        lo = bisect_left(ordered, score)
-        wins += lo
-        ties += bisect_right(ordered, score) - lo
+    for score in neg_scores:
+        hi = bisect_right(ordered_pos, score)
+        wins += len(ordered_pos) - hi
+        ties += hi - bisect_left(ordered_pos, score)
     numerator = wins + 0.5 * ties
     return Cell(value=numerator / pairs, numerator=numerator, denominator=pairs)
 
@@ -305,16 +310,29 @@ def _confidence(rows: Mapping[str, Score], task: RecTask) -> float:
     return 0.0 if row is None else row.confidence
 
 
-def _kind_key(task: RecTask) -> str | None:
-    return task.negative_kind.key() if task.negative_kind else None
+_value = attrgetter("value")
 
 
-def _grouped(items: Iterable[tuple[str | None, Any]]) -> dict[str, list[Any]]:
-    """Values by group key, keys sorted; items without a key are left out."""
+def _grouped(
+    items: Iterable[tuple[Any, Any]], name: Callable[[Any], str]
+) -> dict[str, list[Any]]:
+    """Values by the ``name`` of their member, names sorted; a None member is left out.
+
+    Values are gathered per member object first, so ``name`` runs once per
+    distinct member, not once per value: enum members are singletons, and
+    ``load_taskset`` shares each distinct ``NegativeKind``. Equal members
+    that are distinct objects still share one group.
+    """
+    by_member: dict[int, tuple[Any, list[Any]]] = {}
+    for member, value in items:
+        if member is not None:
+            group = by_member.get(id(member))
+            if group is None:
+                group = by_member[id(member)] = (member, [])
+            group[1].append(value)
     groups: dict[str, list[Any]] = {}
-    for key, value in items:
-        if key is not None:
-            groups.setdefault(key, []).append(value)
+    for member, values in by_member.values():
+        groups.setdefault(name(member), []).extend(values)
     return {key: groups[key] for key in sorted(groups)}
 
 
@@ -341,9 +359,7 @@ def build_report(
     pos_ranks = _positive_ranks(rows, positives)
     precision_groups = {
         "overall": list(pos_ranks.values()),
-        **_grouped(
-            (t.difficulty.value if t.difficulty else None, pos_ranks[t.id]) for t in positives
-        ),
+        **_grouped(((t.difficulty, pos_ranks[t.id]) for t in positives), _value),
     }
 
     pair_ranks = _pair_ranks(pairs, rows, pos_ranks)
@@ -351,7 +367,9 @@ def build_report(
     if dropped:
         logger.warning("%d pairs dropped for missing predictions", dropped)
     # a kind whose pairs were all dropped still gets its (absent) cell
-    by_kind = _grouped((_kind_key(p.negative), rank) for p, rank in zip(pairs, pair_ranks))
+    by_kind = _grouped(
+        ((p.negative.negative_kind, rank) for p, rank in zip(pairs, pair_ranks)), NegativeKind.key
+    )
     recall_groups = {
         key: [rank for rank in ranks if rank is not None]
         for key, ranks in {"overall": pair_ranks, **by_kind}.items()
@@ -360,18 +378,17 @@ def build_report(
     precision = {k: {g: _hit_cell(r, k) for g, r in precision_groups.items()} for k in ks}
     recall = {k: {g: _hit_cell(r, k) for g, r in recall_groups.items()} for k in ks}
 
-    pos_scores = [_confidence(rows, t) for t in positives]
+    ordered_pos = sorted(_confidence(rows, t) for t in positives)
     neg_scores = [_confidence(rows, t) for t in negatives]
     auroc_groups = {
         "overall": neg_scores,
-        **_grouped((t.polarity.value, score) for t, score in zip(negatives, neg_scores)),
-        **_grouped((_kind_key(t), score) for t, score in zip(negatives, neg_scores)),
+        **_grouped(zip((t.polarity for t in negatives), neg_scores), _value),
+        **_grouped(zip((t.negative_kind for t in negatives), neg_scores), NegativeKind.key),
     }
-    auroc_cells = {g: _auroc_cell(pos_scores, scores) for g, scores in auroc_groups.items()}
+    auroc_cells = {g: _auroc_cell(ordered_pos, scores) for g, scores in auroc_groups.items()}
 
-    counts: dict[str, int] = {}
-    for row in rows.values():
-        counts[row.pathway.value] = counts.get(row.pathway.value, 0) + 1
+    by_pathway = _grouped(((row.pathway, None) for row in rows.values()), _value)
+    counts = {pathway: len(members) for pathway, members in by_pathway.items()}
     pathways = PathwayStats(counts=counts, unit_costs=dict(unit_costs or {}))
 
     return EvalReport(

@@ -31,6 +31,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .backends import ROLES, BackendBundle
@@ -129,30 +130,39 @@ class CallMemo:
 
 
 class BoundedHandle:
-    """Wraps a backend handle with a semaphore capping in-flight calls.
+    """Wraps a backend handle with a gate capping in-flight calls.
 
-    With a ``memo``, an ``extract`` or ``detect`` call is looked up there
-    before the semaphore is taken, so a caller waiting on another's
-    identical call holds no slot. Other calls go straight to the semaphore.
+    The gate is a queue holding ``limit`` tokens: a call takes one and puts
+    it back, so at most ``limit`` calls run at once. With a ``memo``, an
+    ``extract`` or ``detect`` call is looked up there before a token is
+    taken, so a caller waiting on another's identical call holds no token.
+    Other calls go straight to the gate.
     """
 
     _CALLS = frozenset(role.method for role in ROLES.values())
     _SHARED = ("extract", "detect")
 
     def __init__(self, inner: Any, limit: int, memo: CallMemo | None = None):
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
         self._inner = inner
-        self._gate = threading.BoundedSemaphore(limit)
+        self._gate: SimpleQueue[None] = SimpleQueue()
+        for _ in range(limit):
+            self._gate.put(None)
         self._memo = memo
 
     def __getattr__(self, name: str) -> Any:
         attr = getattr(self._inner, name)
         if name not in self._CALLS or not callable(attr):
             return attr
-        gate, memo = self._gate, self._memo
+        take, give_back, memo = self._gate.get, self._gate.put, self._memo
 
         def gated(*args: Any, **kwargs: Any) -> Any:
-            with gate:
+            take()
+            try:
                 return attr(*args, **kwargs)
+            finally:
+                give_back(None)
 
         if memo is None or name not in self._SHARED:
             return gated
@@ -271,9 +281,12 @@ def pathway_units(cfg: RunConfig) -> dict[str, float]:
     }
 
 
+# one encoder for every log line: json.dumps with an option builds a new one per call
+_encode_record = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _write_record(handle, record: Mapping[str, Any]) -> None:
-    handle.write(json.dumps(record, ensure_ascii=False))
-    handle.write("\n")
+    handle.write(_encode_record(record) + "\n")
     handle.flush()
 
 

@@ -351,6 +351,48 @@ def test_fixture_key_is_stable_and_distinct():
     assert key != fixture_key("detect", "img-1", "cat")
 
 
+@pytest.mark.parametrize(
+    "triple, key",
+    [
+        (("detect", "img-00042", "red mug"), "779437319052949467f2cfdea9c2fa55"),
+        (
+            ("generate", "img-7", 'la tasse "rouge" à gauche \\ 日本'),
+            "15402108205030c70f0d6267b123f1f7",
+        ),
+    ],
+)
+def test_fixture_key_is_pinned(triple, key):
+    # recorded fixture directories are named by these keys: a change orphans them
+    assert fixture_key(*triple) == key
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+@pytest.mark.parametrize("lines", ["header", "all"])
+def test_a_fixture_with_other_line_endings_reads(tmp_path, ending, lines):
+    payload = {"detections": [{"box": [0, 0, 5, 5], "score": 0.5}], "note": "ünï"}
+    path = write_fixture(tmp_path, ROLE_DETECT, "img-1", "dog", payload)
+    body = path.read_bytes()
+    path.write_bytes(body.replace(b"\n", ending.encode(), 1 if lines == "header" else -1))
+    assert FixtureStore(root=tmp_path).get(ROLE_DETECT, "img-1", "dog") == payload
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"recollab-fixture v1\n{}\n\xff", "is not valid UTF-8"),
+        (b"recollab-fixture v1\n[1, 2]\n", "record is not a JSON object"),
+        (b"recollab-fixture v1\n{\n", "is not valid JSON"),
+        (b"recollab-fixture v1 \n{}\n", "unsupported header 'recollab-fixture v1 '"),
+        (b"recollab-fixture v2\r\n{}\r\n", "unsupported header 'recollab-fixture v2'"),
+        (b"recollab-fixture v1", "is not valid JSON"),
+    ],
+)
+def test_a_malformed_fixture_file_is_a_backend_error(tmp_path, body, message):
+    (tmp_path / f"{fixture_key(ROLE_DETECT, 'img-1', 'dog')}.json").write_bytes(body)
+    with pytest.raises(BackendError, match=message):
+        FixtureStore(root=tmp_path).get(ROLE_DETECT, "img-1", "dog")
+
+
 def test_fixture_round_trip(tmp_path):
     payload = {"detections": [{"box": [0, 0, 5, 5], "score": 0.5}], "note": "üñíçødé"}
     path = write_fixture(tmp_path, ROLE_DETECT, "img-1", "dog", payload)

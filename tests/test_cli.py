@@ -25,6 +25,7 @@ from recollab import runner
 from recollab.backends import BackendBundle
 from recollab.backends.http import HttpClient, HttpGrounder
 from recollab.backends.replay import (
+    ROLE_DETECT,
     ROLE_GENERATE,
     ROLE_GROUND,
     FixtureStore,
@@ -302,6 +303,19 @@ def test_bounded_handle_caps_in_flight_calls():
     assert sorted(results) == sorted(f"q{i}" for i in range(16))
     assert inner.max_active <= 2
     assert inner.max_active == 2  # enough load to actually hit the cap
+
+
+def test_bounded_handle_gives_back_the_slot_of_a_call_that_raises():
+    class Failing:
+        def ground(self, image, query):
+            raise BackendError(query)
+
+    handle = BoundedHandle(Failing(), 1)
+    for i in range(3):  # a slot kept by the first failure would block the second call
+        with pytest.raises(BackendError, match=f"q{i}"):
+            handle.ground("img", f"q{i}")
+    with pytest.raises(ValueError, match="at least 1"):
+        BoundedHandle(Failing(), 0)
 
 
 def test_bounded_handle_passes_plain_attributes_through():
@@ -1060,6 +1074,46 @@ def test_a_malformed_mllm_reply_fails_its_task_not_the_run(tmp_path):
     proc = run_cli("run", "-c", cfg_path)
     _assert_only_task_failed(proc, tmp_path / "out" / LOG_NAME, "pos-00001", 6)
     assert "coordinate token probability" in read_records(tmp_path / "out" / LOG_NAME)[3]["note"]
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [(b"\xff", "is not valid UTF-8"), (None, "record is not a JSON object")],
+)
+def test_a_malformed_fixture_file_fails_its_task_not_the_run(tmp_path, tail, message):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    # only pos-00001 looks at img-00001
+    path = tmp_path / "fixtures" / f"{fixture_key(ROLE_DETECT, 'img-00001', 'widget')}.json"
+    if tail is None:
+        path.write_bytes(b"recollab-fixture v1\n[1, 2]\n")
+    else:
+        path.write_bytes(path.read_bytes() + tail)
+    proc = run_cli("run", "-c", cfg_path)
+    _assert_only_task_failed(proc, tmp_path / "out" / LOG_NAME, "pos-00001", 6)
+    assert message in read_records(tmp_path / "out" / LOG_NAME)[3]["note"]
+
+
+def test_fixture_reads_are_counted_by_patching_the_store_after_the_backends_are_built(
+    tmp_path, monkeypatch
+):
+    # a benchmark counts backend calls this way, so a handle must not hold
+    # on to the ``FixtureStore.get`` it was built with
+    cfg = load_config(build_sfa_corpus(tmp_path, n_pairs=3))
+    reads = Counter()
+    original_get, original_build = FixtureStore.get, runner.build_backends
+
+    def counted_get(store, role, image_id, query):
+        reads[role] += 1
+        return original_get(store, role, image_id, query)
+
+    def build_then_patch(*args, **kwargs):
+        handles = original_build(*args, **kwargs)
+        monkeypatch.setattr(FixtureStore, "get", counted_get)
+        return handles
+
+    monkeypatch.setattr(runner, "build_backends", build_then_patch)
+    assert runner.cmd_run(cfg) == 0
+    assert reads == {"extract": 6, "detect": 6, "ground": 2, "generate": 4}
 
 
 def test_run_refuses_log_from_other_config(tmp_path):
