@@ -51,5 +51,12 @@ class BackendBundle:
             raise BackendError(f"no {role} backend configured")
         return handle
 
+    def close(self) -> None:
+        """Close the pooled connections of every HTTP role's client."""
+        for role in ROLES:
+            client = getattr(getattr(self, role), "client", None)
+            if client is not None:
+                client.close()
+
 
 __all__ = ["BackendBundle", "ROLES"]

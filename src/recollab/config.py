@@ -21,6 +21,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 import yaml
 
 from .backends import ROLES
+from .backends.http import split_endpoint
 from .crs import CrsParams, TuningParams
 from .datamodel import Split
 from .metrics import DEFAULT_KS
@@ -54,8 +55,13 @@ class BackendSettings:
     def __post_init__(self) -> None:
         if self.kind not in ("http", "replay"):
             raise ConfigError(f"backend kind must be http or replay, got {self.kind!r}")
-        if self.kind == "http" and not self.endpoint:
-            raise ConfigError("http backend needs an endpoint")
+        if self.kind == "http":
+            if not self.endpoint:
+                raise ConfigError("http backend needs an endpoint")
+            try:
+                split_endpoint(self.endpoint)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if self.kind == "replay" and not self.fixtures:
             raise ConfigError("replay backend needs a fixtures directory")
         if self.timeout <= 0:

@@ -519,7 +519,7 @@ def cmd_run(cfg: RunConfig) -> int:
         lambda task: spec.worker(task, handles, cfg), pending, _pool_size(cfg, spec)
     )
 
-    with open(log_path, "a", encoding="utf-8") as log_file, closing(results):
+    with closing(handles), open(log_path, "a", encoding="utf-8") as log_file, closing(results):
         if meta is None:
             meta = {
                 "record": "meta",
@@ -598,8 +598,9 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
         raise ConfigError(f"crs.k and tuning.include_none: {exc}") from exc
     ts, out_dir = _prepare(cfg, "train", ("grounder",), "export-tuning", (cfg.tuning.output,))
     failures: list[tuple[str, BackendError]] = []
-    grounder = build_backends(cfg).require("grounder")
-    samples = export_tuning(ts, grounder, cfg.crs, cfg.tuning, seed=cfg.seed, failures=failures)
+    with closing(build_backends(cfg)) as handles:
+        grounder = handles.require("grounder")
+        samples = export_tuning(ts, grounder, cfg.crs, cfg.tuning, seed=cfg.seed, failures=failures)
     if failures and len(failures) == len(ts):
         # nothing was grounded: a wrong endpoint or fixture directory, not an outage
         exc = failures[0][1]

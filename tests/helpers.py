@@ -506,11 +506,26 @@ def build_export_corpus(root, n_pos=12, n_neg=4, *, positives=10, negatives=3):
 
 
 class _Handler(BaseHTTPRequestHandler):
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+        if self.server.keep_alive:
+            self.protocol_version = "HTTP/1.1"
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length)
+        body = json.loads(raw) if length else {}
         self.server.seen.append(
-            {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
+            {
+                "path": self.path,
+                "host": self.headers.get("Host"),
+                "auth": self.headers.get("Authorization"),
+                "proxy_auth": self.headers.get("Proxy-Authorization"),
+                "body": body,
+                "raw": raw,
+            }
         )
         if self.server.script:
             status, payload = self.server.script.pop(0)
@@ -527,24 +542,41 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        if self.server.drop_idle:
+            self.close_connection = True
+
+    def do_CONNECT(self):
+        # a proxy's tunnel request is recorded and refused
+        self.server.tunnels.append(self.path)
+        self.send_error(403)
 
     def log_message(self, *args):
         pass
 
 
 @contextmanager
-def http_server(script=None, default=None, reply=None):
+def http_server(script=None, default=None, reply=None, keep_alive=False, drop_idle=False):
     """A loopback JSON server on its own thread; yields (server, url).
 
     Each POST is answered from ``script`` (a list of (status, payload)
     consumed in order), then by ``reply(body)``, then with ``default``.
-    Requests are recorded in ``server.seen``.
+    Requests are recorded in ``server.seen``, refused CONNECT targets in
+    ``server.tunnels``, and accepted connections are counted in
+    ``server.connections``. The server speaks HTTP/1.0, so each reply
+    closes its connection and says so; with ``keep_alive`` it speaks
+    HTTP/1.1 and keeps connections open, and with ``drop_idle`` as well it
+    closes each one after its first reply without saying so.
     """
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.script = list(script or [])
     server.seen = []
+    server.tunnels = []
     server.default = default if default is not None else {}
     server.reply = reply
+    server.keep_alive = keep_alive
+    server.drop_idle = drop_idle
+    server.connections = 0
+    server.lock = threading.Lock()
     thread = threading.Thread(target=lambda: server.serve_forever(poll_interval=0.02), daemon=True)
     thread.start()
     try:

@@ -1,6 +1,7 @@
 """Backend adapters: wire parsing, replay fixtures, and HTTP plumbing."""
 
 import json
+import logging
 import math
 import os
 import random
@@ -548,8 +549,10 @@ import sys
 from recollab import cli, runner
 from recollab.config import BackendSettings, RunConfig
 
+STACK = ("http.client", "requests", "urllib3", "charset_normalizer")
+
 def loaded():
-    return [m for m in ("requests", "urllib3", "charset_normalizer") if m in sys.modules]
+    return [m for m in STACK if m in sys.modules]
 
 print(loaded())
 replay = BackendSettings(kind="replay", fixtures="fixtures")
@@ -557,12 +560,12 @@ runner.build_backends(RunConfig(pipeline="specialist", backends={"grounder": rep
 print(loaded())
 http = BackendSettings(kind="http", endpoint="http://127.0.0.1:9/ground")
 runner.build_backends(RunConfig(pipeline="specialist", backends={"grounder": http}))
-print("requests" in sys.modules)
+print(loaded())
 """
 
 
-def test_requests_is_imported_only_by_building_an_http_role():
-    # a fresh interpreter, since this one imported requests for the tests below
+def test_the_http_stack_is_imported_only_by_building_an_http_role():
+    # a fresh interpreter, since this one imported http.client for the tests below
     src = str(Path(recollab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -573,7 +576,7 @@ def test_requests_is_imported_only_by_building_an_http_role():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "['http.client']"]
 
 
 def test_http_detector_round_trip():
@@ -628,6 +631,120 @@ def test_http_client_connection_failure():
     client = HttpClient(endpoint="http://127.0.0.1:9/", retries=1, backoff=0.0, timeout=0.2)
     with pytest.raises(BackendError, match="unreachable"):
         client.post({})
+
+
+def test_http_client_keeps_its_connection_alive():
+    with http_server(default={"ok": 1}, keep_alive=True) as (server, url):
+        client = HttpClient(endpoint=url, concurrency=2)
+        for _ in range(5):
+            assert client.post({}) == {"ok": 1}
+        client.close()
+    assert len(server.seen) == 5 and server.connections == 1
+
+
+def test_http_client_keeps_no_more_idle_connections_than_its_concurrency():
+    # more callers than slots, switching threads often: every call succeeds,
+    # and the connections beyond the slots are closed rather than pooled
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with http_server(default={"ok": 1}, keep_alive=True) as (server, url):
+            client = HttpClient(endpoint=url, concurrency=3, retries=0)
+            with ThreadPoolExecutor(max_workers=12) as pool:
+                results = list(pool.map(lambda i: client.post({"i": i}), range(240), timeout=60))
+            idle = len(client._idle)
+            client.close()
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == [{"ok": 1}] * 240 and len(server.seen) == 240
+    assert 1 <= idle <= 3
+
+
+def test_http_client_reopens_a_connection_the_server_dropped_while_idle(caplog):
+    # the server closes each connection after one reply without a Connection: close
+    with http_server(default={"ok": 1}, keep_alive=True, drop_idle=True) as (server, url):
+        client = HttpClient(endpoint=url, retries=0, concurrency=1)
+        with caplog.at_level(logging.WARNING):
+            for _ in range(3):
+                assert client.post({}) == {"ok": 1}
+        client.close()
+    assert len(server.seen) == 3 and server.connections == 3
+    assert caplog.records == []
+
+
+def test_http_client_closes_what_the_server_closes():
+    # an HTTP/1.0 server closes after every reply, so no connection is left open
+    with http_server(default={"ok": 1}) as (server, url):
+        client = HttpClient(endpoint=url, concurrency=1)
+        client.post({})
+        client.post({})
+    assert server.connections == 2
+
+
+def test_http_client_sends_json_with_the_bytes_requests_sent():
+    with http_server(default={"ok": 1}) as (server, url):
+        HttpClient(endpoint=url + "a path?x=1").post({"prompt": "caf\u00e9", "n": [1, 2.5]})
+    assert server.seen[0]["path"] == "/a%20path?x=1"
+    assert server.seen[0]["raw"] == b'{"prompt": "caf\\u00e9", "n": [1, 2.5]}'
+    with pytest.raises(BackendError, match="not valid JSON"):
+        HttpClient(endpoint=url).post({"score": math.nan})
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def test_http_client_sends_an_absolute_target_to_the_environment_proxy(no_proxy_env):
+    with http_server(default={"via": "proxy"}) as (proxy, proxy_url):
+        no_proxy_env.setenv("HTTP_PROXY", proxy_url.replace("//", "//me:p%40ss@"))
+        # nothing listens on the endpoint's port: the proxy answers for it
+        client = HttpClient(endpoint="http://127.0.0.1:9/ground", token="sekrit", retries=0)
+        assert client.post({"q": 1}) == {"via": "proxy"}
+    assert proxy.seen == [
+        {"path": "http://127.0.0.1:9/ground", "host": "127.0.0.1:9", "auth": "Bearer sekrit",
+         "proxy_auth": "Basic bWU6cEBzcw==", "body": {"q": 1}, "raw": b'{"q": 1}'}
+    ]
+
+
+def test_http_client_goes_direct_to_a_host_no_proxy_names(no_proxy_env):
+    direct = http_server(default={"via": "direct"})
+    with http_server() as (proxy, proxy_url), direct as (server, url):
+        no_proxy_env.setenv("HTTP_PROXY", proxy_url)
+        no_proxy_env.setenv("NO_PROXY", "example.invalid,127.0.0.1")
+        assert HttpClient(endpoint=url, retries=0).post({}) == {"via": "direct"}
+    assert proxy.seen == [] and len(server.seen) == 1
+
+
+def test_an_empty_lowercase_proxy_variable_unsets_the_uppercase_one(no_proxy_env):
+    direct = http_server(default={"via": "direct"})
+    with http_server() as (proxy, proxy_url), direct as (server, url):
+        no_proxy_env.setenv("HTTP_PROXY", proxy_url)
+        no_proxy_env.setenv("http_proxy", "")
+        assert HttpClient(endpoint=url, retries=0).post({}) == {"via": "direct"}
+    assert proxy.seen == [] and len(server.seen) == 1
+
+
+def test_http_client_tunnels_https_through_the_environment_proxy(no_proxy_env):
+    with http_server() as (proxy, proxy_url):
+        no_proxy_env.setenv("HTTPS_PROXY", proxy_url)
+        client = HttpClient(endpoint="https://127.0.0.1:9/ground", retries=0)
+        # the loopback proxy refuses the tunnel, so the call fails after asking for it
+        with pytest.raises(BackendError, match="unreachable"):
+            client.post({})
+    assert proxy.tunnels == ["127.0.0.1:9"]
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["gpu-box:8901/ground", "ftp://x/y", "http:///ground", "http://x:0/",
+                 "http://x:99999/", "http://x:port/", "http://user:pw@x/"]
+)
+def test_http_client_refuses_an_endpoint_it_cannot_call(endpoint):
+    with pytest.raises(ValueError, match=f"endpoint {endpoint!r}"):
+        HttpClient(endpoint=endpoint)
 
 
 def test_http_mllm_rescales_coordinates():

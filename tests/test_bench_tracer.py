@@ -113,7 +113,7 @@ def test_the_tracer_nests_each_http_post_in_its_role_call(tmp_path, tracing):
     names = {span[0]: span[2] for span in spans}
     parents = [names[span[1]] for span in spans if span[2] == "http.post"]
     assert parents == ["backends.grounder.call"] * 6
-    # collect the run's HTTP sessions now, so a socket they left open warns in this test
+    # collect the run's HTTP clients now, so a socket they left open warns in this test
     gc.collect()
 
 

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -594,26 +595,50 @@ def test_export_tuning_makes_every_call(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("built_from", ["config", "client"])
-def test_http_session_pools_as_many_connections_as_calls_in_flight(tmp_path, caplog, built_from):
+def test_http_client_pools_as_many_connections_as_calls_in_flight(tmp_path, built_from):
     cfg = _cfg_with_costs(tmp_path, "specialist")
     arrived = threading.Barrier(16, timeout=10)
 
     def reply(body):
-        arrived.wait()  # all 16 connections are open at once
+        arrived.wait()  # all 16 calls are in flight at once
         return {"detections": [{"box": [0, 0, 10, 10], "score": 0.5}]}
 
-    with http_server(reply=reply) as (server, url):
+    with http_server(reply=reply, keep_alive=True) as (server, url):
         if built_from == "config":
             settings = BackendSettings(kind="http", endpoint=url, concurrency=16)
-            handle = runner._build_handle("grounder", settings, cfg)
+            handles = BackendBundle(grounder=runner._build_handle("grounder", settings, cfg))
         else:
-            handle = HttpGrounder(HttpClient(url, concurrency=16))
+            handles = BackendBundle(grounder=HttpGrounder(HttpClient(url, concurrency=16)))
         image = ImageRef("img", 640, 480)
-        with caplog.at_level(logging.WARNING, logger="urllib3"):
-            with ThreadPoolExecutor(max_workers=16) as pool:
-                results = list(pool.map(lambda i: handle.ground(image, f"q{i}"), range(16)))
-    assert len(server.seen) == 16 and all(len(r.detections) == 1 for r in results)
-    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+        ground = handles.grounder.ground
+        with closing(handles), ThreadPoolExecutor(max_workers=16) as pool:
+            for _ in range(2):
+                results = list(pool.map(lambda i: ground(image, f"q{i}"), range(16)))
+                assert all(len(r.detections) == 1 for r in results)
+                # the second round reuses the first round's connections
+                assert server.connections == 16
+    assert len(server.seen) == 32
+
+
+@pytest.mark.parametrize(
+    "endpoint", ["gpu-box:8901/ground", "ftp://x/y", "http:///ground", "http://x:70000/ground"]
+)
+@pytest.mark.parametrize("set_by", ["config", "environment"])
+def test_run_refuses_an_http_endpoint_it_cannot_call(
+    tmp_path, capsys, monkeypatch, endpoint, set_by
+):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["pipeline"] = "specialist"
+    config["backends"]["grounder"] = {"kind": "http", "endpoint": "http://127.0.0.1:9/ground"}
+    if set_by == "config":
+        config["backends"]["grounder"]["endpoint"] = endpoint
+    else:
+        monkeypatch.setenv("RECOLLAB_GROUNDER_ENDPOINT", endpoint)
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["run", "-c", str(cfg_path)]) == 2
+    assert f"bad backends.grounder: endpoint {endpoint!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------- specialist worker
