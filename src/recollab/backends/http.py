@@ -12,12 +12,11 @@ import base64
 import json
 import logging
 import os
-import threading
+import queue
 import time
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, Mapping, Sequence, TypeVar
+from typing import Any, Mapping, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlsplit
 
 from .extract import build_extract_prompt, resolve_target
@@ -89,7 +88,6 @@ def _proxy_for(parts: SplitResult) -> SplitResult | None:
     return split
 
 
-@dataclass(frozen=True)
 class HttpClient:
     """One server's POST plumbing: bearer auth, timeout, bounded retries.
 
@@ -105,31 +103,28 @@ class HttpClient:
     imports ``http.client``.
     """
 
-    endpoint: str
-    token: str | None = None
-    timeout: float = 60.0
-    retries: int = 2
-    backoff: float = 0.5
-    concurrency: int = 10
-    coordinate_space: int | None = None
-    _target: str = field(init=False, repr=False, compare=False)
-    _headers: dict[str, str] = field(init=False, repr=False, compare=False)
-    # a new HTTPConnection, and the open ones idle, the last put back last
-    _connect: Callable[[], Any] = field(init=False, repr=False, compare=False)
-    _idle: deque = field(init=False, repr=False, compare=False)
-    _putting_back: threading.Lock = field(init=False, repr=False, compare=False)
-    _errors: tuple[type[Exception], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        endpoint: str,
+        token: str | None = None,
+        timeout: float = 60.0,
+        retries: int = 2,
+        backoff: float = 0.5,
+        concurrency: int = 8,
+        coordinate_space: int | None = None,
+    ) -> None:
         import http.client
 
-        parts = split_endpoint(self.endpoint)
-        target = quote(parts.path or "/", safe=_TARGET_SAFE)
+        parts = split_endpoint(endpoint)
+        self.endpoint = endpoint
+        self.retries, self.backoff = retries, backoff
+        self.coordinate_space = coordinate_space
+        self._target = quote(parts.path or "/", safe=_TARGET_SAFE)
         if parts.query:
-            target += "?" + quote(parts.query, safe=_TARGET_SAFE)
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
+            self._target += "?" + quote(parts.query, safe=_TARGET_SAFE)
+        self._headers = {"Content-Type": "application/json"}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
         proxy = _proxy_for(parts)
         proxy_auth = {}
         if proxy is not None and proxy.username is not None:
@@ -143,24 +138,20 @@ class HttpClient:
             context = ssl.create_default_context()
 
             def connect() -> http.client.HTTPConnection:
-                conn = http.client.HTTPSConnection(*address, timeout=self.timeout, context=context)
+                conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
                 if proxy is not None:
                     conn.set_tunnel(parts.hostname, parts.port, headers=proxy_auth)
                 return conn
 
+            self._connect = connect
         else:
             if proxy is not None:
                 # a plain-HTTP proxy is sent the absolute-form target
-                target = f"http://{parts.netloc}{target}"
-                headers.update(proxy_auth)
-            connect = partial(http.client.HTTPConnection, *address, timeout=self.timeout)
-
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_headers", headers)
-        object.__setattr__(self, "_connect", connect)
-        object.__setattr__(self, "_idle", deque())
-        object.__setattr__(self, "_putting_back", threading.Lock())
-        object.__setattr__(self, "_errors", (OSError, http.client.HTTPException))
+                self._target = f"http://{parts.netloc}{self._target}"
+                self._headers.update(proxy_auth)
+            self._connect = partial(http.client.HTTPConnection, *address, timeout=timeout)
+        self._idle = queue.LifoQueue(concurrency)
+        self._errors = (OSError, http.client.HTTPException)
 
     def post(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         try:
@@ -205,8 +196,8 @@ class HttpClient:
         call failed, or ``concurrency`` connections are idle already.
         """
         try:
-            conn, reused = self._idle.pop(), True
-        except IndexError:
+            conn, reused = self._idle.get_nowait(), True
+        except queue.Empty:
             conn, reused = self._connect(), False
         try:
             try:
@@ -225,18 +216,19 @@ class HttpClient:
             raise
         # a response that closes its connection has closed it once read
         if conn.sock is not None:
-            with self._putting_back:
-                kept = len(self._idle) < self.concurrency
-                if kept:
-                    self._idle.append(conn)
-            if not kept:
+            try:
+                self._idle.put_nowait(conn)
+            except queue.Full:
                 conn.close()
         return status, data
 
     def close(self) -> None:
         """Close every idle connection; a later call opens one again."""
-        while self._idle:
-            self._idle.pop().close()
+        try:
+            while True:
+                self._idle.get_nowait().close()
+        except queue.Empty:
+            pass
 
 
 Reply = TypeVar("Reply", GroundingResult, GenerativeGrounding)

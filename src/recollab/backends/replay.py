@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -59,7 +59,6 @@ def write_fixture(
     return path
 
 
-@dataclass(frozen=True)
 class FixtureStore:
     """Read-only view of a fixture directory. Lookups are pure and lock-free.
 
@@ -69,12 +68,9 @@ class FixtureStore:
     ``BackendError``.
     """
 
-    root: Path
-    _prefix: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "root", Path(self.root))
-        object.__setattr__(self, "_prefix", os.path.join(self.root, ""))
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+        self._prefix = os.path.join(self.root, "")
 
     def get(self, role: str, image_id: str, query: str) -> dict[str, Any]:
         key = fixture_key(role, image_id, query)

@@ -29,17 +29,15 @@ class FixtureMissError(BackendError):
 
 @dataclass(frozen=True)
 class GroundingResult:
-    """Detector or grounder output: detections sorted by descending score."""
+    """Detector or grounder output, its detections sorted by descending score when built."""
 
     detections: tuple[Detection, ...]
     query: str = ""
 
     def __post_init__(self) -> None:
-        if type(self.detections) is not tuple:
-            object.__setattr__(self, "detections", tuple(self.detections))
-        scores = [d.score for d in self.detections]
-        if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("detections must be sorted by descending score")
+        # a stable sort: equal scores keep the order given, also with reverse=True
+        ordered = sorted(self.detections, key=attrgetter("score"), reverse=True)
+        object.__setattr__(self, "detections", tuple(ordered))
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,6 @@ def detections_from_payload(payload: Mapping[str, object], query: str = "") -> G
             dets.append(Detection(box, score, tuple(tokens)))
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"bad detection entry: {exc}") from exc
-    # a stable sort: equal scores keep payload order, also with reverse=True
-    dets.sort(key=attrgetter("score"), reverse=True)
     return GroundingResult(detections=tuple(dets), query=query)
 
 

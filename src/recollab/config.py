@@ -44,7 +44,7 @@ class BackendSettings:
     kind: str
     endpoint: str | None = None
     fixtures: str | None = None
-    token: str | None = None
+    token: str | None = field(default=None, repr=False)
     timeout: float = 60.0
     retries: int = 2
     backoff: float = 0.5

@@ -265,12 +265,13 @@ def test_detections_from_payload_orders_like_a_stable_score_sort():
         assert all(type(v) is float for d in result.detections for v in d.box.as_list())
 
 
-def test_grounding_result_validates_order():
+def test_grounding_result_sorts_by_descending_score_keeping_ties_in_order():
     a = Detection(box=BBox(0, 0, 1, 1), score=0.2)
     b = Detection(box=BBox(0, 0, 1, 1), score=0.9)
-    with pytest.raises(ValueError):
-        GroundingResult(detections=(a, b))
+    c = Detection(box=BBox(0, 0, 2, 2), score=0.9)
+    assert GroundingResult(detections=(a, b)).detections == (b, a)
     assert GroundingResult(detections=(b, a)).detections == (b, a)
+    assert GroundingResult(detections=[a, c, b]).detections == (c, b, a)
     assert GroundingResult(detections=()).detections == ()
 
 
@@ -652,12 +653,24 @@ def test_http_client_keeps_no_more_idle_connections_than_its_concurrency():
             client = HttpClient(endpoint=url, concurrency=3, retries=0)
             with ThreadPoolExecutor(max_workers=12) as pool:
                 results = list(pool.map(lambda i: client.post({"i": i}), range(240), timeout=60))
-            idle = len(client._idle)
+            idle = client._idle.qsize()
             client.close()
     finally:
         sys.setswitchinterval(switch)
     assert results == [{"ok": 1}] * 240 and len(server.seen) == 240
     assert 1 <= idle <= 3
+
+
+def test_http_client_close_leaves_no_idle_connection_and_a_later_call_opens_one():
+    with http_server(default={"ok": 1}, keep_alive=True) as (server, url):
+        client = HttpClient(endpoint=url, concurrency=2, retries=0)
+        client.post({})
+        client.close()
+        assert client._idle.empty() and server.connections == 1
+        assert client.post({}) == {"ok": 1}
+        assert server.connections == 2 and client._idle.qsize() == 1
+        client.close()
+    assert len(server.seen) == 2
 
 
 def test_http_client_reopens_a_connection_the_server_dropped_while_idle(caplog):

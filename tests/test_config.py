@@ -275,6 +275,17 @@ def test_config_to_dict_redacts_token():
     assert "hush" not in str(data)
 
 
+def test_no_repr_shows_the_token():
+    from recollab.backends.http import HttpClient, HttpGrounder
+
+    cfg = config_from_dict(
+        {"backends": {"grounder": {"kind": "http", "endpoint": "http://g/", "token": "sekrit"}}}
+    )
+    grounder = HttpGrounder(HttpClient("http://g/", token="sekrit"))
+    for shown in (repr(cfg), repr(cfg.backends["grounder"]), repr(grounder)):
+        assert "sekrit" not in shown
+    assert cfg.backends["grounder"].token == "sekrit"
+
 def test_config_hash_stable_and_sensitive(tmp_path):
     base = {"pipeline": "crs", "seed": 7, "datasets": {"test": "t.jsonl"}}
     a = config_from_dict(base, base_dir="/somewhere")
