@@ -4,6 +4,8 @@ Annotation files are UTF-8 line-delimited JSON, one task per line. Boxes
 are ``[x0, y0, x1, y1]`` pixel arrays. Unknown fields are preserved on the
 task and written back on save, but are otherwise ignored. Tasks loaded
 together share one object per equal string, integer and negative kind.
+A task set is built one way, ``TaskSet(split, tasks)``, which indexes and
+checks its tasks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .geometry import BBox
 
@@ -189,25 +191,25 @@ class RecTask:
         return self.polarity is Polarity.POSITIVE
 
 
-@dataclass(frozen=True)
 class TaskSet:
-    """An immutable, id-indexed collection of tasks for one split."""
+    """The tasks of one split, indexed by id.
 
-    split: Split
-    tasks: tuple[RecTask, ...]
-    _by_id: Mapping[str, RecTask] = field(repr=False, compare=False, default_factory=dict)
+    Building one refuses a duplicate id, and a ``paired_positive`` that
+    names no positive task of the set.
+    """
 
-    @classmethod
-    def build(cls, split: Split, tasks: list[RecTask] | tuple[RecTask, ...]) -> TaskSet:
-        by_id: dict[str, RecTask] = {}
-        for task in tasks:
-            if task.id in by_id:
+    def __init__(self, split: Split | str, tasks: Iterable[RecTask]) -> None:
+        self.split = Split(split)
+        self.tasks = tuple(tasks)
+        self._by_id: dict[str, RecTask] = {}
+        for task in self.tasks:
+            if task.id in self._by_id:
                 raise DatasetError("duplicate task id", task_id=task.id)
-            by_id[task.id] = task
-        for task in tasks:
+            self._by_id[task.id] = task
+        for task in self.tasks:
             if task.paired_positive is None:
                 continue
-            ref = by_id.get(task.paired_positive)
+            ref = self._by_id.get(task.paired_positive)
             if ref is None:
                 raise DatasetError(
                     f"paired_positive {task.paired_positive!r} does not resolve",
@@ -218,7 +220,6 @@ class TaskSet:
                     f"paired_positive {task.paired_positive!r} is not a positive task",
                     task_id=task.id,
                 )
-        return cls(split=split, tasks=tuple(tasks), _by_id=by_id)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -368,7 +369,6 @@ def record_to_task(
 
 def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
     """Load a line-delimited annotation file into an invariant-checked TaskSet."""
-    split = Split(split)
     tasks: list[RecTask] = []
     shared: dict = {}
     with open(path, encoding="utf-8") as handle:
@@ -383,7 +383,7 @@ def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
             if not isinstance(record, dict):
                 raise DatasetError("record is not a JSON object", line=line_no)
             tasks.append(record_to_task(record, line=line_no, shared=shared))
-    return TaskSet.build(split, tasks)
+    return TaskSet(split, tasks)
 
 
 def save_taskset(ts: TaskSet, path: str | Path) -> None:

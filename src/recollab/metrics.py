@@ -14,9 +14,8 @@ Three metrics, all ratios of per-item indicators:
 Every metric reads one ``Score`` row per task id, which ``score(pred,
 task)`` makes from a ``prediction.Prediction``: a positive's hit rank and
 the confidence there, a negative's ranked confidences, and the
-confidence, pathway and failure of each. The metrics also take
-``Prediction`` records and score them first. A task with no record
-counts as a miss at confidence 0 (P@k, AUROC) or drops its pair (R@k).
+confidence, pathway and failure of each. A task with no row counts as a
+miss at confidence 0 (P@k, AUROC) or drops its pair (R@k).
 
 Each positive and each pair is scored once, as the rank of its first box
 above the fixed IoU bar (``NO_HIT`` if none); a hit at k is ``rank < k``,
@@ -88,18 +87,6 @@ def _hit_rank(pred: Prediction, gt: BBox) -> float:
     return NO_HIT
 
 
-def _scored(
-    preds: Mapping[str, Prediction | Score], task_of: Callable[[str], RecTask | None]
-) -> Mapping[str, Score]:
-    """``preds`` with each ``Prediction`` scored against ``task_of`` its task id."""
-    if all(isinstance(row, Score) for row in preds.values()):
-        return preds
-    return {
-        task_id: row if isinstance(row, Score) else score(row, task_of(task_id))
-        for task_id, row in preds.items()
-    }
-
-
 def _unscored(task: RecTask) -> ValueError:
     return ValueError(f"the prediction for task {task.id} was not scored against it")
 
@@ -109,7 +96,7 @@ def _positive_ranks(rows: Mapping[str, Score], positives: Iterable[RecTask]) -> 
     ranks: dict[str, float] = {}
     for task in positives:
         row = rows.get(task.id)
-        if row is not None and row.rank is None:
+        if row is not None and getattr(row, "rank", None) is None:
             raise _unscored(task)
         ranks[task.id] = NO_HIT if row is None else row.rank
     return ranks
@@ -131,7 +118,7 @@ def _pair_ranks(
         if pos_row is None or neg_row is None:
             ranks.append(None)
             continue
-        if neg_row.confidences is None:
+        if getattr(neg_row, "confidences", None) is None:
             raise _unscored(pair.negative)
         rank = pos_ranks[pair.positive.id]
         if rank != NO_HIT:
@@ -145,31 +132,29 @@ def _hits(ranks: Iterable[float], k: int) -> int:
     return sum(1 for rank in ranks if rank < k)
 
 
-def precision_at_k(preds: Mapping[str, Prediction | Score], ts: TaskSet, k: int) -> float:
+def precision_at_k(rows: Mapping[str, Score], ts: TaskSet, k: int) -> float:
     """Fraction of positives with a top-k box strictly above the IoU bar."""
     positives = ts.positives()
     if not positives:
         raise ValueError("no positive tasks to score")
-    for task in positives:
-        if task.id not in preds:
-            logger.warning("no prediction for positive task %s; counting a miss", task.id)
-    ranks = _positive_ranks(_scored(preds, ts.get), positives)
+    missing = [task.id for task in positives if task.id not in rows]
+    if missing:
+        logger.warning(
+            "no prediction for %d positives (first %s): all misses", len(missing), missing[0]
+        )
+    ranks = _positive_ranks(rows, positives)
     return _hits(ranks.values(), k) / len(ranks)
 
 
-def recall_at_k(
-    pairs: Sequence[EvalPair], preds: Mapping[str, Prediction | Score], k: int
-) -> float:
+def recall_at_k(pairs: Sequence[EvalPair], rows: Mapping[str, Score], k: int) -> float:
     """Hit fraction over pairs after pooling both members' ranked boxes."""
-    members = {task.id: task for pair in pairs for task in (pair.positive, pair.negative)}
-    rows = _scored(preds, members.get)
     positives = {pair.positive.id: pair.positive for pair in pairs}.values()
     ranks = _pair_ranks(pairs, rows, _positive_ranks(rows, positives))
-    for pair, rank in zip(pairs, ranks):
-        if rank is None:
-            logger.warning(
-                "pair (%s, %s) missing a prediction; dropped", pair.positive.id, pair.negative.id
-            )
+    dropped = [pair.negative.id for pair, rank in zip(pairs, ranks) if rank is None]
+    if dropped:
+        logger.warning(
+            "%d pairs dropped, missing a prediction (first negative %s)", len(dropped), dropped[0]
+        )
     used = [rank for rank in ranks if rank is not None]
     if not used:
         raise ValueError("no scorable pairs")
@@ -337,7 +322,7 @@ def _grouped(
 
 
 def build_report(
-    preds: Mapping[str, Prediction | Score],
+    rows: Mapping[str, Score],
     ts: TaskSet,
     *,
     ks: Sequence[int] = DEFAULT_KS,
@@ -349,9 +334,8 @@ def build_report(
     Group keys come in a fixed order: overall, then difficulties for
     precision, negative kinds for recall, and polarities then negative kinds
     for AUROC. Difficulty and polarity values sort in their enum order. Every
-    prediction counts in the pathway counts, one for a task outside ``ts`` too.
+    row counts in the pathway counts, one for a task outside ``ts`` too.
     """
-    rows = _scored(preds, ts.get)
     positives = ts.positives()
     negatives = ts.negatives()
     pairs = pair_negatives(ts)

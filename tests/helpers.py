@@ -25,12 +25,14 @@ from recollab import (
     Detection,
     NegativeKind,
     Polarity,
+    Prediction,
     RecTask,
     TaskSet,
     iou,
 )
 from recollab.backends.types import SelectionResult
 from recollab.datamodel import Difficulty, ImageRef, NegEdit, NegFacet, NegLocus, Split
+from recollab.metrics import Score, score
 
 GRID_LO = 0.0
 GRID_HI = 32.0
@@ -183,7 +185,12 @@ def paired_taskset(n_pairs: int, split: Split = Split.TEST) -> TaskSet:
         pos = make_positive(i)
         tasks.append(pos)
         tasks.append(make_negative(i, pos))
-    return TaskSet.build(split, tasks)
+    return TaskSet(split, tasks)
+
+
+def scored(preds: Mapping[str, Prediction], ts: TaskSet) -> dict[str, Score]:
+    """The ``metrics.Score`` rows the metrics read: each prediction scored against its task."""
+    return {task_id: score(pred, ts.get(task_id)) for task_id, pred in preds.items()}
 
 
 # Five disjoint slots so NMS keeps every proposal and top-5 is the full set.
@@ -385,7 +392,7 @@ def build_sfa_corpus(root, n_pairs=10, *, seed=7, omit_generate_for=None, shared
         if omit_generate_for != neg.id:
             write_fixture(fixtures, ROLE_GENERATE, neg.image, neg_prompt, generate)
 
-    save_taskset(TaskSet.build(Split.TEST, tasks), root / "test.jsonl")
+    save_taskset(TaskSet(Split.TEST, tasks), root / "test.jsonl")
 
     backend = {"kind": "replay", "fixtures": "fixtures", "concurrency": 4}
     config = {
@@ -456,7 +463,7 @@ def build_crs_corpus(root, n_pairs=4, *, select_replies=None):
             reply = (select_replies or {}).get(task.id, reply)
             write_fixture(fixtures, ROLE_SELECT, task.image, prompt.text, reply)
             tasks.append(task)
-    save_taskset(TaskSet.build(Split.TEST, tasks), root / "test.jsonl")
+    save_taskset(TaskSet(Split.TEST, tasks), root / "test.jsonl")
     backend = {"kind": "replay", "fixtures": "fixtures"}
     config = {
         "pipeline": "crs",
@@ -488,7 +495,7 @@ def build_export_corpus(root, n_pos=12, n_neg=4, *, positives=10, negatives=3):
         neg = make_negative(j, tasks[j])
         tasks.append(neg)
         write_fixture(fixtures, ROLE_GROUND, neg.image, neg.expression, SLOT_PAYLOAD)
-    save_taskset(TaskSet.build(Split.TRAIN, tasks), root / "train.jsonl")
+    save_taskset(TaskSet(Split.TRAIN, tasks), root / "train.jsonl")
     config = {
         "pipeline": "crs",
         "seed": 3,

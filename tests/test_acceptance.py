@@ -68,6 +68,7 @@ from helpers import (
     np_iou_matrix,
     rank_pair_hit,
     raster_iou,
+    scored,
     slot_gt,
 )
 
@@ -175,7 +176,8 @@ def test_criterion_02_metric_oracle_equivalence():
                     )
                 pos_entries = [(conf, pairwise_iou(box, gt)) for conf, box in pos_boxes]
                 expected_hits += rank_pair_hit(pos_entries, neg_confs, k)
-            assert recall_at_k(pairs, preds, k) == expected_hits / n_pairs
+            ts = TaskSet(Split.TEST, [t for pair in pairs for t in (pair.positive, pair.negative)])
+            assert recall_at_k(pairs, scored(preds, ts), k) == expected_hits / n_pairs
 
 
 def test_criterion_03_paired_recall_matches_precision():
@@ -211,9 +213,10 @@ def test_criterion_03_paired_recall_matches_precision():
                 )
             preds[neg.id] = neg_pred
 
-        ts = TaskSet.build(Split.TEST, tasks)
-        p1 = precision_at_k(preds, ts, k=1)
-        r1 = recall_at_k(pair_negatives(ts), preds, k=1)
+        ts = TaskSet(Split.TEST, tasks)
+        rows = scored(preds, ts)
+        p1 = precision_at_k(rows, ts, k=1)
+        r1 = recall_at_k(pair_negatives(ts), rows, k=1)
         assert p1 == r1, f"P@1 {p1} != R@1 {r1} despite dominated negatives"
         assert p1 == 6 / 10
 
@@ -325,7 +328,7 @@ def test_criterion_06_candidate_selection_oracle_ceiling(tmp_path):
         for i in range(60):
             hit = i % 3 != 0
             tasks.append(make_slot_positive(i, hit=hit))
-        ts = TaskSet.build(Split.TEST, tasks)
+        ts = TaskSet(Split.TEST, tasks)
 
         store_dir = tmp_path / "fixtures"
         store_dir.mkdir()
@@ -344,7 +347,7 @@ def test_criterion_06_candidate_selection_oracle_ceiling(tmp_path):
         )
         params = CrsParams()
         preds = {task.id: run_crs(task, handles, params) for task in tasks}
-        crs_p1 = precision_at_k(preds, ts, k=1)
+        crs_p1 = precision_at_k(scored(preds, ts), ts, k=1)
 
         # ceiling computed from scratch: quadratic NMS, truncate, any-hit
         hits = 0
@@ -363,7 +366,7 @@ def test_criterion_07_tuning_export_invariants(tmp_path):
     with criterion(7, "tuning-export-invariants"):
         tasks = [make_slot_positive(i) for i in range(4000)]
         tasks.extend(make_negative(j, tasks[j]) for j in range(1000))
-        ts = TaskSet.build(Split.TRAIN, tasks)
+        ts = TaskSet(Split.TRAIN, tasks)
         gt_by_image = {t.image: t.gt_box for t in tasks if t.is_positive}
 
         samples = export_tuning(
@@ -463,7 +466,7 @@ def test_criterion_10_pathway_cost_accounting():
         gt = BBox(10.0, 10.0, 60.0, 60.0)
         hit_box = BBox(12.0, 12.0, 58.0, 58.0)
         tasks = [make_positive(i, gt_box=gt) for i in range(100)]
-        ts = TaskSet.build(Split.TEST, tasks)
+        ts = TaskSet(Split.TEST, tasks)
         preds = {}
         for i, task in enumerate(tasks):
             pathway = Pathway.FAST if i < 40 else Pathway.SLOW
@@ -471,7 +474,7 @@ def test_criterion_10_pathway_cost_accounting():
                 task_id=task.id, box=hit_box, confidence=0.9, pathway=pathway
             )
         units = {"fast": 1.0, "slow": 10.0}
-        report = build_report(preds, ts, ks=(1,), unit_costs=units, metadata={})
+        report = build_report(scored(preds, ts), ts, ks=(1,), unit_costs=units, metadata={})
 
         assert report.pathways.counts == {"fast": 40, "slow": 60}
         closed_form = sum(report.pathways.counts[p] * units[p] for p in units)

@@ -580,7 +580,21 @@ def test_the_http_stack_is_imported_only_by_building_an_http_role():
     assert proc.stdout.splitlines() == ["[]", "[]", "['http.client']"]
 
 
-def test_http_detector_round_trip():
+@pytest.fixture
+def make_client():
+    """``HttpClient`` for a test, each closed at teardown, also when the test fails."""
+    clients = []
+
+    def make(**kwargs):
+        clients.append(HttpClient(**kwargs))
+        return clients[-1]
+
+    yield make
+    for client in clients:
+        client.close()
+
+
+def test_http_detector_round_trip(make_client):
     payload = {
         "detections": [
             {"box": [5, 5, 50, 50], "score": 0.9},
@@ -588,69 +602,69 @@ def test_http_detector_round_trip():
         ]
     }
     with http_server(default=payload) as (server, url):
-        detector = HttpDetector(client=HttpClient(endpoint=url, token="sekrit"))
+        detector = HttpDetector(client=make_client(endpoint=url, token="sekrit"))
         result = detector.detect(IMG, "dog")
     assert [d.score for d in result.detections] == [0.9, 0.4]
     assert server.seen[0]["body"] == {"image": "img-1", "query": "dog"}
     assert server.seen[0]["auth"] == "Bearer sekrit"
 
 
-def test_http_client_retries_server_errors():
+def test_http_client_retries_server_errors(make_client):
     ok = {"detections": []}
     with http_server(script=[(500, {"oops": 1}), (503, {}), (200, ok)]) as (server, url):
-        client = HttpClient(endpoint=url, retries=2, backoff=0.0)
+        client = make_client(endpoint=url, retries=2, backoff=0.0)
         assert client.post({"x": 1}) == ok
         assert len(server.seen) == 3
 
 
-def test_http_client_exhausted_retries_raise():
+def test_http_client_exhausted_retries_raise(make_client):
     with http_server(script=[(500, {}), (500, {})]) as (server, url):
-        client = HttpClient(endpoint=url, retries=1, backoff=0.0)
+        client = make_client(endpoint=url, retries=1, backoff=0.0)
         with pytest.raises(BackendError):
             client.post({})
         assert len(server.seen) == 2
 
 
-def test_http_client_client_errors_fail_fast():
+def test_http_client_client_errors_fail_fast(make_client):
     with http_server(script=[(404, {})]) as (server, url):
-        client = HttpClient(endpoint=url, retries=3, backoff=0.0)
+        client = make_client(endpoint=url, retries=3, backoff=0.0)
         with pytest.raises(BackendError):
             client.post({})
         assert len(server.seen) == 1
 
 
-def test_http_client_rejects_error_payload_and_non_json():
+def test_http_client_rejects_error_payload_and_non_json(make_client):
     with http_server(script=[(200, {"error": "bad model"})]) as (_, url):
         with pytest.raises(BackendError, match="bad model"):
-            HttpClient(endpoint=url, retries=0).post({})
+            make_client(endpoint=url, retries=0).post({})
     with http_server(script=[(200, b"<html>")]) as (_, url):
         with pytest.raises(BackendError):
-            HttpClient(endpoint=url, retries=0).post({})
+            make_client(endpoint=url, retries=0).post({})
 
 
-def test_http_client_connection_failure():
-    client = HttpClient(endpoint="http://127.0.0.1:9/", retries=1, backoff=0.0, timeout=0.2)
+def test_http_client_connection_failure(make_client):
+    client = make_client(endpoint="http://127.0.0.1:9/", retries=1, backoff=0.0, timeout=0.2)
     with pytest.raises(BackendError, match="unreachable"):
         client.post({})
 
 
-def test_http_client_keeps_its_connection_alive():
+def test_http_client_keeps_its_connection_alive(make_client):
     with http_server(default={"ok": 1}, keep_alive=True) as (server, url):
-        client = HttpClient(endpoint=url, concurrency=2)
+        client = make_client(endpoint=url, concurrency=2)
         for _ in range(5):
             assert client.post({}) == {"ok": 1}
         client.close()
     assert len(server.seen) == 5 and server.connections == 1
 
 
-def test_http_client_keeps_no_more_idle_connections_than_its_concurrency():
+def test_http_client_keeps_no_more_idle_connections_than_its_concurrency(make_client):
     # more callers than slots, switching threads often: every call succeeds,
     # and the connections beyond the slots are closed rather than pooled
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with http_server(default={"ok": 1}, keep_alive=True) as (server, url):
-            client = HttpClient(endpoint=url, concurrency=3, retries=0)
+            client = make_client(endpoint=url, concurrency=3, retries=0)
             with ThreadPoolExecutor(max_workers=12) as pool:
                 results = list(pool.map(lambda i: client.post({"i": i}), range(240), timeout=60))
             idle = client._idle.qsize()
@@ -661,9 +675,9 @@ def test_http_client_keeps_no_more_idle_connections_than_its_concurrency():
     assert 1 <= idle <= 3
 
 
-def test_http_client_close_leaves_no_idle_connection_and_a_later_call_opens_one():
+def test_http_client_close_leaves_no_idle_connection_and_a_later_call_opens_one(make_client):
     with http_server(default={"ok": 1}, keep_alive=True) as (server, url):
-        client = HttpClient(endpoint=url, concurrency=2, retries=0)
+        client = make_client(endpoint=url, concurrency=2, retries=0)
         client.post({})
         client.close()
         assert client._idle.empty() and server.connections == 1
@@ -673,10 +687,10 @@ def test_http_client_close_leaves_no_idle_connection_and_a_later_call_opens_one(
     assert len(server.seen) == 2
 
 
-def test_http_client_reopens_a_connection_the_server_dropped_while_idle(caplog):
+def test_http_client_reopens_a_connection_the_server_dropped_while_idle(caplog, make_client):
     # the server closes each connection after one reply without a Connection: close
     with http_server(default={"ok": 1}, keep_alive=True, drop_idle=True) as (server, url):
-        client = HttpClient(endpoint=url, retries=0, concurrency=1)
+        client = make_client(endpoint=url, retries=0, concurrency=1)
         with caplog.at_level(logging.WARNING):
             for _ in range(3):
                 assert client.post({}) == {"ok": 1}
@@ -685,22 +699,22 @@ def test_http_client_reopens_a_connection_the_server_dropped_while_idle(caplog):
     assert caplog.records == []
 
 
-def test_http_client_closes_what_the_server_closes():
+def test_http_client_closes_what_the_server_closes(make_client):
     # an HTTP/1.0 server closes after every reply, so no connection is left open
     with http_server(default={"ok": 1}) as (server, url):
-        client = HttpClient(endpoint=url, concurrency=1)
+        client = make_client(endpoint=url, concurrency=1)
         client.post({})
         client.post({})
     assert server.connections == 2
 
 
-def test_http_client_sends_json_with_the_bytes_requests_sent():
+def test_http_client_sends_json_with_the_bytes_requests_sent(make_client):
     with http_server(default={"ok": 1}) as (server, url):
-        HttpClient(endpoint=url + "a path?x=1").post({"prompt": "caf\u00e9", "n": [1, 2.5]})
+        make_client(endpoint=url + "a path?x=1").post({"prompt": "caf\u00e9", "n": [1, 2.5]})
     assert server.seen[0]["path"] == "/a%20path?x=1"
     assert server.seen[0]["raw"] == b'{"prompt": "caf\\u00e9", "n": [1, 2.5]}'
     with pytest.raises(BackendError, match="not valid JSON"):
-        HttpClient(endpoint=url).post({"score": math.nan})
+        make_client(endpoint=url).post({"score": math.nan})
 
 
 @pytest.fixture
@@ -711,11 +725,11 @@ def no_proxy_env(monkeypatch):
     return monkeypatch
 
 
-def test_http_client_sends_an_absolute_target_to_the_environment_proxy(no_proxy_env):
+def test_http_client_sends_an_absolute_target_to_the_environment_proxy(no_proxy_env, make_client):
     with http_server(default={"via": "proxy"}) as (proxy, proxy_url):
         no_proxy_env.setenv("HTTP_PROXY", proxy_url.replace("//", "//me:p%40ss@"))
         # nothing listens on the endpoint's port: the proxy answers for it
-        client = HttpClient(endpoint="http://127.0.0.1:9/ground", token="sekrit", retries=0)
+        client = make_client(endpoint="http://127.0.0.1:9/ground", token="sekrit", retries=0)
         assert client.post({"q": 1}) == {"via": "proxy"}
     assert proxy.seen == [
         {"path": "http://127.0.0.1:9/ground", "host": "127.0.0.1:9", "auth": "Bearer sekrit",
@@ -723,28 +737,28 @@ def test_http_client_sends_an_absolute_target_to_the_environment_proxy(no_proxy_
     ]
 
 
-def test_http_client_goes_direct_to_a_host_no_proxy_names(no_proxy_env):
+def test_http_client_goes_direct_to_a_host_no_proxy_names(no_proxy_env, make_client):
     direct = http_server(default={"via": "direct"})
     with http_server() as (proxy, proxy_url), direct as (server, url):
         no_proxy_env.setenv("HTTP_PROXY", proxy_url)
         no_proxy_env.setenv("NO_PROXY", "example.invalid,127.0.0.1")
-        assert HttpClient(endpoint=url, retries=0).post({}) == {"via": "direct"}
+        assert make_client(endpoint=url, retries=0).post({}) == {"via": "direct"}
     assert proxy.seen == [] and len(server.seen) == 1
 
 
-def test_an_empty_lowercase_proxy_variable_unsets_the_uppercase_one(no_proxy_env):
+def test_an_empty_lowercase_proxy_variable_unsets_the_uppercase_one(no_proxy_env, make_client):
     direct = http_server(default={"via": "direct"})
     with http_server() as (proxy, proxy_url), direct as (server, url):
         no_proxy_env.setenv("HTTP_PROXY", proxy_url)
         no_proxy_env.setenv("http_proxy", "")
-        assert HttpClient(endpoint=url, retries=0).post({}) == {"via": "direct"}
+        assert make_client(endpoint=url, retries=0).post({}) == {"via": "direct"}
     assert proxy.seen == [] and len(server.seen) == 1
 
 
-def test_http_client_tunnels_https_through_the_environment_proxy(no_proxy_env):
+def test_http_client_tunnels_https_through_the_environment_proxy(no_proxy_env, make_client):
     with http_server() as (proxy, proxy_url):
         no_proxy_env.setenv("HTTPS_PROXY", proxy_url)
-        client = HttpClient(endpoint="https://127.0.0.1:9/ground", retries=0)
+        client = make_client(endpoint="https://127.0.0.1:9/ground", retries=0)
         # the loopback proxy refuses the tunnel, so the call fails after asking for it
         with pytest.raises(BackendError, match="unreachable"):
             client.post({})
@@ -760,35 +774,35 @@ def test_http_client_refuses_an_endpoint_it_cannot_call(endpoint):
         HttpClient(endpoint=endpoint)
 
 
-def test_http_mllm_rescales_coordinates():
+def test_http_mllm_rescales_coordinates(make_client):
     payload = {"text": "[[100, 100, 500, 900]]", "coordinate_token_probs": [0.9] * 4}
     with http_server(default=payload) as (server, url):
-        mllm = HttpMllm(client=HttpClient(endpoint=url, coordinate_space=1000))
+        mllm = HttpMllm(client=make_client(endpoint=url, coordinate_space=1000))
         grounding = mllm.ground_generative(IMG, "where is it?")
     assert grounding.box == BBox(64.0, 48.0, 320.0, 432.0)
     assert grounding.raw_text == "[[100, 100, 500, 900]]"
     assert server.seen[0]["body"] == {"image": "img-1", "prompt": "where is it?"}
 
 
-def test_http_detector_rescales_coordinates():
+def test_http_detector_rescales_coordinates(make_client):
     payload = {"detections": [{"box": [0, 0, 1000, 1000], "score": 0.5}]}
     with http_server(default=payload) as (_, url):
-        detector = HttpDetector(client=HttpClient(endpoint=url, coordinate_space=1000))
+        detector = HttpDetector(client=make_client(endpoint=url, coordinate_space=1000))
         result = detector.detect(IMG, "dog")
     assert result.detections[0].box == BBox(0, 0, 640, 480)
 
 
-def test_http_selector_sends_labels():
+def test_http_selector_sends_labels(make_client):
     with http_server(default={"text": "B", "label_prob": 0.8}) as (server, url):
-        selector = HttpSelector(client=HttpClient(endpoint=url))
+        selector = HttpSelector(client=make_client(endpoint=url))
         result = selector.select(IMG, "pick one", ("A", "B"))
     assert result.label == "B"
     assert server.seen[0]["body"]["labels"] == ["A", "B"]
 
 
-def test_http_extractor_sends_prompt():
+def test_http_extractor_sends_prompt(make_client):
     with http_server(default={"text": '{"target": "mug"}'}) as (server, url):
-        extractor = HttpTargetExtractor(client=HttpClient(endpoint=url))
+        extractor = HttpTargetExtractor(client=make_client(endpoint=url))
         assert extractor.extract("the red mug") == "mug"
     assert "the red mug" in server.seen[0]["body"]["prompt"]
 

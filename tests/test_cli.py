@@ -60,6 +60,7 @@ from helpers import (
     http_server,
     make_positive,
     make_slot_positive,
+    scored,
     write_mllm_fixtures,
 )
 
@@ -133,7 +134,7 @@ def test_read_log_defaults_missing_ranked_boxes_to_the_chosen_box(tmp_path):
 
     path = tmp_path / "log.jsonl"
     path.write_text(json.dumps(record) + "\n" + _pred_line("t2") + "\n", encoding="utf-8")
-    ts = TaskSet.build(Split.TEST, [task])
+    ts = TaskSet(Split.TEST, [task])
     _, rows, _ = read_log(path, ts)
     assert (rows[task.id].rank, rows[task.id].rank_confidence) == (0, 0.5)
     assert precision_at_k(rows, ts, k=1) == 1.0
@@ -1450,7 +1451,7 @@ def test_the_report_from_score_rows_equals_the_report_from_predictions(tmp_path,
 
     _, rows, _ = read_log(log_path, ts)
     assert list(rows) == list(preds)
-    want = build_report(preds, ts).to_dict()
+    want = build_report(scored(preds, ts), ts).to_dict()
     assert build_report(rows, ts).to_dict() == want
     pairs = want["recall_at_k"]["1"]["overall"]["denominator"]
     assert pairs == len(ts.negatives()) - (case == "missing")

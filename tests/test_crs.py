@@ -347,7 +347,7 @@ def _slot_taskset(n_pos, n_neg, miss_every=None):
     for j in range(n_neg):
         pos = tasks[j % n_pos] if n_pos else make_slot_positive(10_000 + j)
         tasks.append(make_negative(j, pos))
-    return TaskSet.build(Split.TRAIN, tasks)
+    return TaskSet(Split.TRAIN, tasks)
 
 
 def test_export_tuning_answers_are_correct():
@@ -429,7 +429,7 @@ def test_export_tuning_shuffle_is_positionally_fair():
     # with one answerable slot per task, the answer letter follows the
     # per-task shuffle; positions must be uniform within 3 sigma
     n = 500
-    ts = TaskSet.build(Split.TRAIN, [make_slot_positive(i) for i in range(n)])
+    ts = TaskSet(Split.TRAIN, [make_slot_positive(i) for i in range(n)])
     samples = export_tuning(ts, SlotGrounder(), failures=[], tuning=TuningParams(n, 0), seed=9)
     assert len(samples) == n
     counts = {label: 0 for label in "ABCDE"}

@@ -124,14 +124,14 @@ def test_negative_kind_key_and_round_trip():
 
 def test_taskset_build_rejects_duplicates():
     pos = make_positive(0)
-    with pytest.raises(DatasetError):
-        TaskSet.build(Split.TEST, [pos, pos])
+    with pytest.raises(DatasetError, match=r"^\[task 'pos-00000'\] duplicate task id$"):
+        TaskSet(Split.TEST, (pos, pos))
 
 
 def test_taskset_build_rejects_dangling_pair():
     neg = make_negative(0, make_positive(0))
     with pytest.raises(DatasetError):
-        TaskSet.build(Split.TEST, [neg])
+        TaskSet(Split.TEST, [neg])
 
 
 def test_taskset_build_rejects_pairing_to_negative():
@@ -146,7 +146,7 @@ def test_taskset_build_rejects_pairing_to_negative():
         paired_positive=neg_a.id,
     )
     with pytest.raises(DatasetError):
-        TaskSet.build(Split.TEST, [pos, neg_a, neg_b])
+        TaskSet(Split.TEST, [pos, neg_a, neg_b])
 
 
 def test_taskset_accessors():
@@ -155,6 +155,15 @@ def test_taskset_accessors():
     assert len(ts.positives()) == 3
     assert len(ts.negatives()) == 3
     assert ts.get("pos-00001").is_positive
+
+
+def test_a_taskset_built_directly_indexes_and_checks_its_tasks():
+    pos = make_positive(0)
+    neg = make_negative(0, pos)
+    ts = TaskSet(Split.TEST, (pos, neg))
+    assert ts.get(pos.id) is pos and ts.get(neg.id) is neg and ts.get("other") is None
+    assert pair_negatives(ts) == [EvalPair(positive=pos, negative=neg)]
+    assert TaskSet("test", iter([pos])).split is Split.TEST
 
 
 def test_record_round_trip_preserves_extras():
@@ -186,7 +195,7 @@ def test_save_load_byte_identical(tmp_path):
 
 def test_save_writes_unicode_verbatim(tmp_path):
     task = make_positive(0, expression="das größte Krokodil")
-    ts = TaskSet.build(Split.TEST, [task])
+    ts = TaskSet(Split.TEST, [task])
     path = tmp_path / "u.jsonl"
     save_taskset(ts, path)
     assert "das größte Krokodil" in path.read_text(encoding="utf-8")
@@ -295,7 +304,7 @@ def test_image_ref_rejects_bad_size():
 
 def test_difficulty_unlabeled_bucket():
     pos = make_positive(0, difficulty=None)
-    report = validate_counts(TaskSet.build(Split.TEST, [pos]))
+    report = validate_counts(TaskSet(Split.TEST, [pos]))
     assert report.by_difficulty["unlabeled"] == 1
 
 

@@ -35,6 +35,7 @@ from helpers import (
     make_positive,
     paired_taskset,
     rank_pair_hit,
+    scored,
 )
 
 GT = BBox(10.0, 10.0, 60.0, 60.0)  # default ground truth from make_positive
@@ -96,34 +97,34 @@ def test_prediction_round_trip_keeps_ranked_boxes():
 
 def test_precision_known_example():
     tasks = [make_positive(i) for i in range(3)]
-    ts = TaskSet.build(Split.TEST, tasks)
+    ts = TaskSet(Split.TEST, tasks)
     preds = {
         tasks[0].id: pred_for(tasks[0].id, [(iou_box(GT, 0.6), 0.9)]),
         tasks[1].id: pred_for(tasks[1].id, [(iou_box(GT, 0.4), 0.9)]),
         tasks[2].id: pred_for(tasks[2].id, [(iou_box(GT, 0.9), 0.9)]),
     }
-    assert precision_at_k(preds, ts, 1) == pytest.approx(2 / 3)
+    assert precision_at_k(scored(preds, ts), ts, 1) == pytest.approx(2 / 3)
 
 
 def test_precision_identity_and_strict_threshold():
     tasks = [make_positive(0)]
-    ts = TaskSet.build(Split.TEST, tasks)
+    ts = TaskSet(Split.TEST, tasks)
     exact = {tasks[0].id: pred_for(tasks[0].id, [(GT, 1.0)])}
-    assert precision_at_k(exact, ts, 1) == 1.0
+    assert precision_at_k(scored(exact, ts), ts, 1) == 1.0
     at_bar = {tasks[0].id: pred_for(tasks[0].id, [(iou_box(GT, 0.5), 1.0)])}
     assert iou(iou_box(GT, 0.5), GT) == 0.5
-    assert precision_at_k(at_bar, ts, 1) == 0.0  # IoU exactly 0.5 is a miss
+    assert precision_at_k(scored(at_bar, ts), ts, 1) == 0.0  # IoU exactly 0.5 is a miss
 
 
 def test_precision_k_widens_the_window():
     tasks = [make_positive(0)]
-    ts = TaskSet.build(Split.TEST, tasks)
+    ts = TaskSet(Split.TEST, tasks)
     ranked = [
         (box_with_iou_above(GT, hit=False), 0.9),
         (BBox(200, 200, 250, 250), 0.8),
         (box_with_iou_above(GT, hit=True), 0.7),
     ]
-    preds = {tasks[0].id: pred_for(tasks[0].id, ranked)}
+    preds = scored({tasks[0].id: pred_for(tasks[0].id, ranked)}, ts)
     assert precision_at_k(preds, ts, 1) == 0.0
     assert precision_at_k(preds, ts, 2) == 0.0
     assert precision_at_k(preds, ts, 3) == 1.0
@@ -131,15 +132,15 @@ def test_precision_k_widens_the_window():
 
 def test_precision_missing_and_rejected_count_as_misses(caplog):
     tasks = [make_positive(0), make_positive(1)]
-    ts = TaskSet.build(Split.TEST, tasks)
-    preds = {tasks[0].id: pred_for(tasks[0].id, [])}
+    ts = TaskSet(Split.TEST, tasks)
+    preds = scored({tasks[0].id: pred_for(tasks[0].id, [])}, ts)
     with caplog.at_level("WARNING"):
         assert precision_at_k(preds, ts, 1) == 0.0
     assert any("no prediction" in m for m in caplog.messages)
 
 
 def test_precision_needs_positives():
-    only_empty = TaskSet.build(Split.TEST, [])
+    only_empty = TaskSet(Split.TEST, [])
     with pytest.raises(ValueError):
         precision_at_k({}, only_empty, 1)
 
@@ -147,9 +148,22 @@ def test_precision_needs_positives():
 def test_precision_ignores_negatives_in_denominator():
     pos = make_positive(0)
     neg = make_negative(0, pos)
-    ts = TaskSet.build(Split.TEST, [pos, neg])
+    ts = TaskSet(Split.TEST, [pos, neg])
     preds = {pos.id: pred_for(pos.id, [(GT, 0.9)]), neg.id: pred_for(neg.id, [(GT, 0.9)])}
-    assert precision_at_k(preds, ts, 1) == 1.0
+    assert precision_at_k(scored(preds, ts), ts, 1) == 1.0
+
+
+def test_the_metrics_refuse_a_prediction_that_was_not_scored():
+    ts = paired_taskset(1)
+    pos, neg = ts.positives()[0], ts.negatives()[0]
+    pred = pred_for(pos.id, [(GT, 0.9)])
+    with pytest.raises(ValueError, match=f"task {pos.id} was not scored against it"):
+        build_report({pos.id: pred}, ts)
+    with pytest.raises(ValueError, match=f"task {pos.id} was not scored against it"):
+        precision_at_k({pos.id: pred}, ts, 1)
+    rows = {**scored({pos.id: pred}, ts), neg.id: pred_for(neg.id, [])}
+    with pytest.raises(ValueError, match=f"task {neg.id} was not scored against it"):
+        recall_at_k(pair_negatives(ts), rows, 1)
 
 
 # ----------------------------------------------------------------- recall
@@ -162,7 +176,7 @@ def paired_preds(pos_conf, neg_conf, *, pos_hit=True):
         pos.id: pred_for(pos.id, [(box_with_iou_above(GT, hit=pos_hit), pos_conf)]),
         neg.id: pred_for(neg.id, [(box_with_iou_above(GT, hit=False), neg_conf)]),
     }
-    return ts, preds
+    return ts, scored(preds, ts)
 
 
 def test_recall_negative_outranks_positive():
@@ -189,7 +203,7 @@ def test_recall_rejected_negative_never_blocks():
         pos.id: pred_for(pos.id, [(box_with_iou_above(GT), 0.4)]),
         neg.id: pred_for(neg.id, []),
     }
-    assert recall_at_k(pair_negatives(ts), preds, 1) == 1.0
+    assert recall_at_k(pair_negatives(ts), scored(preds, ts), 1) == 1.0
 
 
 def test_recall_drops_pairs_missing_predictions(caplog):
@@ -203,7 +217,7 @@ def test_recall_drops_pairs_missing_predictions(caplog):
         # second negative has no prediction: that pair is dropped
     }
     with caplog.at_level("WARNING"):
-        assert recall_at_k(pair_negatives(ts), preds, 1) == 1.0
+        assert recall_at_k(pair_negatives(ts), scored(preds, ts), 1) == 1.0
     assert any("dropped" in m for m in caplog.messages)
     with pytest.raises(ValueError):
         recall_at_k(pair_negatives(ts), {}, 1)
@@ -235,7 +249,7 @@ def test_recall_matches_rank_counting_oracle():
             neg.id: pred_for(neg.id, neg_boxes),
         }
         k = rng.randint(1, 5)
-        got = recall_at_k(pairs, preds, k)
+        got = recall_at_k(pairs, scored(preds, ts), k)
         want = rank_pair_hit(
             [(conf, iou(box, GT)) for box, conf in pos_boxes],
             [conf for _, conf in neg_boxes],
@@ -255,6 +269,7 @@ def test_recall_monotone_in_k():
             pos.id: pred_for(pos.id, random_ranked(rng, GT, conf_pool)),
             neg.id: pred_for(neg.id, random_ranked(rng, GT, conf_pool)),
         }
+        preds = scored(preds, ts)
         values = [recall_at_k(pairs, preds, k) for k in (1, 2, 3, 5, 8)]
         assert values == sorted(values)
 
@@ -269,6 +284,7 @@ def test_recall_never_exceeds_precision():
         for task in ts.tasks:
             gt = task.gt_box if task.is_positive else GT
             preds[task.id] = pred_for(task.id, random_ranked(rng, gt, conf_pool))
+        preds = scored(preds, ts)
         for k in (1, 3, 5):
             assert recall_at_k(pair_negatives(ts), preds, k) <= precision_at_k(preds, ts, k)
 
@@ -350,7 +366,7 @@ def full_report_fixture():
             preds[task.id] = pred_for(task.id, [], Pathway.SLOW)
         else:
             preds[task.id] = pred_for(task.id, [(BBox(500, 500, 600, 600), 0.3)], Pathway.SLOW)
-    return ts, preds
+    return ts, scored(preds, ts)
 
 
 def test_build_report_structure():
@@ -391,7 +407,7 @@ def test_build_report_missing_predictions():
     ts = paired_taskset(2)
     pos = ts.positives()[0]
     preds = {pos.id: pred_for(pos.id, [(box_with_iou_above(GT), 0.9)], Pathway.FAST)}
-    report = build_report(preds, ts)
+    report = build_report(scored(preds, ts), ts)
     # precision denominator stays at all positives; missing ones are misses
     assert report.precision[1]["overall"].denominator == 2
     assert report.precision[1]["overall"].value == 0.5
@@ -405,13 +421,13 @@ def test_build_report_missing_predictions():
 def test_build_report_difficulty_breakdown():
     pos_l1 = make_positive(0, difficulty=Difficulty.L1)
     pos_l3 = make_positive(1, difficulty=Difficulty.L3)
-    ts = TaskSet.build(Split.TEST, [pos_l1, pos_l3, make_negative(0, pos_l1)])
+    ts = TaskSet(Split.TEST, [pos_l1, pos_l3, make_negative(0, pos_l1)])
     preds = {
         pos_l1.id: pred_for(pos_l1.id, [(box_with_iou_above(GT), 0.9)]),
         pos_l3.id: pred_for(pos_l3.id, [(box_with_iou_above(GT, hit=False), 0.8)]),
         "neg-00000": pred_for("neg-00000", []),
     }
-    report = build_report(preds, ts)
+    report = build_report(scored(preds, ts), ts)
     assert report.precision[1]["L1"].value == 1.0
     assert report.precision[1]["L3"].value == 0.0
     assert "L2" not in report.precision[1]
@@ -471,7 +487,7 @@ def seeded_report_fixture(seed, n_pos=40):
             tasks.append(neg)
             predict(neg)
     tasks.append(make_negative(n_neg, tasks[0], kind=DROPPED_KIND))
-    return TaskSet.build(Split.TEST, tasks), preds
+    return TaskSet(Split.TEST, tasks), preds
 
 
 def reference_report(ts, preds, ks):
@@ -536,7 +552,7 @@ def test_report_cells_match_brute_force_counting(seed):
     ts, preds = seeded_report_fixture(seed)
     ks = (1, 2, 5)
     want_precision, want_recall, want_auroc = reference_report(ts, preds, ks)
-    report = build_report(preds, ts, ks=ks)
+    report = build_report(scored(preds, ts), ts, ks=ks)
 
     kinds = sorted({t.negative_kind.key() for t in ts.negatives()})
     assert DROPPED_KIND.key() in kinds and len(kinds) >= 4
