@@ -247,7 +247,7 @@ def _to_pixels(reply: Reply, image: ImageRef, space: int | None) -> Reply:
 
     if isinstance(reply, GenerativeGrounding):
         return reply if reply.box is None else replace(reply, box=scale(reply.box))
-    return replace(reply, detections=tuple(replace(d, box=scale(d.box)) for d in reply.detections))
+    return replace(reply, detections=tuple(d._replace(box=scale(d.box)) for d in reply.detections))
 
 
 @dataclass(frozen=True)

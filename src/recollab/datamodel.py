@@ -2,8 +2,12 @@
 
 Annotation files are UTF-8 line-delimited JSON, one task per line. Boxes
 are ``[x0, y0, x1, y1]`` pixel arrays. Unknown fields are preserved on the
-task and written back on save, but are otherwise ignored. Tasks loaded
-together share one object per equal string, integer and negative kind.
+task and written back on save, but are otherwise ignored. A ``RecTask``
+is an immutable named tuple that checks its invariants when built, also
+through ``_make`` and ``_replace``: a split holds tens of thousands, and a
+named tuple is built at about half the cost of a frozen dataclass. Tasks
+loaded together share one object per equal string, integer and negative
+kind.
 A task set is built one way, ``TaskSet(split, tasks)``, which indexes and
 checks its tasks.
 """
@@ -11,10 +15,10 @@ checks its tasks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .geometry import BBox
 
@@ -121,70 +125,89 @@ class NegativeKind:
         return f"{self.edit.value}.{self.facet.value}.{self.locus.value}"
 
 
-@dataclass(frozen=True, slots=True)
-class RecTask:
-    """One benchmark item: an image, an expression, and its ground truth.
-
-    Positive tasks carry ``gt_box``; negatives instead reference the id of
-    the positive they were derived from.
-    """
-
+class _RecTask(NamedTuple):
     id: str
     image: str
     expression: str
     polarity: Polarity
-    difficulty: Difficulty | None = None
-    negative_kind: NegativeKind | None = None
-    gt_box: BBox | None = None
-    paired_positive: str | None = None
-    extras: Mapping[str, Any] = field(default_factory=dict)
+    difficulty: Difficulty | None
+    negative_kind: NegativeKind | None
+    gt_box: BBox | None
+    paired_positive: str | None
+    extras: Mapping[str, Any]
 
-    def __post_init__(self) -> None:
-        if type(self.id) is not str:
-            raise DatasetError(f"id must be a string, got {self.id!r}")
-        if type(self.image) is not str:
-            raise DatasetError(f"image must be a string, got {self.image!r}", task_id=self.id)
-        if type(self.expression) is not str:
+
+class RecTask(_RecTask):
+    """One benchmark item: an image, an expression, and its ground truth.
+
+    Positive tasks carry ``gt_box``; negatives instead reference the id of
+    the positive they were derived from. An immutable named tuple that
+    checks these invariants when built, also through ``_make`` and
+    ``_replace``; ``extras`` defaults to a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        image: str,
+        expression: str,
+        polarity: Polarity,
+        difficulty: Difficulty | None = None,
+        negative_kind: NegativeKind | None = None,
+        gt_box: BBox | None = None,
+        paired_positive: str | None = None,
+        extras: Mapping[str, Any] | None = None,
+    ) -> RecTask:
+        if extras is None:
+            extras = {}
+        if type(id) is not str:
+            raise DatasetError(f"id must be a string, got {id!r}")
+        if type(image) is not str:
+            raise DatasetError(f"image must be a string, got {image!r}", task_id=id)
+        if type(expression) is not str:
+            raise DatasetError(f"expression must be a string, got {expression!r}", task_id=id)
+        if paired_positive is not None and type(paired_positive) is not str:
             raise DatasetError(
-                f"expression must be a string, got {self.expression!r}", task_id=self.id
+                f"paired_positive must be a string, got {paired_positive!r}", task_id=id
             )
-        if self.paired_positive is not None and type(self.paired_positive) is not str:
-            raise DatasetError(
-                f"paired_positive must be a string, got {self.paired_positive!r}", task_id=self.id
-            )
-        if not self.id:
+        if not id:
             raise DatasetError("empty task id")
-        if not self.image:
-            raise DatasetError("empty image", task_id=self.id)
-        if not self.expression:
-            raise DatasetError("empty expression", task_id=self.id)
+        if not image:
+            raise DatasetError("empty image", task_id=id)
+        if not expression:
+            raise DatasetError("empty expression", task_id=id)
         for key in ("width", "height"):
-            value = self.extras.get(key)
-            if key in self.extras and (type(value) is not int or value < 1):
-                raise DatasetError(
-                    f"{key} must be a positive integer, got {value!r}", task_id=self.id
-                )
-        positive = self.polarity is Polarity.POSITIVE
-        if positive != (self.gt_box is not None):
+            value = extras.get(key)
+            if key in extras and (type(value) is not int or value < 1):
+                raise DatasetError(f"{key} must be a positive integer, got {value!r}", task_id=id)
+        positive = polarity is Polarity.POSITIVE
+        if positive != (gt_box is not None):
+            raise DatasetError("gt_box must be present exactly on positive tasks", task_id=id)
+        if positive == (paired_positive is not None):
             raise DatasetError(
-                "gt_box must be present exactly on positive tasks", task_id=self.id
+                "paired_positive must be present exactly on non-positive tasks", task_id=id
             )
-        if positive == (self.paired_positive is not None):
+        if positive == (negative_kind is not None):
             raise DatasetError(
-                "paired_positive must be present exactly on non-positive tasks",
-                task_id=self.id,
-            )
-        if positive == (self.negative_kind is not None):
-            raise DatasetError(
-                "negative_kind must be present exactly on non-positive tasks",
-                task_id=self.id,
+                "negative_kind must be present exactly on non-positive tasks", task_id=id
             )
         if (
-            self.negative_kind is not None
-            and self.negative_kind.edit is NegEdit.FLIP
-            and self.polarity is not Polarity.NEGATIVE_IMAGE
+            negative_kind is not None
+            and negative_kind.edit is NegEdit.FLIP
+            and polarity is not Polarity.NEGATIVE_IMAGE
         ):
-            raise DatasetError("flip edits only occur on negative images", task_id=self.id)
+            raise DatasetError("flip edits only occur on negative images", task_id=id)
+        return tuple.__new__(
+            cls,
+            (id, image, expression, polarity, difficulty, negative_kind, gt_box, paired_positive,
+             extras),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> RecTask:
+        return cls(*iterable)
 
     @property
     def is_positive(self) -> bool:
@@ -201,21 +224,23 @@ class TaskSet:
     def __init__(self, split: Split | str, tasks: Iterable[RecTask]) -> None:
         self.split = Split(split)
         self.tasks = tuple(tasks)
-        self._by_id: dict[str, RecTask] = {}
-        for task in self.tasks:
-            if task.id in self._by_id:
-                raise DatasetError("duplicate task id", task_id=task.id)
-            self._by_id[task.id] = task
+        self._by_id = by_id = {task.id: task for task in self.tasks}
+        if len(by_id) != len(self.tasks):  # some id repeats: name the first repeat
+            seen = set()
+            for task in self.tasks:
+                if task.id in seen:
+                    raise DatasetError("duplicate task id", task_id=task.id)
+                seen.add(task.id)
         for task in self.tasks:
             if task.paired_positive is None:
                 continue
-            ref = self._by_id.get(task.paired_positive)
+            ref = by_id.get(task.paired_positive)
             if ref is None:
                 raise DatasetError(
                     f"paired_positive {task.paired_positive!r} does not resolve",
                     task_id=task.id,
                 )
-            if not ref.is_positive:
+            if ref.polarity is not Polarity.POSITIVE:
                 raise DatasetError(
                     f"paired_positive {task.paired_positive!r} is not a positive task",
                     task_id=task.id,
@@ -330,10 +355,10 @@ def record_to_task(
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad negative_kind: {exc}", line=line, task_id=task_id) from exc
 
-    gt_box = None
-    if record.get("gt_box") is not None:
+    gt_box = record.get("gt_box")
+    if gt_box is not None:
         try:
-            gt_box = BBox.from_list(record["gt_box"])
+            gt_box = BBox.from_list(gt_box)
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"bad gt_box: {exc}", line=line, task_id=task_id) from exc
 
@@ -344,27 +369,30 @@ def record_to_task(
         paired_positive = share(paired_positive, paired_positive)
     except TypeError:
         pass  # an unhashable value is kept as it is, for RecTask to refuse
-    extras = {
-        share(k, k): share(v, v) if type(v) is int else v
-        for k, v in record.items()
-        if k not in _FIELDS
-    }
+    extras = {}
+    for key, value in record.items():
+        if key not in _FIELDS:
+            extras[share(key, key)] = share(value, value) if type(value) is int else value
     try:
         return RecTask(
-            id=task_id,
-            image=image,
-            expression=expression,
-            polarity=polarity,
-            difficulty=difficulty,
-            negative_kind=negative_kind,
-            gt_box=gt_box,
-            paired_positive=paired_positive,
-            extras=extras,
+            task_id,
+            image,
+            expression,
+            polarity,
+            difficulty,
+            negative_kind,
+            gt_box,
+            paired_positive,
+            extras,
         )
     except DatasetError as exc:
         if line is not None and exc.line is None:
             raise DatasetError(str(exc), line=line) from exc
         raise
+
+
+# one decoder for every line; ``raw_decode`` skips ``json.loads``'s type, BOM and whitespace scans
+_decode = json.JSONDecoder().raw_decode
 
 
 def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
@@ -377,10 +405,12 @@ def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record, end = _decode(line)
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"malformed JSON: {exc.msg}", line=line_no) from exc
-            if not isinstance(record, dict):
+            if end != len(line):
+                raise DatasetError("malformed JSON: Extra data", line=line_no)
+            if type(record) is not dict:
                 raise DatasetError("record is not a JSON object", line=line_no)
             tasks.append(record_to_task(record, line=line_no, shared=shared))
     return TaskSet(split, tasks)

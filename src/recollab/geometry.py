@@ -3,12 +3,16 @@
 Coordinates are absolute pixels, origin top-left, x to the right, y down.
 Backends that speak a normalized convention convert at their own boundary
 so everything in here stays in one unit.
+
+``BBox``, ``TokenSpanScore`` and ``Detection`` are immutable named tuples
+that validate themselves when built, also through ``_make`` and
+``_replace``: replies carry them by the thousand, and a named tuple is
+built faster than a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -16,24 +20,28 @@ _INF = math.inf
 _COORDS = ("x0", "y0", "x1", "y1")
 
 
-@dataclass(frozen=True, slots=True)
-class BBox:
-    """Axis-aligned rectangle ``(x0, y0, x1, y1)`` with ``x0 <= x1, y0 <= y1``.
-
-    Degenerate zero-area boxes are allowed; negative extent and non-finite
-    coordinates are rejected at construction.
-    """
-
+class _Box(NamedTuple):
     x0: float
     y0: float
     x1: float
     y1: float
 
-    def __post_init__(self) -> None:
+
+class BBox(_Box):
+    """Axis-aligned rectangle ``(x0, y0, x1, y1)`` with ``x0 <= x1, y0 <= y1``.
+
+    An immutable, validated named tuple of four floats: an int coordinate
+    is stored as a float. Degenerate zero-area boxes are allowed; negative
+    extent and non-finite coordinates are rejected at construction, and by
+    ``_make`` and ``_replace`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x0: float, y0: float, x1: float, y1: float) -> BBox:
         # Fast path: four floats, finite and ordered, checked in one pass (a
         # NaN fails every comparison). Anything else takes the loop below,
         # which converts ints and raises on bad values.
-        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
         if (
             type(x0) is float
             and type(y0) is float
@@ -42,25 +50,28 @@ class BBox:
             and -_INF < x0 <= x1 < _INF
             and -_INF < y0 <= y1 < _INF
         ):
-            return
-        for name in _COORDS:
-            value = getattr(self, name)
+            return tuple.__new__(cls, (x0, y0, x1, y1))
+        coords = []
+        for name, value in zip(_COORDS, (x0, y0, x1, y1)):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            if type(value) is not float:
-                object.__setattr__(self, name, float(value))
-        if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError(
-                f"negative extent: ({self.x0}, {self.y0}, {self.x1}, {self.y1})"
-            )
+            coords.append(float(value))
+        x0, y0, x1, y1 = coords
+        if x1 < x0 or y1 < y0:
+            raise ValueError(f"negative extent: ({x0}, {y0}, {x1}, {y1})")
+        return tuple.__new__(cls, coords)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> BBox:
+        return cls(*iterable)
 
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
     def as_list(self) -> list[float]:
-        return [self.x0, self.y0, self.x1, self.y1]
+        return list(self)
 
     @classmethod
     def from_list(cls, coords: list[float] | tuple[float, ...]) -> BBox:
@@ -101,34 +112,47 @@ class TokenSpanScore(_TokenSpan):
         return self.start < end and start < self.end
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
-    """A box with a confidence score and optional per-token match scores."""
-
+class _Detection(NamedTuple):
     box: BBox
     score: float
-    token_scores: tuple[TokenSpanScore, ...] = ()
+    token_scores: tuple[TokenSpanScore, ...]
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score {self.score} outside [0, 1]")
-        if type(self.token_scores) is not tuple:
-            object.__setattr__(self, "token_scores", tuple(self.token_scores))
-        if len(self.token_scores) < 2:
-            return
-        spans = sorted(self.token_scores, key=attrgetter("start"))
-        for prev, cur in zip(spans, spans[1:]):
-            if cur.start < prev.end:
-                raise ValueError(
-                    f"overlapping token spans ({prev.start}, {prev.end}) "
-                    f"and ({cur.start}, {cur.end})"
-                )
+
+class Detection(_Detection):
+    """A box with a confidence score and optional per-token match scores.
+
+    An immutable, validated named tuple; ``_make`` and ``_replace`` validate
+    too. ``token_scores`` is stored as a tuple, of spans that do not overlap.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, box: BBox, score: float, token_scores: Iterable[TokenSpanScore] = ()
+    ) -> Detection:
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"detection score {score} outside [0, 1]")
+        if type(token_scores) is not tuple:
+            token_scores = tuple(token_scores)
+        if len(token_scores) > 1:
+            spans = sorted(token_scores, key=attrgetter("start"))
+            for prev, cur in zip(spans, spans[1:]):
+                if cur.start < prev.end:
+                    raise ValueError(
+                        f"overlapping token spans ({prev.start}, {prev.end}) "
+                        f"and ({cur.start}, {cur.end})"
+                    )
+        return tuple.__new__(cls, (box, score, token_scores))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Detection:
+        return cls(*iterable)
 
 
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two boxes; 0.0 when the union is empty."""
-    ax0, ay0, ax1, ay1 = a.x0, a.y0, a.x1, a.y1
-    bx0, by0, bx1, by1 = b.x0, b.y0, b.x1, b.y1
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
     iw = (ax1 if ax1 < bx1 else bx1) - (ax0 if ax0 > bx0 else bx0)
     ih = (ay1 if ay1 < by1 else by1) - (ay0 if ay0 > by0 else by0)
     if iw <= 0.0 or ih <= 0.0:
@@ -180,4 +204,4 @@ def round_half_up(value: float) -> int:
 
 def box_to_pixels(box: BBox) -> list[int]:
     """Integer pixel corners for rendering in prompts, rounded half-up."""
-    return [round_half_up(v) for v in box.as_list()]
+    return [round_half_up(v) for v in box]

@@ -291,8 +291,13 @@ def _auroc_cell(ordered_pos: Sequence[float], neg_scores: Sequence[float]) -> Ce
 
 
 def _confidence(rows: Mapping[str, Score], task: RecTask) -> float:
+    """``task``'s confidence, 0 without a row; a negative's row must be scored against it."""
     row = rows.get(task.id)
-    return 0.0 if row is None else row.confidence
+    if row is None:
+        return 0.0
+    if not task.is_positive and getattr(row, "confidences", None) is None:
+        raise _unscored(task)
+    return row.confidence
 
 
 _value = attrgetter("value")

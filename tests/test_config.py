@@ -5,7 +5,9 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
+from recollab import config
 from recollab.config import (
     BackendSettings,
     ConfigError,
@@ -47,6 +49,19 @@ def test_missing_config_file():
 def test_invalid_yaml(tmp_path):
     with pytest.raises(ConfigError, match="YAML"):
         load_config(minimal_yaml(tmp_path, "a: [unclosed"))
+
+
+def test_the_config_reads_the_same_under_either_yaml_parser(monkeypatch, tmp_path):
+    example = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+    bad = minimal_yaml(tmp_path, "a: [unclosed")
+    assert config._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loaded = load_config(example)
+    with pytest.raises(ConfigError, match="config is not valid YAML"):
+        load_config(bad)
+    monkeypatch.setattr(config, "_YAML_LOADER", yaml.SafeLoader)
+    assert load_config(example) == loaded
+    with pytest.raises(ConfigError, match="config is not valid YAML"):
+        load_config(bad)
 
 
 def test_unknown_top_level_key():

@@ -1,6 +1,7 @@
 """Annotation schema: invariants, round-trips, counts, pairing."""
 
 import json
+import pickle
 
 import pytest
 
@@ -227,6 +228,34 @@ def test_load_skips_blank_lines(tmp_path):
     assert len(load_taskset(path, "test")) == 1
 
 
+@pytest.mark.parametrize("tail", [" {}", ' {"id": "x"}', " x", "x", "]"])
+def test_load_refuses_data_after_the_record(tmp_path, tail):
+    good = json.dumps(task_to_record(make_positive(0)))
+    path = tmp_path / "extra.jsonl"
+    path.write_text(good + "\n" + good + tail + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as exc_info:
+        load_taskset(path, "test")
+    assert str(exc_info.value) == "[line 2] malformed JSON: Extra data"
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "[]", '"text"', "5", "null"])
+def test_load_refuses_a_record_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "array.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError) as exc_info:
+        load_taskset(path, "test")
+    assert str(exc_info.value) == "[line 2] record is not a JSON object"
+
+
+def test_load_strips_whitespace_around_each_record(tmp_path):
+    pos = make_positive(0)
+    neg = make_negative(0, pos)
+    lines = [json.dumps(task_to_record(task)) for task in (pos, neg)]
+    path = tmp_path / "spaced.jsonl"
+    path.write_text(f"  \t{lines[0]}  \r\n \n\n\t{lines[1]}\t", encoding="utf-8")
+    assert load_taskset(path, "test").tasks == (pos, neg)
+
+
 def test_validate_counts_census():
     ts = paired_taskset(4)
     report = validate_counts(ts)
@@ -361,6 +390,29 @@ def test_the_record_types_are_slotted():
     pred = Prediction("t", pos.gt_box, 0.5, Pathway.FAST, decision=decision)
     for value in (pos, neg.negative_kind, pos.gt_box, decision, pred):
         assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_a_task_is_an_immutable_validated_named_tuple():
+    pos = make_positive(0, extras={"width": 640, "height": 480})
+    neg = make_negative(0, pos)
+    for task, name in ((pos, "id"), (pos, "gt_box"), (neg, "extras"), (neg, "polarity")):
+        with pytest.raises(AttributeError):
+            setattr(task, name, None)
+    # the named-tuple constructors check the invariants as well
+    assert pos._replace(expression="the other one").expression == "the other one"
+    assert RecTask._make(neg) == neg and RecTask._make(pos) == pos
+    with pytest.raises(DatasetError, match="gt_box must be present exactly on positive tasks"):
+        pos._replace(gt_box=None)
+    with pytest.raises(DatasetError, match="height must be a positive integer"):
+        pos._replace(extras={"height": 0})
+    with pytest.raises(DatasetError, match="empty expression"):
+        RecTask._make([*neg[:2], "", *neg[3:]])
+    for task in (pos, neg):
+        copy = pickle.loads(pickle.dumps(task))
+        assert copy == task and type(copy) is RecTask
+    # a task built without extras gets an empty dict of its own
+    bare = [RecTask("a", "img", "expr", Polarity.POSITIVE, gt_box=BBox(0, 0, 1, 1)) for _ in "ab"]
+    assert bare[0].extras == {} and bare[0].extras is not bare[1].extras
 
 
 _BAD_VALUES = {"unknown": "bogus", "list": ["swap"], "dict": {"a": 1}}

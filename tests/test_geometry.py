@@ -1,6 +1,7 @@
 """Box arithmetic checked against a rasterised oracle and a quadratic NMS."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -200,6 +201,36 @@ def test_token_span_score_validation():
         TokenSpanScore._make((4, 2, 0.5))
     # as a tuple it equals a plain (start, end, score) tuple
     assert ts == (0, 4, 0.5)
+
+
+def test_boxes_and_detections_are_immutable_validated_named_tuples():
+    box = BBox(0, 0, 1, 1)
+    assert [type(v) for v in box] == [float] * 4 and box == (0.0, 0.0, 1.0, 1.0)
+    assert repr(box) == "BBox(x0=0.0, y0=0.0, x1=1.0, y1=1.0)"
+    det = Detection(box, 0.5, [TokenSpanScore(0, 2, 0.4), TokenSpanScore(3, 5, 0.6)])
+    assert type(det.token_scores) is tuple and Detection(box, 0.5).token_scores == ()
+    for value, name in ((box, "x0"), (det, "score"), (det, "box")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.0)
+        assert not hasattr(value, "__dict__")
+    # the named-tuple constructors validate as well
+    assert box._replace(x1=2) == BBox(0.0, 0.0, 2.0, 1.0) and type(box._replace(x1=2).x1) is float
+    assert BBox._make([0, 1, 2, 3]) == BBox(0.0, 1.0, 2.0, 3.0)
+    with pytest.raises(ValueError, match="negative extent"):
+        box._replace(x1=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        BBox._make((0.0, 0.0, math.inf, 1.0))
+    assert det._replace(score=0.7).score == 0.7
+    assert Detection._make((box, 0.2, ())) == Detection(box, 0.2)
+    with pytest.raises(ValueError, match="outside"):
+        det._replace(score=1.5)
+    with pytest.raises(ValueError, match="overlapping token spans"):
+        det._replace(token_scores=(TokenSpanScore(0, 4, 0.4), TokenSpanScore(3, 5, 0.6)))
+    with pytest.raises(ValueError, match="outside"):
+        Detection._make((box, -0.1, ()))
+    for value in (box, det):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
 
 
 def test_round_half_up():

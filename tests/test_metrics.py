@@ -166,6 +166,18 @@ def test_the_metrics_refuse_a_prediction_that_was_not_scored():
         recall_at_k(pair_negatives(ts), rows, 1)
 
 
+def test_the_report_refuses_an_unscored_negative_whose_positive_has_no_row():
+    # the pair is dropped before recall reads it, so only the AUROC read can refuse it
+    ts = paired_taskset(1)
+    neg = ts.negatives()[0]
+    with pytest.raises(ValueError, match=f"task {neg.id} was not scored against it"):
+        build_report({neg.id: Prediction.miss(neg.id, Pathway.FAST, "x")}, ts)
+    row = scored({neg.id: Prediction.miss(neg.id, Pathway.FAST, "x")}, ts)
+    report = build_report(row, ts)
+    assert report.auroc_cells["overall"].denominator == 1
+    assert report.pathways.counts == {"fast": 1}
+
+
 # ----------------------------------------------------------------- recall
 
 
