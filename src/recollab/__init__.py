@@ -29,12 +29,12 @@ from .datamodel import (
     TaskSet,
     load_taskset,
     pair_negatives,
+    render_census,
     save_taskset,
     validate_counts,
 )
 from .geometry import BBox, Detection, TokenSpanScore, iou, nms
 from .metrics import (
-    EvalReport,
     auroc,
     build_report,
     precision_at_k,
@@ -56,7 +56,6 @@ __all__ = [
     "Detection",
     "Difficulty",
     "EvalPair",
-    "EvalReport",
     "ImageRef",
     "NegativeKind",
     "Pathway",
@@ -86,6 +85,7 @@ __all__ = [
     "parse_choice",
     "precision_at_k",
     "recall_at_k",
+    "render_census",
     "render_text",
     "run_crs",
     "run_sfa",

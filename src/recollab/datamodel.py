@@ -9,7 +9,9 @@ named tuple is built at about half the cost of a frozen dataclass. Tasks
 loaded together share one object per equal string, integer and negative
 kind.
 A task set is built one way, ``TaskSet(split, tasks)``, which indexes and
-checks its tasks.
+checks its tasks. ``validate_counts`` censuses a task set as the plain
+dict ``validation.json`` holds for its split, and ``render_census``
+renders that dict as ``validate`` prints it.
 """
 
 from __future__ import annotations
@@ -424,87 +426,20 @@ def save_taskset(ts: TaskSet, path: str | Path) -> None:
             handle.write("\n")
 
 
-@dataclass(frozen=True)
-class CountCheck:
-    key: str
-    expected: int
-    actual: int
-
-    @property
-    def delta(self) -> int:
-        return self.actual - self.expected
-
-    @property
-    def ok(self) -> bool:
-        return self.delta == 0
-
-
-@dataclass(frozen=True)
-class StatsReport:
-    """Dataset census with an optional pass/fail check against expected counts."""
-
-    split: Split
-    total: int
-    by_polarity: Mapping[str, int]
-    by_difficulty: Mapping[str, int]
-    checks: tuple[CountCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "split": self.split.value,
-            "total": self.total,
-            "by_polarity": dict(self.by_polarity),
-            "by_difficulty": dict(self.by_difficulty),
-            "checks": [
-                {
-                    "key": c.key,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "delta": c.delta,
-                    "ok": c.ok,
-                }
-                for c in self.checks
-            ],
-            "passed": self.passed,
-        }
-
-    def render_text(self) -> str:
-        lines = [f"split: {self.split.value}  total: {self.total}"]
-        lines.append("  by polarity:")
-        for key, count in self.by_polarity.items():
-            lines.append(f"    {key:<22} {count:>8}")
-        lines.append("  by difficulty:")
-        for key, count in self.by_difficulty.items():
-            lines.append(f"    {key:<22} {count:>8}")
-        if self.checks:
-            lines.append("  expected-count checks:")
-            for c in self.checks:
-                status = "ok" if c.ok else f"FAIL (delta {c.delta:+d})"
-                lines.append(
-                    f"    {c.key:<22} expected {c.expected:>8}  actual {c.actual:>8}  {status}"
-                )
-            lines.append(f"  result: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def validate_counts(ts: TaskSet, expected: Mapping[str, int] | None = None) -> StatsReport:
-    """Census the TaskSet; mismatches against ``expected`` are reported, not raised.
+def validate_counts(ts: TaskSet, expected: Mapping[str, int] | None = None) -> dict[str, Any]:
+    """Census the TaskSet as its ``validation.json`` entry; mismatches are reported, not raised.
 
     ``expected`` maps count keys (polarity values, ``total``, ``pairs``,
-    or ``difficulty.L1`` style keys) to expected values.
+    or ``difficulty.L1`` style keys) to expected values. The entry holds
+    ``split``, ``total``, ``by_polarity``, ``by_difficulty``, one check
+    ``{key, expected, actual, delta, ok}`` per expected key in key order,
+    and ``passed``, which holds when every check is ok.
     """
     by_polarity = {p.value: 0 for p in Polarity}
+    by_difficulty = {**{d.value: 0 for d in Difficulty}, "unlabeled": 0}
     for task in ts.tasks:
         by_polarity[task.polarity.value] += 1
-    by_difficulty: dict[str, int] = {d.value: 0 for d in Difficulty}
-    by_difficulty["unlabeled"] = 0
-    for task in ts.tasks:
-        key = task.difficulty.value if task.difficulty is not None else "unlabeled"
-        by_difficulty[key] += 1
+        by_difficulty[task.difficulty.value if task.difficulty is not None else "unlabeled"] += 1
 
     # pairing is total on non-positives, so the pair count is their count
     actuals: dict[str, int] = {"total": len(ts), "pairs": len(ts.negatives())}
@@ -512,18 +447,37 @@ def validate_counts(ts: TaskSet, expected: Mapping[str, int] | None = None) -> S
     actuals.update({f"difficulty.{k}": v for k, v in by_difficulty.items()})
 
     checks = []
-    if expected:
-        for key in sorted(expected):
-            checks.append(
-                CountCheck(key=key, expected=int(expected[key]), actual=actuals.get(key, 0))
+    for key in sorted(expected or {}):
+        want, actual = int(expected[key]), actuals.get(key, 0)
+        delta = actual - want
+        checks.append(
+            {"key": key, "expected": want, "actual": actual, "delta": delta, "ok": delta == 0}
+        )
+    return {
+        "split": ts.split.value,
+        "total": len(ts),
+        "by_polarity": by_polarity,
+        "by_difficulty": by_difficulty,
+        "checks": checks,
+        "passed": all(check["ok"] for check in checks),
+    }
+
+
+def render_census(census: Mapping[str, Any]) -> str:
+    """Human-readable text of a ``validate_counts`` entry, as ``validate`` prints it."""
+    lines = [f"split: {census['split']}  total: {census['total']}"]
+    for name in ("polarity", "difficulty"):
+        lines.append(f"  by {name}:")
+        lines.extend(f"    {key:<22} {count:>8}" for key, count in census[f"by_{name}"].items())
+    if census["checks"]:
+        lines.append("  expected-count checks:")
+        for c in census["checks"]:
+            status = "ok" if c["ok"] else f"FAIL (delta {c['delta']:+d})"
+            lines.append(
+                f"    {c['key']:<22} expected {c['expected']:>8}  actual {c['actual']:>8}  {status}"
             )
-    return StatsReport(
-        split=ts.split,
-        total=len(ts),
-        by_polarity=by_polarity,
-        by_difficulty=by_difficulty,
-        checks=tuple(checks),
-    )
+        lines.append(f"  result: {'PASS' if census['passed'] else 'FAIL'}")
+    return "\n".join(lines)
 
 
 def pair_negatives(ts: TaskSet) -> list[EvalPair]:

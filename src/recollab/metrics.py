@@ -23,6 +23,8 @@ so every P@k and R@k value is a count over the same ranks.
 
 The report breaks these down by difficulty and negative taxonomy, adds
 pathway counts and cost units, and states every cell's denominator.
+``build_report`` returns it as the plain dict ``report.json`` holds, and
+``render_text`` renders that dict as ``report.txt``.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .datamodel import EvalPair, NegativeKind, RecTask, TaskSet, pair_negatives
 from .geometry import BBox, iou
@@ -128,6 +130,15 @@ def _pair_ranks(
     return ranks
 
 
+def _warn_dropped(pairs: Sequence[EvalPair], ranks: Sequence[float | None]) -> None:
+    """Warn once with the count of dropped pairs (rank None) and the first one's negative."""
+    dropped = [pair.negative.id for pair, rank in zip(pairs, ranks) if rank is None]
+    if dropped:
+        logger.warning(
+            "%d pairs dropped, missing a prediction (first negative %s)", len(dropped), dropped[0]
+        )
+
+
 def _hits(ranks: Iterable[float], k: int) -> int:
     return sum(1 for rank in ranks if rank < k)
 
@@ -150,11 +161,7 @@ def recall_at_k(pairs: Sequence[EvalPair], rows: Mapping[str, Score], k: int) ->
     """Hit fraction over pairs after pooling both members' ranked boxes."""
     positives = {pair.positive.id: pair.positive for pair in pairs}.values()
     ranks = _pair_ranks(pairs, rows, _positive_ranks(rows, positives))
-    dropped = [pair.negative.id for pair, rank in zip(pairs, ranks) if rank is None]
-    if dropped:
-        logger.warning(
-            "%d pairs dropped, missing a prediction (first negative %s)", len(dropped), dropped[0]
-        )
+    _warn_dropped(pairs, ranks)
     used = [rank for rank in ranks if rank is not None]
     if not used:
         raise ValueError("no scorable pairs")
@@ -165,114 +172,26 @@ def auroc(pos_scores: Sequence[float], neg_scores: Sequence[float]) -> float:
     """P(pos > neg) + half P(pos = neg), by exact counting."""
     if not pos_scores or not neg_scores:
         raise ValueError("auroc undefined on empty score lists")
-    value = _auroc_cell(sorted(pos_scores), neg_scores).value
-    assert value is not None
-    return value
+    return _auroc_cell(sorted(pos_scores), neg_scores)["value"]
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One report value with the evidence behind it."""
-
-    value: float | None
-    numerator: float | None
-    denominator: int
-
-    @property
-    def present(self) -> bool:
-        return self.value is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-        }
-
-    def render(self) -> str:
-        if not self.present:
-            return f"absent (n={self.denominator})"
-        return f"{self.value:.4f} ({self._num_text()}/{self.denominator})"
-
-    def _num_text(self) -> str:
-        assert self.numerator is not None
-        if self.numerator == int(self.numerator):
-            return str(int(self.numerator))
-        return f"{self.numerator:g}"
+def _cell(numerator: float | None, denominator: int) -> dict[str, Any]:
+    """One report value with the evidence behind it; absent (None) without a numerator."""
+    value = None if numerator is None else numerator / denominator
+    return {"value": value, "numerator": numerator, "denominator": denominator}
 
 
-def _absent(denominator: int = 0) -> Cell:
-    return Cell(value=None, numerator=None, denominator=denominator)
+def _hit_cells(
+    groups: Mapping[str, Sequence[float]], ks: Sequence[int]
+) -> dict[str, dict[str, Any]]:
+    """Each k's cells by ``str(k)``, then by group: the share of the group's ranks below k."""
+    return {
+        str(k): {g: _cell(_hits(r, k) if r else None, len(r)) for g, r in groups.items()}
+        for k in ks
+    }
 
 
-@dataclass(frozen=True)
-class PathwayStats:
-    """Task counts per pathway and the configured per-task cost units."""
-
-    counts: Mapping[str, int]
-    unit_costs: Mapping[str, float] = field(default_factory=dict)
-    provenance: str = COST_PROVENANCE
-
-    @property
-    def total_tasks(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def total_cost(self) -> float:
-        return sum(
-            count * self.unit_costs.get(pathway, 0.0) for pathway, count in self.counts.items()
-        )
-
-    def share(self, pathway: str) -> float | None:
-        total = self.total_tasks
-        if total == 0:
-            return None
-        return self.counts.get(pathway, 0) / total
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "counts": dict(self.counts),
-            "unit_costs": dict(self.unit_costs),
-            "total_tasks": self.total_tasks,
-            "total_cost": self.total_cost,
-            "provenance": self.provenance,
-        }
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """All metric cells, pathway stats, and run metadata."""
-
-    precision: Mapping[int, Mapping[str, Cell]]
-    recall: Mapping[int, Mapping[str, Cell]]
-    auroc_cells: Mapping[str, Cell]
-    pathways: PathwayStats
-    metadata: Mapping[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "precision_at_k": {
-                str(k): {group: cell.to_dict() for group, cell in groups.items()}
-                for k, groups in self.precision.items()
-            },
-            "recall_at_k": {
-                str(k): {group: cell.to_dict() for group, cell in groups.items()}
-                for k, groups in self.recall.items()
-            },
-            "auroc": {group: cell.to_dict() for group, cell in self.auroc_cells.items()},
-            "pathways": self.pathways.to_dict(),
-            "metadata": dict(self.metadata),
-        }
-
-
-def _hit_cell(ranks: Sequence[float], k: int) -> Cell:
-    if not ranks:
-        return _absent()
-    hits = _hits(ranks, k)
-    return Cell(value=hits / len(ranks), numerator=hits, denominator=len(ranks))
-
-
-def _auroc_cell(ordered_pos: Sequence[float], neg_scores: Sequence[float]) -> Cell:
+def _auroc_cell(ordered_pos: Sequence[float], neg_scores: Sequence[float]) -> dict[str, Any]:
     """The AUROC cell of ``neg_scores`` against ``ordered_pos``, the positive scores sorted.
 
     Each negative counts the positives above it and those tied with it, so
@@ -280,14 +199,13 @@ def _auroc_cell(ordered_pos: Sequence[float], neg_scores: Sequence[float]) -> Ce
     """
     pairs = len(ordered_pos) * len(neg_scores)
     if pairs == 0:
-        return _absent(pairs)
+        return _cell(None, pairs)
     wins = ties = 0
     for score in neg_scores:
         hi = bisect_right(ordered_pos, score)
         wins += len(ordered_pos) - hi
         ties += hi - bisect_left(ordered_pos, score)
-    numerator = wins + 0.5 * ties
-    return Cell(value=numerator / pairs, numerator=numerator, denominator=pairs)
+    return _cell(wins + 0.5 * ties, pairs)
 
 
 def _confidence(rows: Mapping[str, Score], task: RecTask) -> float:
@@ -326,6 +244,14 @@ def _grouped(
     return {key: groups[key] for key in sorted(groups)}
 
 
+def _row_pathways(rows: Mapping[str, Score]) -> Iterator[tuple[Pathway, None]]:
+    """Each row's pathway; a row that is not a ``Score`` is refused by its task id."""
+    for task_id, row in rows.items():
+        if not isinstance(row, Score):
+            raise ValueError(f"the row for task {task_id} is not a metrics.Score")
+        yield row.pathway, None
+
+
 def build_report(
     rows: Mapping[str, Score],
     ts: TaskSet,
@@ -333,13 +259,17 @@ def build_report(
     ks: Sequence[int] = DEFAULT_KS,
     unit_costs: Mapping[str, float] | None = None,
     metadata: Mapping[str, Any] | None = None,
-) -> EvalReport:
-    """Assemble every cell; groups with no members stay absent.
+) -> dict[str, Any]:
+    """The report as ``report.json`` holds it; groups with no members stay absent.
 
-    Group keys come in a fixed order: overall, then difficulties for
-    precision, negative kinds for recall, and polarities then negative kinds
-    for AUROC. Difficulty and polarity values sort in their enum order. Every
-    row counts in the pathway counts, one for a task outside ``ts`` too.
+    Every cell is ``{value, numerator, denominator}``, with value and
+    numerator None when absent. ``precision_at_k`` and ``recall_at_k`` key
+    their cells by ``str(k)``, then by group. Group keys come in a fixed
+    order: overall, then difficulties for precision, negative kinds for
+    recall, and polarities then negative kinds for AUROC. Difficulty and
+    polarity values sort in their enum order. Every row counts in the
+    pathway counts, one for a task outside ``ts`` too, and a row that is
+    not a ``Score`` is refused (``ValueError``).
     """
     positives = ts.positives()
     negatives = ts.negatives()
@@ -352,9 +282,7 @@ def build_report(
     }
 
     pair_ranks = _pair_ranks(pairs, rows, pos_ranks)
-    dropped = pair_ranks.count(None)
-    if dropped:
-        logger.warning("%d pairs dropped for missing predictions", dropped)
+    _warn_dropped(pairs, pair_ranks)
     # a kind whose pairs were all dropped still gets its (absent) cell
     by_kind = _grouped(
         ((p.negative.negative_kind, rank) for p, rank in zip(pairs, pair_ranks)), NegativeKind.key
@@ -364,9 +292,6 @@ def build_report(
         for key, ranks in {"overall": pair_ranks, **by_kind}.items()
     }
 
-    precision = {k: {g: _hit_cell(r, k) for g, r in precision_groups.items()} for k in ks}
-    recall = {k: {g: _hit_cell(r, k) for g, r in recall_groups.items()} for k in ks}
-
     ordered_pos = sorted(_confidence(rows, t) for t in positives)
     neg_scores = [_confidence(rows, t) for t in negatives]
     auroc_groups = {
@@ -374,55 +299,65 @@ def build_report(
         **_grouped(zip((t.polarity for t in negatives), neg_scores), _value),
         **_grouped(zip((t.negative_kind for t in negatives), neg_scores), NegativeKind.key),
     }
-    auroc_cells = {g: _auroc_cell(ordered_pos, scores) for g, scores in auroc_groups.items()}
 
-    by_pathway = _grouped(((row.pathway, None) for row in rows.values()), _value)
+    by_pathway = _grouped(_row_pathways(rows), _value)
     counts = {pathway: len(members) for pathway, members in by_pathway.items()}
-    pathways = PathwayStats(counts=counts, unit_costs=dict(unit_costs or {}))
+    unit_costs = dict(unit_costs or {})
 
-    return EvalReport(
-        precision=precision,
-        recall=recall,
-        auroc_cells=auroc_cells,
-        pathways=pathways,
-        metadata=dict(metadata or {}),
-    )
+    return {
+        "precision_at_k": _hit_cells(precision_groups, ks),
+        "recall_at_k": _hit_cells(recall_groups, ks),
+        "auroc": {g: _auroc_cell(ordered_pos, scores) for g, scores in auroc_groups.items()},
+        "pathways": {
+            "counts": counts,
+            "unit_costs": unit_costs,
+            "total_tasks": sum(counts.values()),
+            "total_cost": sum(n * unit_costs.get(pathway, 0.0) for pathway, n in counts.items()),
+            "provenance": COST_PROVENANCE,
+        },
+        "metadata": dict(metadata or {}),
+    }
 
 
-def render_text(report: EvalReport) -> str:
-    """Human-readable tables; every value shows its denominator."""
+def _cell_text(cell: Mapping[str, Any]) -> str:
+    if cell["value"] is None:
+        return f"absent (n={cell['denominator']})"
+    numerator = cell["numerator"]
+    num_text = str(int(numerator)) if numerator == int(numerator) else f"{numerator:g}"
+    return f"{cell['value']:.4f} ({num_text}/{cell['denominator']})"
+
+
+def render_text(report: Mapping[str, Any]) -> str:
+    """Human-readable tables of a ``build_report`` dict; every value shows its denominator.
+
+    P@k and R@k list k in numeric order, not in the order of their string keys.
+    """
     lines: list[str] = []
-
-    lines.append("Precision@k over positive tasks")
-    for k, groups in sorted(report.precision.items()):
-        for group, cell in groups.items():
-            lines.append(f"  P@{k:<2} {group:<24} {cell.render()}")
-
-    lines.append("Recall@k over negative-positive pairs")
-    for k, groups in sorted(report.recall.items()):
-        for group, cell in groups.items():
-            lines.append(f"  R@{k:<2} {group:<24} {cell.render()}")
+    for title, metric, key in (
+        ("Precision@k over positive tasks", "P", "precision_at_k"),
+        ("Recall@k over negative-positive pairs", "R", "recall_at_k"),
+    ):
+        lines.append(title)
+        for k, groups in sorted(report[key].items(), key=lambda item: int(item[0])):
+            lines.extend(f"  {metric}@{k:<2} {g:<24} {_cell_text(c)}" for g, c in groups.items())
 
     lines.append("AUROC (positive vs negative confidence ranking)")
-    for group, cell in report.auroc_cells.items():
-        lines.append(f"  {group:<29} {cell.render()}")
+    lines.extend(f"  {g:<29} {_cell_text(c)}" for g, c in report["auroc"].items())
 
     lines.append("Pathways")
-    stats = report.pathways
-    for pathway in sorted(stats.counts):
-        share = stats.share(pathway)
-        share_text = f"{share:6.1%}" if share is not None else "   n/a"
-        unit = stats.unit_costs.get(pathway, 0.0)
-        cost = stats.counts[pathway] * unit
+    stats = report["pathways"]
+    counts, unit_costs, total = stats["counts"], stats["unit_costs"], stats["total_tasks"]
+    for pathway in sorted(counts):
+        unit = unit_costs.get(pathway, 0.0)
         lines.append(
-            f"  {pathway:<10} tasks {stats.counts[pathway]:>6}  share {share_text}"
-            f"  unit cost {unit:g}  cost {cost:g}"
+            f"  {pathway:<10} tasks {counts[pathway]:>6}  share {counts[pathway] / total:6.1%}"
+            f"  unit cost {unit:g}  cost {counts[pathway] * unit:g}"
         )
-    lines.append(f"  total tasks {stats.total_tasks}  total cost {stats.total_cost:g}")
-    lines.append(f"  note: {stats.provenance}")
+    lines.append(f"  total tasks {total}  total cost {stats['total_cost']:g}")
+    lines.append(f"  note: {stats['provenance']}")
 
-    if report.metadata:
+    metadata = report["metadata"]
+    if metadata:
         lines.append("Run")
-        for key in sorted(report.metadata):
-            lines.append(f"  {key}: {report.metadata[key]}")
+        lines.extend(f"  {key}: {metadata[key]}" for key in sorted(metadata))
     return "\n".join(lines)

@@ -40,7 +40,15 @@ from .backends.replay import FixtureStore
 from .backends.types import BackendError
 from .config import BackendSettings, ConfigError, RunConfig, config_hash, identity_hash
 from .crs import check_option_letters, export_tuning, run_crs, save_tuning
-from .datamodel import DatasetError, RecTask, TaskSet, image_ref, load_taskset, validate_counts
+from .datamodel import (
+    DatasetError,
+    RecTask,
+    TaskSet,
+    image_ref,
+    load_taskset,
+    render_census,
+    validate_counts,
+)
 from .metrics import Score, build_report, render_text, score
 from .prediction import FAILURE_NOTE_PREFIX  # noqa: F401 - bench/run.py imports it from here
 from .prediction import Pathway, Prediction
@@ -400,7 +408,7 @@ def _write_report(
     )
     text = render_text(report)
     (out_dir / REPORT_JSON).write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+        json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
     (out_dir / REPORT_TEXT).write_text(text + "\n", encoding="utf-8")
@@ -572,10 +580,9 @@ def cmd_validate(cfg: RunConfig) -> int:
             summaries[split] = {"error": str(exc)}
             status = 1
             continue
-        stats = validate_counts(ts, cfg.expected_counts.get(split))
-        print(stats.render_text())
-        summaries[split] = stats.to_dict()
-        if not stats.passed:
+        census = summaries[split] = validate_counts(ts, cfg.expected_counts.get(split))
+        print(render_census(census))
+        if not census["passed"]:
             status = 1
     (out_dir / "validation.json").write_text(
         json.dumps(summaries, ensure_ascii=False, sort_keys=True, indent=2) + "\n",

@@ -1277,6 +1277,62 @@ def test_log_and_report_bytes_are_pinned(tmp_path, pipeline):
     assert digests == PINNED_DIGESTS[pipeline]
 
 
+# sha256 of report.txt over build_sfa_corpus(n_pairs=10), which run also
+# prints, for each pipeline and for one sfa run scored at k = 1, 5 and 10:
+# the text orders k by number, report.json by its string keys.
+PINNED_TEXT_DIGESTS = {
+    ("mllm", None): "66dc734daf4a440621a203d2f678c47c5c8f3175a92d9dccb9fe7fca33b9f787",
+    ("sfa", None): "4216ce8f0f9a31b4fcd966a3c7d294dddb9eaff35a9a2ec9b5ebb860944f7d3c",
+    ("specialist", None): "7fa666c5ad39b9e6f2731c0eccea8cc0d875e1b1dcd97d23381177dfef59747c",
+    ("sfa", (1, 5, 10)): "c1a31277547b87ffd9b8c87e2d4b599dee05fd7f65dd9e5c90ae49da0edec823",
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("pipeline, ks", sorted(PINNED_TEXT_DIGESTS, key=str))
+def test_report_text_and_run_stdout_are_pinned(tmp_path, capsys, pipeline, ks):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=10)
+    write_mllm_fixtures(tmp_path)
+    if ks is not None:
+        config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+        config["metrics"] = {"ks": list(ks)}
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "-c", str(cfg_path), "--pipeline", pipeline]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    text = (tmp_path / "out" / REPORT_TEXT).read_bytes()
+    assert stdout == text and _sha256(text) == PINNED_TEXT_DIGESTS[pipeline, ks]
+    if ks is not None:
+        keys = list(json.loads((tmp_path / "out" / REPORT_JSON).read_bytes())["precision_at_k"])
+        assert keys == ["1", "10", "5"]
+        overall = [line.split()[0] for line in text.decode().splitlines() if "overall" in line]
+        assert overall[:3] == ["P@1", "P@5", "P@10"]
+
+
+# sha256 of validation.json and of validate's stdout with one passing and one
+# failing expected count: the "FAIL (delta ...)" line and "result: FAIL".
+PINNED_VALIDATION_DIGESTS = (
+    "d5f685e42b5c587061b995f9c9d08850df8a25c67747ae6ebf559fe600c2e8ea",
+    "3b553030696ff31bf6a3543089af73dcac1e284897d5abd61bce46088b505728",
+)
+
+
+def test_validation_json_and_stdout_are_pinned(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=10)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["expected_counts"]["test"] = {"positive": 10, "total": 21}
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", "-c", str(cfg_path)]) == 1
+    stdout = capsys.readouterr().out
+    assert "FAIL (delta -1)" in stdout and "result: FAIL" in stdout
+    summary = (tmp_path / "out" / "validation.json").read_bytes()
+    assert (_sha256(summary), _sha256(stdout.encode("utf-8"))) == PINNED_VALIDATION_DIGESTS
+
+
 def test_run_seed_override_changes_config_hash(tmp_path):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
     proc = run_cli("run", "-c", cfg_path, "--seed", "11", "--output-dir", "out-a")
@@ -1451,8 +1507,8 @@ def test_the_report_from_score_rows_equals_the_report_from_predictions(tmp_path,
 
     _, rows, _ = read_log(log_path, ts)
     assert list(rows) == list(preds)
-    want = build_report(scored(preds, ts), ts).to_dict()
-    assert build_report(rows, ts).to_dict() == want
+    want = build_report(scored(preds, ts), ts)
+    assert build_report(rows, ts) == want
     pairs = want["recall_at_k"]["1"]["overall"]["denominator"]
     assert pairs == len(ts.negatives()) - (case == "missing")
     # rows read without the task set cannot be scored against it

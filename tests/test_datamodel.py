@@ -16,6 +16,7 @@ from recollab import (
     load_taskset,
     pair_negatives,
     save_taskset,
+    render_census,
     validate_counts,
 )
 from recollab.datamodel import (
@@ -259,13 +260,14 @@ def test_load_strips_whitespace_around_each_record(tmp_path):
 def test_validate_counts_census():
     ts = paired_taskset(4)
     report = validate_counts(ts)
-    assert report.total == 8
-    assert report.by_polarity["positive"] == 4
-    assert report.by_polarity["negative_expression"] == 4
-    assert report.by_polarity["negative_image"] == 0
-    assert report.by_difficulty["L1"] == 8
-    assert report.passed  # no expected counts means nothing to fail
-    assert report.checks == ()
+    assert report["split"] == "test"
+    assert report["total"] == 8
+    assert report["by_polarity"]["positive"] == 4
+    assert report["by_polarity"]["negative_expression"] == 4
+    assert report["by_polarity"]["negative_image"] == 0
+    assert report["by_difficulty"]["L1"] == 8
+    assert report["passed"] is True  # no expected counts means nothing to fail
+    assert report["checks"] == []
 
 
 def test_validate_counts_pass_and_fail():
@@ -279,20 +281,27 @@ def test_validate_counts_pass_and_fail():
         "difficulty.L1": 8,
     }
     report = validate_counts(ts, expected)
-    assert report.passed
-    assert "PASS" in report.render_text()
+    assert report["passed"] is True
+    assert "PASS" in render_census(report)
 
     bad = validate_counts(ts, {"positive": 5})
-    assert not bad.passed
-    assert any(c.delta == -1 for c in bad.checks)
-    assert "FAIL" in bad.render_text()
+    assert bad["passed"] is False
+    assert any(c["delta"] == -1 for c in bad["checks"])
+    assert "FAIL" in render_census(bad)
 
 
-def test_validate_counts_to_dict():
-    report = validate_counts(paired_taskset(2), {"total": 4})
-    data = report.to_dict()
+def test_validate_counts_returns_the_validation_json_entry():
+    data = validate_counts(paired_taskset(2), {"total": 4})
     assert data["passed"] is True
     assert data["checks"][0]["key"] == "total"
+
+    data = validate_counts(paired_taskset(2), {"total": 4, "positive": 3})
+    assert data["passed"] is False
+    assert data["checks"] == [
+        {"key": "positive", "expected": 3, "actual": 2, "delta": -1, "ok": False},
+        {"key": "total", "expected": 4, "actual": 4, "delta": 0, "ok": True},
+    ]
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_pair_negatives_is_total_and_ordered():
@@ -334,7 +343,7 @@ def test_image_ref_rejects_bad_size():
 def test_difficulty_unlabeled_bucket():
     pos = make_positive(0, difficulty=None)
     report = validate_counts(TaskSet(Split.TEST, [pos]))
-    assert report.by_difficulty["unlabeled"] == 1
+    assert report["by_difficulty"]["unlabeled"] == 1
 
 
 # ------------------------------------------------- shared values, slotted records

@@ -27,7 +27,7 @@ from recollab.datamodel import (
     Polarity,
     Split,
 )
-from recollab.metrics import COST_PROVENANCE, Cell, PathwayStats
+from recollab.metrics import COST_PROVENANCE, Score
 
 from helpers import (
     brute_auroc,
@@ -174,8 +174,17 @@ def test_the_report_refuses_an_unscored_negative_whose_positive_has_no_row():
         build_report({neg.id: Prediction.miss(neg.id, Pathway.FAST, "x")}, ts)
     row = scored({neg.id: Prediction.miss(neg.id, Pathway.FAST, "x")}, ts)
     report = build_report(row, ts)
-    assert report.auroc_cells["overall"].denominator == 1
-    assert report.pathways.counts == {"fast": 1}
+    assert report["auroc"]["overall"]["denominator"] == 1
+    assert report["pathways"]["counts"] == {"fast": 1}
+
+
+def test_the_report_refuses_a_row_that_is_not_a_score():
+    # a row for a task outside the set needs no score, but it must still be a Score
+    ts = paired_taskset(1)
+    with pytest.raises(ValueError, match="task zzz is not a metrics.Score"):
+        build_report({"zzz": Prediction.miss("zzz", Pathway.FAST, "x")}, ts)
+    report = build_report({"zzz": Score(0.0, Pathway.FAST, False)}, ts)
+    assert report["pathways"]["counts"] == {"fast": 1}
 
 
 # ----------------------------------------------------------------- recall
@@ -233,6 +242,19 @@ def test_recall_drops_pairs_missing_predictions(caplog):
     assert any("dropped" in m for m in caplog.messages)
     with pytest.raises(ValueError):
         recall_at_k(pair_negatives(ts), {}, 1)
+
+
+def test_dropped_pairs_are_warned_once_by_recall_and_the_report(caplog):
+    ts = paired_taskset(3)
+    negatives = ts.negatives()
+    preds = {t.id: pred_for(t.id, [(box_with_iou_above(GT), 0.9)]) for t in ts.positives()}
+    preds[negatives[0].id] = pred_for(negatives[0].id, [])
+    rows = scored(preds, ts)
+    with caplog.at_level("WARNING", logger="recollab.metrics"):
+        recall_at_k(pair_negatives(ts), rows, 1)
+        build_report(rows, ts)
+    want = f"2 pairs dropped, missing a prediction (first negative {negatives[1].id})"
+    assert [m for m in caplog.messages if "dropped" in m] == [want, want]
 
 
 def random_ranked(rng, gt, conf_pool, max_boxes=4):
@@ -349,21 +371,39 @@ def test_auroc_invariant_under_monotone_transform():
 
 
 def test_cell_rendering():
-    assert Cell(value=0.75, numerator=3, denominator=4).render() == "0.7500 (3/4)"
-    assert Cell(value=None, numerator=None, denominator=0).render() == "absent (n=0)"
-    assert Cell(value=0.5, numerator=7.5, denominator=15).render() == "0.5000 (7.5/15)"
+    cells = [
+        {"value": 0.75, "numerator": 3, "denominator": 4},
+        {"value": None, "numerator": None, "denominator": 0},
+        {"value": 0.5, "numerator": 7.5, "denominator": 15},
+    ]
+    report = build_report({}, TaskSet(Split.TEST, []), ks=(1,))
+    report["precision_at_k"]["1"] = {f"g{i}": cell for i, cell in enumerate(cells)}
+    lines = [line for line in render_text(report).splitlines() if line.startswith("  P@")]
+    assert [line.split(maxsplit=2)[2] for line in lines] == [
+        "0.7500 (3/4)",
+        "absent (n=0)",
+        "0.5000 (7.5/15)",
+    ]
 
 
-def test_pathway_stats_arithmetic():
-    stats = PathwayStats(
-        counts={"fast": 40, "slow": 60}, unit_costs={"fast": 1.0, "slow": 10.0}
-    )
-    assert stats.total_tasks == 100
-    assert stats.total_cost == 640.0
-    assert stats.share("fast") == 0.4
-    assert stats.share("missing") == 0.0
-    assert PathwayStats(counts={}).share("fast") is None
-    assert PathwayStats(counts={}).total_cost == 0.0
+def test_pathway_arithmetic():
+    rows = {
+        f"t{i}": Score(0.5, Pathway.FAST if i < 40 else Pathway.SLOW, False) for i in range(100)
+    }
+    empty = TaskSet(Split.TEST, [])
+    report = build_report(rows, empty, unit_costs={"fast": 1.0, "slow": 10.0})
+    stats = report["pathways"]
+    assert stats["counts"] == {"fast": 40, "slow": 60}
+    assert stats["total_tasks"] == 100
+    assert stats["total_cost"] == 640.0
+    text = render_text(report)
+    assert "  fast       tasks     40  share  40.0%  unit cost 1  cost 40\n" in text
+    assert "  slow       tasks     60  share  60.0%  unit cost 10  cost 600\n" in text
+    assert "  total tasks 100  total cost 640\n" in text
+    assert "missing" not in text
+    stats = build_report({}, empty)["pathways"]
+    assert (stats["counts"], stats["total_tasks"], stats["total_cost"]) == ({}, 0, 0.0)
+    assert "  total tasks 0  total cost 0\n" in render_text(build_report({}, empty))
 
 
 def full_report_fixture():
@@ -390,19 +430,20 @@ def test_build_report_structure():
         unit_costs={"fast": 1.0, "slow": 10.0},
         metadata={"config_hash": "abc"},
     )
-    assert report.precision[1]["overall"].denominator == 4
-    assert report.precision[1]["overall"].value == 0.5
-    assert "L1" in report.precision[1]  # every positive here is L1
-    assert "L2" not in report.precision[1]
-    assert report.recall[1]["overall"].denominator == 4
-    assert "replace.object.L1" in report.recall[1]
-    assert report.auroc_cells["overall"].denominator == 16
-    assert "negative_expression" in report.auroc_cells
-    assert "negative_image" not in report.auroc_cells
-    assert "replace.object.L1" in report.auroc_cells
-    assert report.pathways.counts == {"fast": 4, "slow": 4}
-    assert report.pathways.total_cost == 4 * 1.0 + 4 * 10.0
-    assert report.metadata["config_hash"] == "abc"
+    precision, recall = report["precision_at_k"]["1"], report["recall_at_k"]["1"]
+    assert precision["overall"]["denominator"] == 4
+    assert precision["overall"]["value"] == 0.5
+    assert "L1" in precision  # every positive here is L1
+    assert "L2" not in precision
+    assert recall["overall"]["denominator"] == 4
+    assert "replace.object.L1" in recall
+    assert report["auroc"]["overall"]["denominator"] == 16
+    assert "negative_expression" in report["auroc"]
+    assert "negative_image" not in report["auroc"]
+    assert "replace.object.L1" in report["auroc"]
+    assert report["pathways"]["counts"] == {"fast": 4, "slow": 4}
+    assert report["pathways"]["total_cost"] == 4 * 1.0 + 4 * 10.0
+    assert report["metadata"]["config_hash"] == "abc"
 
 
 def test_build_report_auroc_cell_is_exact_counting():
@@ -410,9 +451,9 @@ def test_build_report_auroc_cell_is_exact_counting():
     report = build_report(preds, ts)
     pos_scores = [preds[t.id].confidence for t in ts.positives()]
     neg_scores = [preds[t.id].confidence for t in ts.negatives()]
-    cell = report.auroc_cells["overall"]
-    assert cell.value == brute_auroc(pos_scores, neg_scores)
-    assert cell.numerator == cell.value * cell.denominator
+    cell = report["auroc"]["overall"]
+    assert cell["value"] == brute_auroc(pos_scores, neg_scores)
+    assert cell["numerator"] == cell["value"] * cell["denominator"]
 
 
 def test_build_report_missing_predictions():
@@ -421,13 +462,13 @@ def test_build_report_missing_predictions():
     preds = {pos.id: pred_for(pos.id, [(box_with_iou_above(GT), 0.9)], Pathway.FAST)}
     report = build_report(scored(preds, ts), ts)
     # precision denominator stays at all positives; missing ones are misses
-    assert report.precision[1]["overall"].denominator == 2
-    assert report.precision[1]["overall"].value == 0.5
+    assert report["precision_at_k"]["1"]["overall"]["denominator"] == 2
+    assert report["precision_at_k"]["1"]["overall"]["value"] == 0.5
     # recall drops pairs with missing members entirely
-    assert report.recall[1]["overall"].denominator == 0
-    assert not report.recall[1]["overall"].present
+    assert report["recall_at_k"]["1"]["overall"]["denominator"] == 0
+    assert report["recall_at_k"]["1"]["overall"]["value"] is None
     # auroc scores missing predictions as confidence 0
-    assert report.auroc_cells["overall"].denominator == 4
+    assert report["auroc"]["overall"]["denominator"] == 4
 
 
 def test_build_report_difficulty_breakdown():
@@ -440,17 +481,16 @@ def test_build_report_difficulty_breakdown():
         "neg-00000": pred_for("neg-00000", []),
     }
     report = build_report(scored(preds, ts), ts)
-    assert report.precision[1]["L1"].value == 1.0
-    assert report.precision[1]["L3"].value == 0.0
-    assert "L2" not in report.precision[1]
+    assert report["precision_at_k"]["1"]["L1"]["value"] == 1.0
+    assert report["precision_at_k"]["1"]["L3"]["value"] == 0.0
+    assert "L2" not in report["precision_at_k"]["1"]
 
 
-def test_report_to_dict_and_render():
+def test_report_dict_and_render():
     ts, preds = full_report_fixture()
     report = build_report(preds, ts, unit_costs={"fast": 1.0, "slow": 10.0})
-    data = report.to_dict()
-    assert set(data["precision_at_k"]) == {"1", "5"}
-    assert data["pathways"]["provenance"] == COST_PROVENANCE
+    assert set(report["precision_at_k"]) == {"1", "5"}
+    assert report["pathways"]["provenance"] == COST_PROVENANCE
 
     text = render_text(report)
     assert "Precision@k over positive tasks" in text
@@ -571,16 +611,17 @@ def test_report_cells_match_brute_force_counting(seed):
     assert {t.difficulty for t in ts.positives()} >= set(Difficulty)
     assert any(t.id not in preds for t in ts.positives())
     for k in ks:
-        assert list(report.precision[k]) == ["overall", "L1", "L2", "L3"]
-        assert list(report.recall[k]) == ["overall", *kinds]
-        cells = {g: (c.numerator, c.denominator) for g, c in report.precision[k].items()}
+        precision, recall = report["precision_at_k"][str(k)], report["recall_at_k"][str(k)]
+        assert list(precision) == ["overall", "L1", "L2", "L3"]
+        assert list(recall) == ["overall", *kinds]
+        cells = {g: (c["numerator"], c["denominator"]) for g, c in precision.items()}
         assert cells == want_precision[k]
-        cells = {g: (c.numerator, c.denominator) for g, c in report.recall[k].items()}
+        cells = {g: (c["numerator"], c["denominator"]) for g, c in recall.items()}
         assert cells == want_recall[k]
-    assert not report.recall[1][DROPPED_KIND.key()].present
+    assert report["recall_at_k"]["1"][DROPPED_KIND.key()]["value"] is None
 
-    assert list(report.auroc_cells) == ["overall", "negative_expression", "negative_image", *kinds]
-    for group, cell in report.auroc_cells.items():
+    assert list(report["auroc"]) == ["overall", "negative_expression", "negative_image", *kinds]
+    for group, cell in report["auroc"].items():
         value, denominator = want_auroc[group]
-        assert (cell.value, cell.denominator) == (value, denominator)
-        assert cell.numerator == pytest.approx(value * denominator)
+        assert (cell["value"], cell["denominator"]) == (value, denominator)
+        assert cell["numerator"] == pytest.approx(value * denominator)
