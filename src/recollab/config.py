@@ -23,7 +23,7 @@ import yaml
 from .backends import ROLES
 from .backends.http import split_endpoint
 from .crs import CrsParams, TuningParams
-from .datamodel import Split
+from .datamodel import COUNT_KEYS, Split
 from .metrics import DEFAULT_KS
 from .sfa import SfaParams
 
@@ -131,9 +131,15 @@ class RunConfig:
                 raise ConfigError(
                     f"backends.{role}: coordinate_space applies to box-returning roles"
                 )
-        for split in self.expected_counts:
+        for split, counts in self.expected_counts.items():
             if split not in SPLITS:
                 raise ConfigError(f"expected_counts for unknown split {split!r}")
+            unknown = sorted(counts.keys() - set(COUNT_KEYS))
+            if unknown:
+                raise ConfigError(
+                    f"unknown count key(s) in expected_counts.{split}: {', '.join(unknown)} "
+                    f"(known: {', '.join(COUNT_KEYS)})"
+                )
 
     def resolve(self, path: str) -> Path:
         p = Path(path)

@@ -5,9 +5,10 @@ are ``[x0, y0, x1, y1]`` pixel arrays. Unknown fields are preserved on the
 task and written back on save, but are otherwise ignored. A ``RecTask``
 is an immutable named tuple that checks its invariants when built, also
 through ``_make`` and ``_replace``: a split holds tens of thousands, and a
-named tuple is built at about half the cost of a frozen dataclass. Tasks
-loaded together share one object per equal string, integer and negative
-kind.
+named tuple is built at about half the cost of a frozen dataclass. A
+task's ``extras`` is a read-only ``Extras`` mapping. Tasks loaded together
+share one object per equal string and negative kind, and one ``Extras``
+per distinct extras whose values are all integers or strings.
 A task set is built one way, ``TaskSet(split, tasks)``, which indexes and
 checks its tasks. ``validate_counts`` censuses a task set as the plain
 dict ``validation.json`` holds for its split, and ``render_census``
@@ -127,6 +128,25 @@ class NegativeKind:
         return f"{self.edit.value}.{self.facet.value}.{self.locus.value}"
 
 
+class Extras(dict):
+    """A task's extra fields: a dict that refuses every change.
+
+    A task's extras can be one object shared by every task with equal
+    extras, so none may change them. Pickling and copying make a new one.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a task's extras are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self) -> tuple[type[Extras], tuple[dict[str, Any]]]:
+        return Extras, (dict(self),)
+
+
 class _RecTask(NamedTuple):
     id: str
     image: str
@@ -136,7 +156,7 @@ class _RecTask(NamedTuple):
     negative_kind: NegativeKind | None
     gt_box: BBox | None
     paired_positive: str | None
-    extras: Mapping[str, Any]
+    extras: Extras
 
 
 class RecTask(_RecTask):
@@ -145,7 +165,8 @@ class RecTask(_RecTask):
     Positive tasks carry ``gt_box``; negatives instead reference the id of
     the positive they were derived from. An immutable named tuple that
     checks these invariants when built, also through ``_make`` and
-    ``_replace``; ``extras`` defaults to a new empty dict.
+    ``_replace``. ``extras`` is held as an ``Extras``: any other mapping is
+    copied into a new one, and no extras make a new empty one.
     """
 
     __slots__ = ()
@@ -162,8 +183,8 @@ class RecTask(_RecTask):
         paired_positive: str | None = None,
         extras: Mapping[str, Any] | None = None,
     ) -> RecTask:
-        if extras is None:
-            extras = {}
+        if type(extras) is not Extras:
+            extras = Extras() if extras is None else Extras(extras)
         if type(id) is not str:
             raise DatasetError(f"id must be a string, got {id!r}")
         if type(image) is not str:
@@ -181,8 +202,8 @@ class RecTask(_RecTask):
         if not expression:
             raise DatasetError("empty expression", task_id=id)
         for key in ("width", "height"):
-            value = extras.get(key)
-            if key in extras and (type(value) is not int or value < 1):
+            value = extras.get(key, 1)  # an absent size is not checked
+            if type(value) is not int or value < 1:
                 raise DatasetError(f"{key} must be a positive integer, got {value!r}", task_id=id)
         positive = polarity is Polarity.POSITIVE
         if positive != (gt_box is not None):
@@ -265,7 +286,7 @@ class TaskSet:
         return [t for t in self.tasks if not t.is_positive]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalPair:
     """A negative task paired with the positive it was derived from."""
 
@@ -286,6 +307,8 @@ class EvalPair:
 _FIELDS = frozenset(
     "id image expression polarity difficulty negative_kind gt_box paired_positive".split()
 )
+# the only extras values shared between tasks: 1, 1.0 and True are equal, but not alike
+_EXACT = frozenset((int, str))
 
 
 def task_to_record(task: RecTask) -> dict[str, Any]:
@@ -371,10 +394,21 @@ def record_to_task(
         paired_positive = share(paired_positive, paired_positive)
     except TypeError:
         pass  # an unhashable value is kept as it is, for RecTask to refuse
-    extras = {}
+    items = []
+    exact = True
     for key, value in record.items():
         if key not in _FIELDS:
-            extras[share(key, key)] = share(value, value) if type(value) is int else value
+            items.append((key, value))
+            if type(value) not in _EXACT:
+                exact = False
+    # one Extras per distinct ordered items, in a table of its own under the key Extras
+    items = tuple(items)
+    by_items = shared.setdefault(Extras, {})
+    extras = by_items.get(items) if exact else None
+    if extras is None:
+        extras = Extras([(share(key, key), value) for key, value in items])
+        if exact:
+            by_items[items] = extras
     try:
         return RecTask(
             task_id,
@@ -399,7 +433,13 @@ _decode = json.JSONDecoder().raw_decode
 
 def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
     """Load a line-delimited annotation file into an invariant-checked TaskSet."""
-    tasks: list[RecTask] = []
+    # the tasks are read straight into the set, whose index is built after the
+    # reader and its table of shared values are gone
+    return TaskSet(split, _read_tasks(path))
+
+
+def _read_tasks(path: str | Path) -> Iterator[RecTask]:
+    """The tasks of a line-delimited annotation file, in file order."""
     shared: dict = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -414,8 +454,7 @@ def load_taskset(path: str | Path, split: Split | str) -> TaskSet:
                 raise DatasetError("malformed JSON: Extra data", line=line_no)
             if type(record) is not dict:
                 raise DatasetError("record is not a JSON object", line=line_no)
-            tasks.append(record_to_task(record, line=line_no, shared=shared))
-    return TaskSet(split, tasks)
+            yield record_to_task(record, line=line_no, shared=shared)
 
 
 def save_taskset(ts: TaskSet, path: str | Path) -> None:
@@ -426,15 +465,29 @@ def save_taskset(ts: TaskSet, path: str | Path) -> None:
             handle.write("\n")
 
 
+# the counts a census takes, which an expected count must name
+COUNT_KEYS = (
+    "total",
+    "pairs",
+    *(p.value for p in Polarity),
+    *(f"difficulty.{d.value}" for d in Difficulty),
+    "difficulty.unlabeled",
+)
+
+
 def validate_counts(ts: TaskSet, expected: Mapping[str, int] | None = None) -> dict[str, Any]:
     """Census the TaskSet as its ``validation.json`` entry; mismatches are reported, not raised.
 
-    ``expected`` maps count keys (polarity values, ``total``, ``pairs``,
-    or ``difficulty.L1`` style keys) to expected values. The entry holds
-    ``split``, ``total``, ``by_polarity``, ``by_difficulty``, one check
-    ``{key, expected, actual, delta, ok}`` per expected key in key order,
-    and ``passed``, which holds when every check is ok.
+    ``expected`` maps keys of ``COUNT_KEYS`` (``total``, ``pairs``, the
+    polarity values and ``difficulty.L1`` style keys) to expected values;
+    any other key is refused (``ValueError``). The entry holds ``split``,
+    ``total``, ``by_polarity``, ``by_difficulty``, one check ``{key,
+    expected, actual, delta, ok}`` per expected key in key order, and
+    ``passed``, which holds when every check is ok.
     """
+    unknown = sorted(set(expected or ()).difference(COUNT_KEYS))
+    if unknown:
+        raise ValueError(f"no census count is named {', '.join(map(repr, unknown))}")
     by_polarity = {p.value: 0 for p in Polarity}
     by_difficulty = {**{d.value: 0 for d in Difficulty}, "unlabeled": 0}
     for task in ts.tasks:
@@ -448,7 +501,7 @@ def validate_counts(ts: TaskSet, expected: Mapping[str, int] | None = None) -> d
 
     checks = []
     for key in sorted(expected or {}):
-        want, actual = int(expected[key]), actuals.get(key, 0)
+        want, actual = int(expected[key]), actuals[key]
         delta = actual - want
         checks.append(
             {"key": key, "expected": want, "actual": actual, "delta": delta, "ok": delta == 0}

@@ -17,7 +17,9 @@ as its ``metrics.Score`` row, and the report is built from those rows.
 Within a run, identical extractor and detector calls, the only ones paired
 tasks repeat, are made once and shared: a result lives only while a
 pending task can still reuse it, and a failed call is never shared with
-later callers.
+later callers. A pipeline that calls neither role builds no memo, and the
+memo, the backend handles and the pending tasks are gone before the
+report is built.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backends import ROLES, BackendBundle
 from .backends.http import HttpClient
@@ -74,7 +76,8 @@ class CallMemo:
     Only these calls repeat across distinct tasks: a negative-expression task
     reuses its positive's image (so its detection), a negative-image task its
     expression (so its extraction). Every other call's key follows from its
-    task's own image and expression, so it is never memoised.
+    task's own image and expression, so it is never memoised, and a run whose
+    pipeline calls neither role builds no memo.
 
     A call is keyed by its method name and exact arguments. The first caller
     makes the call; concurrent callers with the same key wait for its
@@ -84,11 +87,16 @@ class CallMemo:
     already waiting get its exception, and a later caller calls again.
     """
 
-    def __init__(self, tasks: Iterable[RecTask]):
+    ROLES = ("extractor", "detector")
+
+    def __init__(self, tasks: Sequence[RecTask]):
         self._lock = threading.Lock()
-        self._users: Counter[tuple[str, str]] = Counter()
-        for task in tasks:
-            self._users.update(self._groups(task))
+        # the unreleased tasks on each image and on each expression, counted by
+        # the task's own string: a run holds one count per distinct value
+        self._users: dict[str, Counter[str]] = {
+            "image": Counter(task.image for task in tasks),
+            "expression": Counter(task.expression for task in tasks),
+        }
         self._results: dict[tuple[str, str], dict[tuple, Future]] = {}
 
     @staticmethod
@@ -103,13 +111,14 @@ class CallMemo:
     def call(self, name: str, args: tuple, make_call: Callable[..., Any]) -> Any:
         """``make_call(*args)``, made once per key while its result can be reused."""
         group = ("expression", args[0]) if name == "extract" else ("image", args[0].image_id)
+        kind, value = group
         key = (name, *args)
         with self._lock:
             results = self._results.get(group)
             # a stored result is looked up first: the last task on an image may still read it
             found = None if results is None else results.get(key)
             owned = None
-            if found is None and self._users[group] > 1:
+            if found is None and self._users[kind][value] > 1:
                 if results is None:
                     results = self._results[group] = {}
                 results[key] = owned = Future()
@@ -131,9 +140,11 @@ class CallMemo:
         """Drop ``task``'s claim on its image and expression, and any result no task can reuse."""
         with self._lock:
             for group in self._groups(task):
-                self._users[group] -= 1
-                if self._users[group] < 1:
-                    del self._users[group]
+                kind, value = group
+                users = self._users[kind]
+                users[value] -= 1
+                if users[value] < 1:
+                    del users[value]
                     self._results.pop(group, None)
 
 
@@ -148,7 +159,7 @@ class BoundedHandle:
     """
 
     _CALLS = frozenset(role.method for role in ROLES.values())
-    _SHARED = ("extract", "detect")
+    _SHARED = tuple(ROLES[role].method for role in CallMemo.ROLES)
 
     def __init__(self, inner: Any, limit: int, memo: CallMemo | None = None):
         if limit < 1:
@@ -519,8 +530,26 @@ def cmd_run(cfg: RunConfig) -> int:
         with open(log_path, "rb+") as tail:
             tail.truncate(valid_len)
 
+    meta = _predict_and_log(cfg, spec, ts, rows, meta, log_path)
+    return _write_report(cfg, ts, rows, meta, out_dir)
+
+
+def _predict_and_log(
+    cfg: RunConfig,
+    spec: PipelineSpec,
+    ts: TaskSet,
+    rows: dict[str, Score],
+    meta: dict[str, Any] | None,
+    log_path: Path,
+) -> dict[str, Any]:
+    """Predict every task of ``ts`` without a row, in order: log each, then add its row.
+
+    Returns the log's meta record, written first if the log has none. The
+    pending tasks, the call memo and the backend handles live only here,
+    so none of them is held while the report is built.
+    """
     pending = [task for task in ts if task.id not in rows]
-    memo = CallMemo(pending)
+    memo = CallMemo(pending) if set(CallMemo.ROLES).intersection(spec.roles) else None
     handles = build_backends(cfg, memo)
     crash_after = _crash_budget()
     results = _predict(
@@ -542,14 +571,14 @@ def cmd_run(cfg: RunConfig) -> int:
         # results come in the order of pending
         for pred, task in zip(results, pending):
             _write_record(log_file, {"record": "prediction", **pred.to_dict()})
-            memo.release(task)
+            if memo is not None:
+                memo.release(task)
             rows[task.id] = score(pred, task)
             written += 1
             if crash_after is not None and written >= crash_after:
                 logger.warning("crash hook: exiting after %d records", written)
                 os._exit(3)
-
-    return _write_report(cfg, ts, rows, meta, out_dir)
+    return meta
 
 
 def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:

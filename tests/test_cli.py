@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
@@ -587,6 +588,47 @@ def test_run_drops_a_result_once_the_last_task_on_its_image_is_logged(tmp_path, 
     assert len(memos[0]) == 0
 
 
+@pytest.mark.parametrize("pipeline", ["specialist", "mllm", "crs"])
+def test_a_run_whose_calls_cannot_repeat_builds_no_memo(tmp_path, monkeypatch, pipeline):
+    if pipeline == "crs":
+        cfg_path = build_crs_corpus(tmp_path, n_pairs=4)
+    else:
+        cfg_path = build_sfa_corpus(tmp_path, n_pairs=4, shared_images=True)
+        write_mllm_fixtures(tmp_path)
+    reads = _count_fixture_reads(monkeypatch)
+    memos = _recording_memo(monkeypatch)
+    assert main(["run", "-c", str(cfg_path), "--pipeline", pipeline]) == 0
+    # no task repeats another's call, so nothing was shared: one read per call
+    assert memos == [] and len(reads) == len(set(reads)) > 0
+
+
+def test_a_runs_memo_is_gone_before_the_report_is_built(tmp_path, monkeypatch):
+    cfg = load_config(build_sfa_corpus(tmp_path, n_pairs=4, shared_images=True))
+    refs = []
+
+    class WatchedMemo(runner.CallMemo):
+        def __init__(self, tasks):
+            super().__init__(tasks)
+            refs.append(weakref.ref(self))
+
+    alive = []
+    build = runner.build_report
+
+    def watching_build(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "CallMemo", WatchedMemo)
+    monkeypatch.setattr(runner, "build_report", watching_build)
+    gc.disable()
+    try:
+        assert runner.cmd_run(cfg) == 0
+    finally:
+        gc.enable()
+    # freed by reference count as the run's loop returns, with the collector off
+    assert alive == [[False]]
+
+
 def test_export_tuning_makes_every_call(tmp_path, monkeypatch):
     cfg_path = build_export_corpus(tmp_path, n_pos=4, n_neg=4, positives=4, negatives=4)
     reads = _count_fixture_reads(monkeypatch)
@@ -717,6 +759,17 @@ def test_validate_fails_on_count_mismatch(tmp_path):
     proc = run_cli("validate", "-c", cfg_path)
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout
+
+
+def test_validate_refuses_an_expected_count_that_names_no_count(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=4)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["expected_counts"]["test"]["negative_images"] = 0
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+
+    assert main(["validate", "-c", str(cfg_path)]) == 2
+    assert "unknown count key(s) in expected_counts.test: negative_images" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "validation.json").exists()
 
 
 def test_validate_reports_malformed_dataset(tmp_path):
@@ -1548,8 +1601,8 @@ def test_no_more_than_one_prediction_is_alive_while_the_report_is_built(tmp_path
     log_path.write_text("".join(lines[:8]), encoding="utf-8")
     assert runner.cmd_run(cfg) == 0
     assert runner.cmd_report(cfg) == 0
-    # a run still names the last prediction it wrote; a report holds none
-    assert live == [1, 1, 0]
+    # the predictions are gone once logged and scored, by a run and a report alike
+    assert live == [0, 0, 0]
     assert len(lines) - 1 == len(load_taskset(cfg.dataset_path("test"), "test")) == 12
 
 

@@ -139,6 +139,12 @@ def test_replay_backend_rejects_coordinate_space():
             "total in expected_counts.test must be an integer, got 'many'",
         ),
         ({"expected_counts": [1, 2]}, "expected_counts in config must be a mapping, got [1, 2]"),
+        (
+            {"expected_counts": {"test": {"total": 4, "negative_images": 0, "difficulty.L4": 0}}},
+            "unknown count key(s) in expected_counts.test: difficulty.L4, negative_images "
+            "(known: total, pairs, positive, negative_expression, negative_image, "
+            "difficulty.L1, difficulty.L2, difficulty.L3, difficulty.unlabeled)",
+        ),
         ({"sfa": {"focus": "no"}}, "focus in sfa must be true or false, got 'no'"),
         ({"sfa": {"threshold": "0.2"}}, "threshold in sfa must be a number"),
         ({"tuning": {"include_none": "false"}}, "include_none in tuning must be true or false"),

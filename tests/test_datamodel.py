@@ -1,5 +1,6 @@
 """Annotation schema: invariants, round-trips, counts, pairing."""
 
+import copy
 import json
 import pickle
 
@@ -20,7 +21,9 @@ from recollab import (
     validate_counts,
 )
 from recollab.datamodel import (
+    COUNT_KEYS,
     Difficulty,
+    Extras,
     NegEdit,
     NegFacet,
     NegLocus,
@@ -304,6 +307,14 @@ def test_validate_counts_returns_the_validation_json_entry():
     assert json.loads(json.dumps(data)) == data
 
 
+def test_validate_counts_refuses_a_key_that_names_no_count():
+    census = validate_counts(paired_taskset(2), dict.fromkeys(COUNT_KEYS, 0))
+    # every census count is a key, and a checked one
+    assert [check["key"] for check in census["checks"]] == sorted(COUNT_KEYS)
+    with pytest.raises(ValueError, match="'difficulty.L4', 'negative_images'"):
+        validate_counts(paired_taskset(2), {"negative_images": 0, "difficulty.L4": 0, "total": 4})
+
+
 def test_pair_negatives_is_total_and_ordered():
     ts = paired_taskset(5)
     pairs = pair_negatives(ts)
@@ -397,8 +408,61 @@ def test_the_record_types_are_slotted():
     neg = make_negative(0, pos)
     decision = RouteDecision(detection_count=1, target="widget", threshold_used=0.2)
     pred = Prediction("t", pos.gt_box, 0.5, Pathway.FAST, decision=decision)
-    for value in (pos, neg.negative_kind, pos.gt_box, decision, pred):
+    pair = EvalPair(positive=pos, negative=neg)
+    for value in (pos, neg.negative_kind, pos.gt_box, decision, pred, pair, pos.extras):
         assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+def test_load_taskset_shares_extras_only_between_exact_ints_and_strings(tmp_path):
+    flags = [1, True, 1.0, [1], 1, True, "1", 1.0, -0.0, 0.0, -0.0]
+    records = [
+        {**task_to_record(make_positive(i, extras={"flag": flag})), "width": 640}
+        for i, flag in enumerate(flags)
+    ]
+    path = _write_records(tmp_path / "in.jsonl", records)
+    tasks = load_taskset(path, "test").tasks
+    save_taskset(TaskSet("test", tasks), tmp_path / "out.jsonl")
+    # 1, True and 1.0 compare equal, and so do -0.0 and 0.0, but each is written back as read
+    assert (tmp_path / "out.jsonl").read_bytes() == path.read_bytes()
+    assert [task.extras["flag"] for task in tasks] == flags
+    assert [type(task.extras["flag"]) for task in tasks] == list(map(type, flags))
+    # one object per distinct extras of exact ints and strings, none for the rest
+    assert tasks[4].extras is tasks[0].extras and tasks[6].extras is not tasks[0].extras
+    held = {id(task.extras) for task in tasks}
+    assert len(held) == len(tasks) - 1
+    assert all(type(task.extras) is Extras for task in tasks)
+
+
+def test_a_tasks_extras_are_read_only(tmp_path):
+    path = _write_records(tmp_path / "t.jsonl", _sharing_records())
+    pos, _, _, other, _ = load_taskset(path, "test").tasks
+    assert pos.extras is other.extras
+    changes = [
+        lambda e: e.__setitem__("width", 1),
+        lambda e: e.__delitem__("width"),
+        lambda e: e.update(width=1),
+        lambda e: e.setdefault("depth", 1),
+        lambda e: e.pop("width"),
+        lambda e: e.popitem(),
+        lambda e: e.clear(),
+        lambda e: e.__ior__({"width": 1}),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="read-only"):
+            change(pos.extras)
+    assert pos.extras == {"width": 640, "height": 480} == other.extras
+    for clone in (pickle.loads(pickle.dumps(pos)), copy.deepcopy(pos), copy.copy(pos)):
+        assert clone == pos and type(clone.extras) is Extras
+        with pytest.raises(TypeError, match="read-only"):
+            clone.extras["width"] = 1
+    assert copy.deepcopy(pos).extras is not pos.extras
+    with pytest.raises(DatasetError, match="height must be a positive integer"):
+        pos._replace(extras={"height": 0})
+    # a plain dict given to a task is copied once, so changing it changes no task
+    given = {"width": 640}
+    task = make_positive(0)._replace(extras=given)
+    given["width"] = 0
+    assert task.extras == {"width": 640}
 
 
 def test_a_task_is_an_immutable_validated_named_tuple():
