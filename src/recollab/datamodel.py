@@ -7,8 +7,9 @@ is an immutable named tuple that checks its invariants when built, also
 through ``_make`` and ``_replace``: a split holds tens of thousands, and a
 named tuple is built at about half the cost of a frozen dataclass. A
 task's ``extras`` is a read-only ``Extras`` mapping. Tasks loaded together
-share one object per equal string and negative kind, and one ``Extras``
-per distinct extras whose values are all integers or strings.
+share one object per equal string, extras integer and negative kind, and
+one ``Extras`` per distinct extras whose values are all integers or
+strings, up to ``_SHARED_EXTRAS`` of them.
 A task set is built one way, ``TaskSet(split, tasks)``, which indexes and
 checks its tasks. ``validate_counts`` censuses a task set as the plain
 dict ``validation.json`` holds for its split, and ``render_census``
@@ -307,8 +308,9 @@ class EvalPair:
 _FIELDS = frozenset(
     "id image expression polarity difficulty negative_kind gt_box paired_positive".split()
 )
-# the only extras values shared between tasks: 1, 1.0 and True are equal, but not alike
-_EXACT = frozenset((int, str))
+# the most distinct extras one load shares: where extras seldom repeat, its table
+# stays this small instead of holding a key for every task
+_SHARED_EXTRAS = 1024
 
 
 def task_to_record(task: RecTask) -> dict[str, Any]:
@@ -395,19 +397,21 @@ def record_to_task(
     except TypeError:
         pass  # an unhashable value is kept as it is, for RecTask to refuse
     items = []
-    exact = True
+    exact = True  # only exact ints and strings: 1, 1.0 and True are equal, but not alike
     for key, value in record.items():
         if key not in _FIELDS:
-            items.append((key, value))
-            if type(value) not in _EXACT:
+            if type(value) is int:
+                value = share(value, value)
+            elif type(value) is not str:
                 exact = False
+            items.append((share(key, key), value))
     # one Extras per distinct ordered items, in a table of its own under the key Extras
     items = tuple(items)
     by_items = shared.setdefault(Extras, {})
     extras = by_items.get(items) if exact else None
     if extras is None:
-        extras = Extras([(share(key, key), value) for key, value in items])
-        if exact:
+        extras = Extras(items)
+        if exact and len(by_items) < _SHARED_EXTRAS:
             by_items[items] = extras
     try:
         return RecTask(
@@ -480,14 +484,11 @@ def validate_counts(ts: TaskSet, expected: Mapping[str, int] | None = None) -> d
 
     ``expected`` maps keys of ``COUNT_KEYS`` (``total``, ``pairs``, the
     polarity values and ``difficulty.L1`` style keys) to expected values;
-    any other key is refused (``ValueError``). The entry holds ``split``,
+    any other key raises ``KeyError``. The entry holds ``split``,
     ``total``, ``by_polarity``, ``by_difficulty``, one check ``{key,
     expected, actual, delta, ok}`` per expected key in key order, and
     ``passed``, which holds when every check is ok.
     """
-    unknown = sorted(set(expected or ()).difference(COUNT_KEYS))
-    if unknown:
-        raise ValueError(f"no census count is named {', '.join(map(repr, unknown))}")
     by_polarity = {p.value: 0 for p in Polarity}
     by_difficulty = {**{d.value: 0 for d in Difficulty}, "unlabeled": 0}
     for task in ts.tasks:

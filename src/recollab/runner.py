@@ -92,7 +92,7 @@ class CallMemo:
     def __init__(self, tasks: Sequence[RecTask]):
         self._lock = threading.Lock()
         # the unreleased tasks on each image and on each expression, counted by
-        # the task's own string: a run holds one count per distinct value
+        # the task's own string rather than by a new tuple per task
         self._users: dict[str, Counter[str]] = {
             "image": Counter(task.image for task in tasks),
             "expression": Counter(task.expression for task in tasks),
@@ -111,14 +111,13 @@ class CallMemo:
     def call(self, name: str, args: tuple, make_call: Callable[..., Any]) -> Any:
         """``make_call(*args)``, made once per key while its result can be reused."""
         group = ("expression", args[0]) if name == "extract" else ("image", args[0].image_id)
-        kind, value = group
         key = (name, *args)
         with self._lock:
             results = self._results.get(group)
             # a stored result is looked up first: the last task on an image may still read it
             found = None if results is None else results.get(key)
             owned = None
-            if found is None and self._users[kind][value] > 1:
+            if found is None and self._users[group[0]][group[1]] > 1:
                 if results is None:
                     results = self._results[group] = {}
                 results[key] = owned = Future()
@@ -139,13 +138,12 @@ class CallMemo:
     def release(self, task: RecTask) -> None:
         """Drop ``task``'s claim on its image and expression, and any result no task can reuse."""
         with self._lock:
-            for group in self._groups(task):
-                kind, value = group
+            for kind, of in self._groups(task):
                 users = self._users[kind]
-                users[value] -= 1
-                if users[value] < 1:
-                    del users[value]
-                    self._results.pop(group, None)
+                users[of] -= 1
+                if users[of] < 1:
+                    del users[of]
+                    self._results.pop((kind, of), None)
 
 
 class BoundedHandle:

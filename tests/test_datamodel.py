@@ -32,6 +32,7 @@ from recollab.datamodel import (
     record_to_task,
     task_to_record,
 )
+from recollab import datamodel
 from recollab.prediction import Pathway, Prediction, RouteDecision
 
 from helpers import make_negative, make_positive, paired_taskset
@@ -311,7 +312,7 @@ def test_validate_counts_refuses_a_key_that_names_no_count():
     census = validate_counts(paired_taskset(2), dict.fromkeys(COUNT_KEYS, 0))
     # every census count is a key, and a checked one
     assert [check["key"] for check in census["checks"]] == sorted(COUNT_KEYS)
-    with pytest.raises(ValueError, match="'difficulty.L4', 'negative_images'"):
+    with pytest.raises(KeyError, match="'difficulty.L4'"):
         validate_counts(paired_taskset(2), {"negative_images": 0, "difficulty.L4": 0, "total": 4})
 
 
@@ -431,6 +432,29 @@ def test_load_taskset_shares_extras_only_between_exact_ints_and_strings(tmp_path
     held = {id(task.extras) for task in tasks}
     assert len(held) == len(tasks) - 1
     assert all(type(task.extras) is Extras for task in tasks)
+
+
+def test_a_load_shares_a_bounded_number_of_extras_and_every_equal_int(tmp_path, monkeypatch):
+    monkeypatch.setattr(datamodel, "_SHARED_EXTRAS", 4)
+    heights = [1000, 1001, 1002, 1003, 1004, 1005, 1000, 1005]
+    records = [
+        {**task_to_record(make_positive(i)), "height": height, "width": 1000}
+        for i, height in enumerate(heights)
+    ]
+    path = _write_records(tmp_path / "in.jsonl", records)
+    tasks = load_taskset(path, "test").tasks
+    save_taskset(TaskSet("test", tasks), tmp_path / "out.jsonl")
+    assert (tmp_path / "out.jsonl").read_bytes() == path.read_bytes()
+    # the first four distinct extras are shared; later ones are not kept for reuse
+    assert tasks[6].extras is tasks[0].extras
+    assert tasks[7].extras is not tasks[5].extras and tasks[7].extras == tasks[5].extras
+    shared = {}
+    for record in records:
+        record_to_task(record, shared=shared)
+    assert len(shared[Extras]) == 4
+    # an equal int is one object across distinct extras, as the other loaded values are
+    assert len({id(task.extras["width"]) for task in tasks}) == 1
+    assert tasks[6].extras["height"] is tasks[0].extras["height"]
 
 
 def test_a_tasks_extras_are_read_only(tmp_path):
