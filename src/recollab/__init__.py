@@ -14,7 +14,6 @@ from .crs import (
     build_choice_prompt,
     export_tuning,
     generate_candidates,
-    parse_choice,
     run_crs,
 )
 from .datamodel import (
@@ -82,7 +81,6 @@ __all__ = [
     "load_taskset",
     "nms",
     "pair_negatives",
-    "parse_choice",
     "precision_at_k",
     "recall_at_k",
     "render_census",

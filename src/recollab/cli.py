@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-c", "--config", required=True, help="path to the YAML run config")
-    # the settings a run is made under; ``report`` takes them too, to find its log
+    # the settings a run is made under; ``report`` takes them too, to find its log. A command
+    # checks only its split and the fixture directories of the roles it calls (report: none)
     overrides = argparse.ArgumentParser(
         add_help=False, parents=[common], argument_default=argparse.SUPPRESS
     )

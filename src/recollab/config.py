@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -150,19 +150,23 @@ class RunConfig:
             raise ConfigError(f"no dataset configured for split {split!r}")
         return self.resolve(self.datasets[split])
 
-    def check_paths(self) -> None:
-        """Referenced datasets and fixture directories must exist; the output
-        directory, or its nearest existing ancestor, must be a directory."""
+    def check_paths(
+        self, splits: Iterable[str] | None = None, roles: Iterable[str] | None = None
+    ) -> None:
+        """The datasets of ``splits`` and fixture directories of replay ``roles``
+        must exist, all configured ones when not named; the output directory,
+        or its nearest existing ancestor, must be a directory."""
         out_dir = self.resolve(self.output_dir)
         if not out_dir.is_dir():
             existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
             if not existing.is_dir():
                 raise ConfigError(f"cannot use output_dir {out_dir}: {existing} is not a directory")
-        for split in self.datasets:
+        for split in self.datasets if splits is None else splits:
             path = self.dataset_path(split)
             if not path.is_file():
                 raise ConfigError(f"dataset file for split {split!r} not found: {path}")
-        for role, settings in self.backends.items():
+        for role in self.backends if roles is None else roles:
+            settings = self.backends[role]
             if settings.kind == "replay":
                 assert settings.fixtures is not None
                 fixture_dir = self.resolve(settings.fixtures)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .backends import BackendBundle
-from .backends.types import BackendError, Grounder, check_prompt_template, match_option_label
+from .backends.types import BackendError, Grounder, check_prompt_template
 from .datamodel import RecTask, TaskSet, image_ref
 from .geometry import BBox, Detection, box_to_pixels, iou, nms
 from .metrics import IOU_THRESHOLD
@@ -168,11 +168,6 @@ def build_choice_prompt(
     return ChoicePrompt(text="\n".join(lines), option_map=option_map, none_label=none_label)
 
 
-def parse_choice(raw: str, cp: ChoicePrompt) -> str | None:
-    """Selector answer -> offered label, or None on unparseable output."""
-    return match_option_label(raw, cp.offered)
-
-
 def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams()) -> Prediction:
     """Full candidate-selection pass for one task.
 
@@ -239,22 +234,6 @@ class TuningSample:
             ],
             "answer": self.answer,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> TuningSample:
-        options = tuple(
-            (
-                entry["label"],
-                BBox.from_list(entry["box"]) if entry.get("box") is not None else None,
-            )
-            for entry in data["options"]
-        )
-        return cls(
-            image=data["image"],
-            expression=data["expression"],
-            options=options,
-            answer=data["answer"],
-        )
 
 
 def candidate_hit(cs: CandidateSet, gt: BBox) -> bool:
@@ -354,13 +333,3 @@ def save_tuning(samples: Iterable[TuningSample], path: str | Path) -> None:
         for sample in samples:
             handle.write(json.dumps(sample.to_dict(), ensure_ascii=False))
             handle.write("\n")
-
-
-def load_tuning(path: str | Path) -> list[TuningSample]:
-    samples = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                samples.append(TuningSample.from_dict(json.loads(line)))
-    return samples

@@ -305,9 +305,7 @@ class EvalPair:
 
 
 # the keys a task's own fields are read from; every other key is an extra
-_FIELDS = frozenset(
-    "id image expression polarity difficulty negative_kind gt_box paired_positive".split()
-)
+_FIELDS = frozenset(_RecTask._fields) - {"extras"}
 # the most distinct extras one load shares: where extras seldom repeat, its table
 # stays this small instead of holding a key for every task
 _SHARED_EXTRAS = 1024
@@ -343,21 +341,23 @@ def _member(enum: type[Enum], value: Any) -> Any:
         return enum(value)
 
 
-def _negative_kind(data: Any, shared: dict) -> NegativeKind:
-    """The one ``NegativeKind`` in ``shared`` for ``data``; only a new or bad kind is parsed."""
+def _negative_kind(data: Any, kinds: dict) -> NegativeKind:
+    """The one ``NegativeKind`` in ``kinds`` for ``data``; only a new or bad kind is parsed."""
     try:
-        return shared[data["edit"], data["facet"], data["locus"]]
+        return kinds[data["edit"], data["facet"], data["locus"]]
     except (KeyError, TypeError):
         kind = NegativeKind.from_dict(data)
-        return shared.setdefault((kind.edit.value, kind.facet.value, kind.locus.value), kind)
+        return kinds.setdefault((kind.edit.value, kind.facet.value, kind.locus.value), kind)
 
 
 def record_to_task(
     record: Mapping[str, Any], *, line: int | None = None, shared: dict | None = None
 ) -> RecTask:
     """Parse and invariant-check one JSON record; a value ``shared`` holds is taken from it."""
+    # a table per type of value (str, int, NegativeKind, Extras): only string keys keep a
+    # dict in its compact layout
     shared = {} if shared is None else shared
-    share = shared.setdefault
+    share = shared.setdefault(str, {}).setdefault
     try:
         task_id = record["id"]
         image = record["image"]
@@ -378,7 +378,7 @@ def record_to_task(
     negative_kind = record.get("negative_kind")
     if negative_kind is not None:
         try:
-            negative_kind = _negative_kind(negative_kind, shared)
+            negative_kind = _negative_kind(negative_kind, shared.setdefault(NegativeKind, {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"bad negative_kind: {exc}", line=line, task_id=task_id) from exc
 
@@ -393,19 +393,21 @@ def record_to_task(
     try:
         task_id, image = share(task_id, task_id), share(image, image)
         expression = share(expression, expression)
-        paired_positive = share(paired_positive, paired_positive)
+        if paired_positive is not None:
+            paired_positive = share(paired_positive, paired_positive)
     except TypeError:
         pass  # an unhashable value is kept as it is, for RecTask to refuse
+    share_int = shared.setdefault(int, {}).setdefault
     items = []
     exact = True  # only exact ints and strings: 1, 1.0 and True are equal, but not alike
     for key, value in record.items():
         if key not in _FIELDS:
             if type(value) is int:
-                value = share(value, value)
+                value = share_int(value, value)
             elif type(value) is not str:
                 exact = False
             items.append((share(key, key), value))
-    # one Extras per distinct ordered items, in a table of its own under the key Extras
+    # one Extras per distinct ordered items
     items = tuple(items)
     by_items = shared.setdefault(Extras, {})
     extras = by_items.get(items) if exact else None

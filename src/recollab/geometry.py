@@ -67,9 +67,6 @@ class BBox(_Box):
     def _make(cls, iterable: Iterable[Any]) -> BBox:
         return cls(*iterable)
 
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
     def as_list(self) -> list[float]:
         return list(self)
 

