@@ -1,9 +1,9 @@
 """JSON-over-HTTP backend adapters.
 
-One POST per call, JSON in and JSON out, no streaming. A server that
-speaks a normalized coordinate convention has its grid size set on its
-``HttpClient``, and every box-returning adapter converts its reply to
-absolute pixels before returning.
+One POST per call, JSON in and JSON out, no streaming. Each role's
+``HttpClient`` is built from its ``BackendSettings``, where a server that
+speaks a normalized coordinate convention sets ``coordinate_space``; every
+box-returning adapter converts its reply to absolute pixels.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import queue
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Mapping, Sequence, TypeVar
 from urllib.parse import SplitResult, quote, unquote, urlsplit
 
 from .extract import build_extract_prompt, resolve_target
@@ -31,6 +31,9 @@ from .types import (
     scale_box,
     selection_from_payload,
 )
+
+if TYPE_CHECKING:
+    from ..config import BackendSettings
 
 logger = logging.getLogger(__name__)
 
@@ -91,40 +94,33 @@ def _proxy_for(parts: SplitResult) -> SplitResult | None:
 class HttpClient:
     """One server's POST plumbing: bearer auth, timeout, bounded retries.
 
-    Transport failures, timeouts, and 5xx responses are retried with
-    exponential backoff; 4xx responses and error payloads fail fast. The
-    client keeps up to ``concurrency`` idle connections alive, one per call
-    the role may have in flight, and reuses the one put back last. A
-    kept-alive connection the server closed while it sat idle is opened
-    again once, which counts as no attempt. The endpoint is checked and the
-    proxy for it read from the environment once, when the client is built.
+    Every setting comes from one role's ``BackendSettings`` (its
     ``coordinate_space`` is the N of the N x N grid the server's boxes are
-    in, or None when it answers in pixels. Building the first client
+    in, or None for pixels). Transport failures, timeouts, and 5xx
+    responses are retried with exponential backoff; 4xx responses and
+    error payloads fail fast. The client keeps up to ``concurrency`` idle
+    connections alive, one per call the role may have in flight, and
+    reuses the one put back last. A kept-alive connection the server
+    closed while it sat idle is opened again once, which counts as no
+    attempt. The endpoint is parsed and the proxy for it read from the
+    environment once, when the client is built. Building the first client
     imports ``http.client``.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        token: str | None = None,
-        timeout: float = 60.0,
-        retries: int = 2,
-        backoff: float = 0.5,
-        concurrency: int = 8,
-        coordinate_space: int | None = None,
-    ) -> None:
+    def __init__(self, settings: BackendSettings) -> None:
         import http.client
 
-        parts = split_endpoint(endpoint)
-        self.endpoint = endpoint
-        self.retries, self.backoff = retries, backoff
-        self.coordinate_space = coordinate_space
+        self.endpoint = settings.endpoint or ""
+        parts = split_endpoint(self.endpoint)
+        self.retries, self.backoff = settings.retries, settings.backoff
+        self.coordinate_space = settings.coordinate_space
+        timeout = settings.timeout
         self._target = quote(parts.path or "/", safe=_TARGET_SAFE)
         if parts.query:
             self._target += "?" + quote(parts.query, safe=_TARGET_SAFE)
         self._headers = {"Content-Type": "application/json"}
-        if token:
-            self._headers["Authorization"] = f"Bearer {token}"
+        if settings.token:
+            self._headers["Authorization"] = f"Bearer {settings.token}"
         proxy = _proxy_for(parts)
         proxy_auth = {}
         if proxy is not None and proxy.username is not None:
@@ -150,7 +146,7 @@ class HttpClient:
                 self._target = f"http://{parts.netloc}{self._target}"
                 self._headers.update(proxy_auth)
             self._connect = partial(http.client.HTTPConnection, *address, timeout=timeout)
-        self._idle = queue.LifoQueue(concurrency)
+        self._idle = queue.LifoQueue(settings.concurrency)
         self._errors = (OSError, http.client.HTTPException)
 
     def post(self, payload: Mapping[str, Any]) -> dict[str, Any]:

@@ -5,7 +5,7 @@ before any backend call: it checks only the command's split and the
 fixture directories of the roles it calls, and ``report`` calls none.
 Every command creates its outputs through ``_output_dir``. ``run`` and
 ``report`` read a log only through ``_read_own_log``, which refuses one
-written under another identity.
+written under another identity or version, or with no meta line.
 
 A run whose backends all replay fixtures executes each task on the calling
 thread. A run that calls any HTTP backend overlaps model calls on a worker
@@ -42,7 +42,7 @@ from .backends import ROLES, BackendBundle
 from .backends.http import HttpClient
 from .backends.replay import FixtureStore
 from .backends.types import BackendError
-from .config import BackendSettings, ConfigError, RunConfig, config_hash, identity_hash
+from .config import ConfigError, RunConfig, config_hash, identity_hash
 from .crs import check_option_letters, export_tuning, run_crs, save_tuning
 from .datamodel import (
     DatasetError,
@@ -188,31 +188,17 @@ class BoundedHandle:
         return lambda *args: memo.call(name, args, gated)
 
 
-def _build_handle(
-    role: str, settings: BackendSettings, cfg: RunConfig, memo: CallMemo | None = None
-) -> BoundedHandle:
-    if settings.kind == "replay":
-        assert settings.fixtures is not None
-        impl = ROLES[role].replay(FixtureStore(cfg.resolve(settings.fixtures)))
-    else:
-        client = HttpClient(
-            endpoint=settings.endpoint or "",
-            token=settings.token,
-            timeout=settings.timeout,
-            retries=settings.retries,
-            backoff=settings.backoff,
-            concurrency=settings.concurrency,
-            coordinate_space=settings.coordinate_space,
-        )
-        impl = ROLES[role].http(client)
-    return BoundedHandle(impl, settings.concurrency, memo)
-
-
 def build_backends(cfg: RunConfig, memo: CallMemo | None = None) -> BackendBundle:
-    """A handle per configured role; with ``memo``, extractor and detector calls go through it."""
-    handles = {
-        role: _build_handle(role, settings, cfg, memo) for role, settings in cfg.backends.items()
-    }
+    """A handle per configured role, built from its settings and gated at its ``concurrency``;
+    with ``memo``, extractor and detector calls go through it."""
+    handles = {}
+    for role, settings in cfg.backends.items():
+        if settings.kind == "replay":
+            assert settings.fixtures is not None
+            impl = ROLES[role].replay(FixtureStore(cfg.resolve(settings.fixtures)))
+        else:
+            impl = ROLES[role].http(HttpClient(settings))
+        handles[role] = BoundedHandle(impl, settings.concurrency, memo)
     return BackendBundle(**handles)
 
 
@@ -368,9 +354,13 @@ def read_log(
 def _read_own_log(
     cfg: RunConfig, path: Path, ts: TaskSet
 ) -> tuple[dict[str, Any] | None, dict[str, Score], int]:
-    """``read_log(path, ts)``, refused unless its meta line's ``identity_hash`` is ``cfg``'s
-    (for a log written before meta lines carried one, its full ``config_hash``)."""
+    """``read_log(path, ts)``, refused if it has predictions but no meta line, or a meta line
+    of another version or identity (its ``identity_hash``, else its full ``config_hash``)."""
     meta, rows, valid_len = read_log(path, ts)
+    if meta is None and rows:
+        raise ConfigError(f"log {path} has predictions but no meta line, so no known config")
+    if meta is not None and meta.get("version") != LOG_VERSION:
+        raise ConfigError(f"log {path} has version {meta.get('version')!r}, not {LOG_VERSION}")
     if meta is not None and (
         meta["identity_hash"] != identity_hash(cfg)
         if "identity_hash" in meta

@@ -10,7 +10,6 @@ The dataset census criterion needs the real corpus and is skipped unless
 RECOLLAB_FINECOPS_TEST points at the converted test-split JSONL.
 """
 
-import json
 import os
 import random
 import shutil
@@ -29,7 +28,6 @@ from recollab.crs import (
     CrsParams,
     TuningParams,
     export_tuning,
-    generate_candidates,
     run_crs,
     save_tuning,
 )
@@ -70,7 +68,6 @@ from helpers import (
     rank_pair_hit,
     raster_iou,
     scored,
-    slot_gt,
 )
 
 

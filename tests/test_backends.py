@@ -1,6 +1,5 @@
 """Backend adapters: wire parsing, replay fixtures, and HTTP plumbing."""
 
-import json
 import logging
 import math
 import os
@@ -8,13 +7,14 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import recollab
-from recollab import BBox, Detection, TokenSpanScore, iou
+from recollab import BBox, Detection, TokenSpanScore, iou, runner
 from recollab.backends import ROLES, BackendBundle
 from recollab.backends.extract import (
     HeuristicTargetExtractor,
@@ -55,6 +55,7 @@ from recollab.backends.types import (
     scale_box,
     selection_from_payload,
 )
+from recollab.config import BackendSettings, ConfigError, config_from_dict
 from recollab.datamodel import ImageRef
 
 from helpers import OracleSelector, http_server, parse_prompt_options
@@ -582,11 +583,12 @@ def test_the_http_stack_is_imported_only_by_building_an_http_role():
 
 @pytest.fixture
 def make_client():
-    """``HttpClient`` for a test, each closed at teardown, also when the test fails."""
+    """``HttpClient`` built from ``BackendSettings(kind="http", **kwargs)``, each closed at
+    teardown, also when the test fails."""
     clients = []
 
     def make(**kwargs):
-        clients.append(HttpClient(**kwargs))
+        clients.append(HttpClient(BackendSettings(kind="http", **kwargs)))
         return clients[-1]
 
     yield make
@@ -770,8 +772,32 @@ def test_http_client_tunnels_https_through_the_environment_proxy(no_proxy_env, m
                  "http://x:99999/", "http://x:port/", "http://user:pw@x/"]
 )
 def test_http_client_refuses_an_endpoint_it_cannot_call(endpoint):
-    with pytest.raises(ValueError, match=f"endpoint {endpoint!r}"):
-        HttpClient(endpoint=endpoint)
+    # a client's endpoint comes from its settings, which refuse one it cannot call
+    with pytest.raises(ConfigError, match=f"endpoint {endpoint!r}"):
+        BackendSettings(kind="http", endpoint=endpoint)
+
+
+def test_build_backends_gives_an_http_role_every_setting_of_its_config():
+    grounder = {"kind": "http", "token": "sekrit", "retries": 3, "backoff": 0, "timeout": 7.5,
+                "concurrency": 3, "coordinate_space": 1000}
+    payload = {"detections": [{"box": [0, 0, 500, 1000], "score": 0.5}]}
+    with http_server(script=[(503, {})] * 4, default=payload) as (server, url):
+        cfg = config_from_dict({"backends": {"grounder": {**grounder, "endpoint": url}}})
+        handles = runner.build_backends(cfg)
+        with closing(handles):
+            # retries + 1 attempts against a server error, none of them waiting
+            with pytest.raises(BackendError, match="after 4 attempts"):
+                handles.grounder.ground(IMG, "dog")
+            assert len(server.seen) == 4
+            result = handles.grounder.ground(IMG, "dog")
+            client = handles.grounder.client
+            connection = client._connect()
+    assert [seen["auth"] for seen in server.seen] == ["Bearer sekrit"] * 5
+    # the reply's 1000 x 1000 grid is rescaled to the task's 640 x 480 pixels
+    assert result.detections[0].box == BBox(0, 0, 320, 480)
+    assert connection.timeout == 7.5 and connection.sock is None
+    # the connection pool and the role's gate are both bounded by its concurrency
+    assert client._idle.maxsize == 3 and handles.grounder._gate.qsize() == 3
 
 
 def test_http_mllm_rescales_coordinates(make_client):

@@ -18,6 +18,7 @@ import weakref
 from collections import Counter
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -647,11 +648,11 @@ def test_http_client_pools_as_many_connections_as_calls_in_flight(tmp_path, buil
         return {"detections": [{"box": [0, 0, 10, 10], "score": 0.5}]}
 
     with http_server(reply=reply, keep_alive=True) as (server, url):
+        settings = BackendSettings(kind="http", endpoint=url, concurrency=16)
         if built_from == "config":
-            settings = BackendSettings(kind="http", endpoint=url, concurrency=16)
-            handles = BackendBundle(grounder=runner._build_handle("grounder", settings, cfg))
+            handles = build_backends(replace(cfg, backends={"grounder": settings}))
         else:
-            handles = BackendBundle(grounder=HttpGrounder(HttpClient(url, concurrency=16)))
+            handles = BackendBundle(grounder=HttpGrounder(HttpClient(settings)))
         image = ImageRef("img", 640, 480)
         ground = handles.grounder.ground
         with closing(handles), ThreadPoolExecutor(max_workers=16) as pool:
@@ -1254,6 +1255,29 @@ def test_log_without_identity_hash_must_match_the_full_config(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "-c", str(cfg_path)]) == 2
     assert "different config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["no meta line", "version 2"])
+def test_a_log_without_its_version_1_meta_line_is_refused_and_left_as_it_is(
+    tmp_path, capsys, fault
+):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    log = tmp_path / "out" / LOG_NAME
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    assert meta["record"] == "meta" and meta["version"] == 1
+    if fault == "no meta line":
+        lines, message = lines[1:3], "has predictions but no meta line"
+    else:
+        lines[0], message = json.dumps({**meta, "version": 2}) + "\n", "has version 2, not 1"
+    log.write_text("".join(lines), encoding="utf-8")
+    written = log.read_bytes()
+    for command in ("run", "report"):
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert log.read_bytes() == written
 
 
 def test_run_reports_backend_failures_in_exit_code(tmp_path):

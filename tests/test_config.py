@@ -12,7 +12,6 @@ from recollab.config import (
     BackendSettings,
     ConfigError,
     MetricsSettings,
-    RunConfig,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -328,7 +327,7 @@ def test_no_repr_shows_the_token():
     cfg = config_from_dict(
         {"backends": {"grounder": {"kind": "http", "endpoint": "http://g/", "token": "sekrit"}}}
     )
-    grounder = HttpGrounder(HttpClient("http://g/", token="sekrit"))
+    grounder = HttpGrounder(HttpClient(cfg.backends["grounder"]))
     for shown in (repr(cfg), repr(cfg.backends["grounder"]), repr(grounder)):
         assert "sekrit" not in shown
     assert cfg.backends["grounder"].token == "sekrit"

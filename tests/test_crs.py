@@ -29,12 +29,10 @@ from recollab.crs import (
 from recollab.datamodel import Split
 
 from helpers import (
-    SLOT_BOXES,
     SlotGrounder,
     make_negative,
     make_positive,
     make_slot_positive,
-    slot_gt,
 )
 
 

@@ -22,7 +22,6 @@ from recollab import (
 )
 from recollab.datamodel import (
     COUNT_KEYS,
-    Difficulty,
     Extras,
     NegEdit,
     NegFacet,

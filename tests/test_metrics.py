@@ -6,7 +6,6 @@ import pytest
 
 from recollab import (
     BBox,
-    EvalPair,
     Pathway,
     Prediction,
     TaskSet,
