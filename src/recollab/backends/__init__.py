@@ -1,8 +1,8 @@
 """Model backends: the role table, HTTP clients, and deterministic replay.
 
-``ROLES`` declares each of the five roles once. Import adapters and
-helpers from their submodules: ``types`` (results, wire parsing, role
-protocols), ``http``, ``replay`` and ``extract``.
+``ROLES`` declares each of the five roles once, and keys a run's handles.
+Import adapters and helpers from their submodules: ``types`` (results, wire
+parsing, detector and grounder protocols), ``http``, ``replay``, ``extract``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Mapping
 
 from .http import HttpDetector, HttpGrounder, HttpMllm, HttpSelector, HttpTargetExtractor
 from .replay import ReplayDetector, ReplayGrounder, ReplayMllm, ReplaySelector, ReplayTargetExtractor
-from .types import BackendError, Detector, Grounder, MllmGrounder, Selector, TargetExtractor
 
 
 @dataclass(frozen=True)
@@ -35,28 +34,4 @@ ROLES: Mapping[str, Role] = {
 }
 
 
-@dataclass(frozen=True)
-class BackendBundle:
-    """The handles a pipeline run draws from; unused roles may stay None."""
-
-    extractor: TargetExtractor | None = None
-    detector: Detector | None = None
-    grounder: Grounder | None = None
-    mllm: MllmGrounder | None = None
-    selector: Selector | None = None
-
-    def require(self, role: str):
-        handle = getattr(self, role)
-        if handle is None:
-            raise BackendError(f"no {role} backend configured")
-        return handle
-
-    def close(self) -> None:
-        """Close the pooled connections of every HTTP role's client."""
-        for role in ROLES:
-            client = getattr(getattr(self, role), "client", None)
-            if client is not None:
-                client.close()
-
-
-__all__ = ["BackendBundle", "ROLES"]
+__all__ = ["ROLES"]

@@ -1,4 +1,4 @@
-"""Shared backend types: results, wire parsing, and role protocols.
+"""Shared backend types: results, wire parsing, and the detector and grounder protocols.
 
 Backends fill four roles. A target extractor names the referred object in
 an expression. A detector proposes boxes for a named object class. A
@@ -82,24 +82,12 @@ class SelectionResult:
             raise ValueError(f"label {self.label!r} not among offered {self.offered}")
 
 
-class TargetExtractor(Protocol):
-    def extract(self, expression: str) -> str: ...
-
-
 class Detector(Protocol):
     def detect(self, image: ImageRef, class_name: str) -> GroundingResult: ...
 
 
 class Grounder(Protocol):
     def ground(self, image: ImageRef, expression: str) -> GroundingResult: ...
-
-
-class MllmGrounder(Protocol):
-    def ground_generative(self, image: ImageRef, prompt: str) -> GenerativeGrounding: ...
-
-
-class Selector(Protocol):
-    def select(self, image: ImageRef, prompt: str, offered: Sequence[str]) -> SelectionResult: ...
 
 
 _COORD_BOX = re.compile(

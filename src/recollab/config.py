@@ -140,6 +140,8 @@ class RunConfig:
                     f"unknown count key(s) in expected_counts.{split}: {', '.join(unknown)} "
                     f"(known: {', '.join(COUNT_KEYS)})"
                 )
+            if split not in self.datasets:
+                raise ConfigError(f"expected_counts.{split}: split {split!r} has no dataset")
 
     def resolve(self, path: str) -> Path:
         p = Path(path)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .backends import BackendBundle
 from .backends.types import BackendError, Grounder, check_prompt_template
 from .datamodel import RecTask, TaskSet, image_ref
 from .geometry import BBox, Detection, box_to_pixels, iou, nms
@@ -168,8 +167,10 @@ def build_choice_prompt(
     return ChoicePrompt(text="\n".join(lines), option_map=option_map, none_label=none_label)
 
 
-def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams()) -> Prediction:
-    """Full candidate-selection pass for one task.
+def run_crs(
+    task: RecTask, handles: Mapping[str, Any], params: CrsParams = CrsParams()
+) -> Prediction:
+    """Full candidate-selection pass for one task, calling ``handles`` by role.
 
     Backend failures surface as miss predictions so a batch run skips the
     task and keeps going; a None answer is an explicit rejection, scored
@@ -177,12 +178,12 @@ def run_crs(task: RecTask, handles: BackendBundle, params: CrsParams = CrsParams
     """
     image = image_ref(task)
     try:
-        grounding = handles.require("grounder").ground(image, task.expression)
+        grounding = handles["grounder"].ground(image, task.expression)
         cs = generate_candidates(grounding.detections, k=params.k, nms_thr=params.nms_threshold)
         if not cs.candidates and not params.include_none:
             return Prediction.miss(task.id, Pathway.CRS, "no candidates survived")
         cp = build_choice_prompt(task.expression, cs, params)
-        sel = handles.require("selector").select(image, cp.text, cp.offered)
+        sel = handles["selector"].select(image, cp.text, cp.offered)
     except BackendError as exc:
         return Prediction.backend_failure(task.id, Pathway.CRS, exc)
 

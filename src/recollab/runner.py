@@ -5,7 +5,7 @@ before any backend call: it checks only the command's split and the
 fixture directories of the roles it calls, and ``report`` calls none.
 Every command creates its outputs through ``_output_dir``. ``run`` and
 ``report`` read a log only through ``_read_own_log``, which refuses one
-written under another identity or version, or with no meta line.
+written under another identity or version, or not opened by its one meta line.
 
 A run whose backends all replay fixtures executes each task on the calling
 thread. A run that calls any HTTP backend overlaps model calls on a worker
@@ -32,13 +32,13 @@ import os
 import threading
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .backends import ROLES, BackendBundle
+from .backends import ROLES
 from .backends.http import HttpClient
 from .backends.replay import FixtureStore
 from .backends.types import BackendError
@@ -187,10 +187,15 @@ class BoundedHandle:
             return gated
         return lambda *args: memo.call(name, args, gated)
 
+    def close(self) -> None:
+        """Close the pooled connections of the wrapped adapter's HTTP client, if it has one."""
+        if hasattr(self._inner, "client"):
+            self._inner.client.close()
 
-def build_backends(cfg: RunConfig, memo: CallMemo | None = None) -> BackendBundle:
-    """A handle per configured role, built from its settings and gated at its ``concurrency``;
-    with ``memo``, extractor and detector calls go through it."""
+
+def build_backends(cfg: RunConfig, memo: CallMemo | None = None) -> dict[str, BoundedHandle]:
+    """A handle per configured role, keyed by role, built from its settings and gated at its
+    ``concurrency``; with ``memo``, extractor and detector calls go through it."""
     handles = {}
     for role, settings in cfg.backends.items():
         if settings.kind == "replay":
@@ -199,13 +204,22 @@ def build_backends(cfg: RunConfig, memo: CallMemo | None = None) -> BackendBundl
         else:
             impl = ROLES[role].http(HttpClient(settings))
         handles[role] = BoundedHandle(impl, settings.concurrency, memo)
-    return BackendBundle(**handles)
+    return handles
 
 
-def run_specialist_task(task: RecTask, handles: BackendBundle) -> Prediction:
+@contextmanager
+def _closing_all(handles: Mapping[str, BoundedHandle]) -> Iterator[Mapping[str, BoundedHandle]]:
+    try:
+        yield handles
+    finally:
+        for handle in handles.values():
+            handle.close()
+
+
+def run_specialist_task(task: RecTask, handles: Mapping[str, Any]) -> Prediction:
     """Plain grounder baseline: top confidence box wins, full list ranked."""
     try:
-        grounding = handles.require("grounder").ground(image_ref(task), task.expression)
+        grounding = handles["grounder"].ground(image_ref(task), task.expression)
     except BackendError as exc:
         return Prediction.backend_failure(task.id, Pathway.FAST, exc)
     if not grounding.detections:
@@ -231,17 +245,17 @@ def run_specialist_task(task: RecTask, handles: BackendBundle) -> Prediction:
     )
 
 
-def run_mllm_task(task: RecTask, handles: BackendBundle, cfg: RunConfig) -> Prediction:
+def run_mllm_task(task: RecTask, handles: Mapping[str, Any], cfg: RunConfig) -> Prediction:
     """Vanilla generative baseline: base prompt, no routing, no focus."""
     return ground_slow(task, handles, build_grounding_prompt(task.expression, cfg.sfa))
 
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """One pipeline: the backend roles each pathway calls, and its per-task worker."""
+    """One pipeline: the roles each pathway calls, and a worker reading handles keyed by role."""
 
     pathways: Mapping[str, tuple[str, ...]]
-    worker: Callable[[RecTask, BackendBundle, RunConfig], Prediction]
+    worker: Callable[[RecTask, Mapping[str, Any], RunConfig], Prediction]
 
     @property
     def roles(self) -> tuple[str, ...]:
@@ -306,8 +320,9 @@ def read_log(
     confidence, pathway and failure: enough to resume a run or count its
     failures, not to score it.
 
-    A torn final line (no trailing newline, from a hard crash) is excluded
-    from the valid length so a resuming run can truncate it away.
+    The log must open with its one meta line, which says what config wrote
+    it. A torn final line (no trailing newline, from a hard crash) is
+    excluded from the valid length so a resuming run can truncate it away.
     """
     if not path.exists():
         return None, {}, 0
@@ -333,9 +348,12 @@ def read_log(
                 raise ConfigError(f"prediction log line {line_no} is not a JSON object")
             kind = record.get("record")
             if kind == "meta":
-                if meta is None:
-                    meta = record
+                if meta is not None:
+                    raise ConfigError(f"prediction log line {line_no} is a second meta line")
+                meta = record
             elif kind == "prediction":
+                if meta is None:
+                    raise ConfigError(f"log {path} has predictions but no meta line before them")
                 try:
                     pred = Prediction.from_dict(record)
                 except (KeyError, TypeError, ValueError) as exc:
@@ -354,11 +372,9 @@ def read_log(
 def _read_own_log(
     cfg: RunConfig, path: Path, ts: TaskSet
 ) -> tuple[dict[str, Any] | None, dict[str, Score], int]:
-    """``read_log(path, ts)``, refused if it has predictions but no meta line, or a meta line
-    of another version or identity (its ``identity_hash``, else its full ``config_hash``)."""
+    """``read_log(path, ts)``, refused if its meta line is of another version or identity
+    (its ``identity_hash``, else its full ``config_hash``)."""
     meta, rows, valid_len = read_log(path, ts)
-    if meta is None and rows:
-        raise ConfigError(f"log {path} has predictions but no meta line, so no known config")
     if meta is not None and meta.get("version") != LOG_VERSION:
         raise ConfigError(f"log {path} has version {meta.get('version')!r}, not {LOG_VERSION}")
     if meta is not None and (
@@ -546,7 +562,7 @@ def _predict_and_log(
         lambda task: spec.worker(task, handles, cfg), pending, _pool_size(cfg, spec)
     )
 
-    with closing(handles), open(log_path, "a", encoding="utf-8") as log_file, closing(results):
+    with _closing_all(handles), open(log_path, "a", encoding="utf-8") as log_file, closing(results):
         if meta is None:
             meta = {
                 "record": "meta",
@@ -624,8 +640,8 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
         raise ConfigError(f"crs.k and tuning.include_none: {exc}") from exc
     ts, out_dir = _prepare(cfg, "train", ("grounder",), "export-tuning", (cfg.tuning.output,))
     failures: list[tuple[str, BackendError]] = []
-    with closing(build_backends(cfg)) as handles:
-        grounder = handles.require("grounder")
+    with _closing_all(build_backends(cfg)) as handles:
+        grounder = handles["grounder"]
         samples = export_tuning(ts, grounder, cfg.crs, cfg.tuning, seed=cfg.seed, failures=failures)
     if failures and len(failures) == len(ts):
         # nothing was grounded: a wrong endpoint or fixture directory, not an outage

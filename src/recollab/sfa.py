@@ -14,8 +14,8 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from typing import Any, Mapping
 
-from .backends import BackendBundle
 from .backends.types import (
     BackendError,
     Detector,
@@ -125,15 +125,15 @@ def target_focus_select(result: GroundingResult, span: tuple[int, int] | None) -
 
 
 def ground_slow(
-    task: RecTask, handles: BackendBundle, prompt: str, decision: RouteDecision | None = None
+    task: RecTask, handles: Mapping[str, Any], prompt: str, decision: RouteDecision | None = None
 ) -> Prediction:
-    """Slow pathway: the MLLM answers ``prompt`` with generated coordinates.
+    """Slow pathway: ``handles["mllm"]`` answers ``prompt`` with generated coordinates.
 
     A reply without usable coordinates is a rejection; a backend failure
     is a miss. Either way the task keeps the slow pathway and ``decision``.
     """
     try:
-        answer = handles.require("mllm").ground_generative(image_ref(task), prompt)
+        answer = handles["mllm"].ground_generative(image_ref(task), prompt)
     except BackendError as exc:
         return Prediction.backend_failure(task.id, Pathway.SLOW, exc, decision)
     raw = {"text": answer.raw_text}
@@ -156,8 +156,10 @@ def ground_slow(
     )
 
 
-def run_sfa(task: RecTask, handles: BackendBundle, params: SfaParams = SfaParams()) -> Prediction:
-    """Route one task and ground it on the chosen pathway.
+def run_sfa(
+    task: RecTask, handles: Mapping[str, Any], params: SfaParams = SfaParams()
+) -> Prediction:
+    """Route one task and ground it on the chosen pathway, calling ``handles`` by role.
 
     Backend failures become miss predictions (box absent, confidence 0,
     error note) so batch runs skip the task and continue. Failures before
@@ -167,12 +169,12 @@ def run_sfa(task: RecTask, handles: BackendBundle, params: SfaParams = SfaParams
     image = image_ref(task)
     decision: RouteDecision | None = None
     try:
-        target = handles.require("extractor").extract(task.expression)
-        decision = assess_route(image, target, handles.require("detector"), params.threshold)
+        target = handles["extractor"].extract(task.expression)
+        decision = assess_route(image, target, handles["detector"], params.threshold)
         if decision.level is Pathway.SLOW:
             prompt = build_focus_prompt(task.expression, target, params)
             return ground_slow(task, handles, prompt, decision)
-        grounding = handles.require("grounder").ground(image, task.expression)
+        grounding = handles["grounder"].ground(image, task.expression)
     except BackendError as exc:
         pathway = Pathway.SLOW if decision is None else decision.level
         return Prediction.backend_failure(task.id, pathway, exc, decision)

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from recollab.backends import BackendBundle
 from recollab.backends.replay import ROLE_GROUND, FixtureStore, ReplayGrounder, write_fixture
 from recollab.backends.types import GroundingResult
 from recollab.crs import (
@@ -339,10 +338,10 @@ def test_criterion_06_candidate_selection_oracle_ceiling(tmp_path):
         for task in tasks:
             write_fixture(store_dir, ROLE_GROUND, task.image, task.expression, slot_payload)
 
-        handles = BackendBundle(
-            grounder=ReplayGrounder(FixtureStore(store_dir)),
-            selector=OracleSelector({t.image: t.gt_box for t in tasks}),
-        )
+        handles = {
+            "grounder": ReplayGrounder(FixtureStore(store_dir)),
+            "selector": OracleSelector({t.image: t.gt_box for t in tasks}),
+        }
         params = CrsParams()
         preds = {task.id: run_crs(task, handles, params) for task in tasks}
         crs_p1 = precision_at_k(scored(preds, ts), ts, k=1)

@@ -25,7 +25,6 @@ import pytest
 import yaml
 
 from recollab import runner
-from recollab.backends import BackendBundle
 from recollab.backends.http import HttpClient, HttpGrounder
 from recollab.backends.replay import (
     ROLE_DETECT,
@@ -135,7 +134,10 @@ def test_read_log_defaults_missing_ranked_boxes_to_the_chosen_box(tmp_path):
     assert other.box is other.ranked_boxes[0][0]
 
     path = tmp_path / "log.jsonl"
-    path.write_text(json.dumps(record) + "\n" + _pred_line("t2") + "\n", encoding="utf-8")
+    meta_line = json.dumps({"record": "meta", "version": 1, "config_hash": "x"})
+    path.write_text(
+        "\n".join((meta_line, json.dumps(record), _pred_line("t2"))) + "\n", encoding="utf-8"
+    )
     ts = TaskSet(Split.TEST, [task])
     _, rows, _ = read_log(path, ts)
     assert (rows[task.id].rank, rows[task.id].rank_confidence) == (0, 0.5)
@@ -652,10 +654,10 @@ def test_http_client_pools_as_many_connections_as_calls_in_flight(tmp_path, buil
         if built_from == "config":
             handles = build_backends(replace(cfg, backends={"grounder": settings}))
         else:
-            handles = BackendBundle(grounder=HttpGrounder(HttpClient(settings)))
+            handles = {"grounder": HttpGrounder(HttpClient(settings))}
         image = ImageRef("img", 640, 480)
-        ground = handles.grounder.ground
-        with closing(handles), ThreadPoolExecutor(max_workers=16) as pool:
+        ground = handles["grounder"].ground
+        with closing(handles["grounder"].client), ThreadPoolExecutor(max_workers=16) as pool:
             for _ in range(2):
                 results = list(pool.map(lambda i: ground(image, f"q{i}"), range(16)))
                 assert all(len(r.detections) == 1 for r in results)
@@ -706,7 +708,7 @@ def test_specialist_task_ranks_every_detection():
         Detection(box=BBox(0, 0, 10, 10), score=0.9),
         Detection(box=BBox(20, 20, 30, 30), score=0.4),
     )
-    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder(dets)))
+    pred = run_specialist_task(make_positive(0), {"grounder": _StubGrounder(dets)})
     assert pred.box == dets[0].box
     assert pred.confidence == 0.9
     assert pred.pathway.value == "fast"
@@ -714,7 +716,7 @@ def test_specialist_task_ranks_every_detection():
 
 
 def test_specialist_task_empty_grounding_is_rejection():
-    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder()))
+    pred = run_specialist_task(make_positive(0), {"grounder": _StubGrounder()})
     assert pred.box is None
     assert pred.confidence == 0.0
     assert "no detections" in pred.note
@@ -723,7 +725,7 @@ def test_specialist_task_empty_grounding_is_rejection():
 
 def test_specialist_task_zero_score_is_rejection():
     dets = (Detection(box=BBox(0, 0, 10, 10), score=0.0),)
-    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=_StubGrounder(dets)))
+    pred = run_specialist_task(make_positive(0), {"grounder": _StubGrounder(dets)})
     assert pred.box is None
     assert "zero confidence" in pred.note
     # the miss still ranks the grounder's box for P@k and R@k
@@ -732,7 +734,7 @@ def test_specialist_task_zero_score_is_rejection():
 
 def test_specialist_task_backend_failure_is_noted():
     stub = _StubGrounder(error=BackendError("socket closed"))
-    pred = run_specialist_task(make_positive(0), BackendBundle(grounder=stub))
+    pred = run_specialist_task(make_positive(0), {"grounder": stub})
     assert pred.note.startswith("backend failure")
     assert "socket closed" in pred.note
     assert pred.failed
@@ -770,6 +772,18 @@ def test_validate_refuses_an_expected_count_that_names_no_count(tmp_path, capsys
 
     assert main(["validate", "-c", str(cfg_path)]) == 2
     assert "unknown count key(s) in expected_counts.test: negative_images" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "validation.json").exists()
+
+
+def test_validate_refuses_expected_counts_for_a_split_with_no_dataset(tmp_path, capsys):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=4)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    assert list(config["datasets"]) == ["test"]
+    config["expected_counts"]["val"] = {"total": 999}
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+
+    assert main(["validate", "-c", str(cfg_path)]) == 2
+    assert "expected_counts.val: split 'val' has no dataset" in capsys.readouterr().err
     assert not (tmp_path / "out" / "validation.json").exists()
 
 
@@ -1092,6 +1106,50 @@ def test_stopped_pooled_run_abandons_queued_tasks(tmp_path, monkeypatch, stop):
     assert len(read_records(tmp_path / "out" / LOG_NAME)) == 1 + stop_at
 
 
+@pytest.mark.parametrize("stop", ["worker_raises", "interrupt_in_write_loop"])
+def test_a_stopped_run_closes_its_http_connections(tmp_path, monkeypatch, stop):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=10)
+    stop_at = 5
+    stop_id = list(load_taskset(tmp_path / "test.jsonl", "test"))[stop_at].id
+    clients = []
+    real_client, real_task, real_write = (
+        runner.HttpClient, runner.run_specialist_task, runner._write_record
+    )
+
+    def recording_client(settings):
+        clients.append(real_client(settings))
+        return clients[-1]
+
+    def failing_task(task, handles):
+        pred = real_task(task, handles)
+        if task.id == stop_id:
+            raise RuntimeError("worker failed")
+        return pred
+
+    def interrupted_write(handle, record):
+        if record.get("task_id") == stop_id:
+            raise KeyboardInterrupt
+        real_write(handle, record)
+
+    monkeypatch.setattr(runner, "HttpClient", recording_client)
+    if stop == "worker_raises":
+        monkeypatch.setattr(runner, "run_specialist_task", failing_task)
+    else:
+        monkeypatch.setattr(runner, "_write_record", interrupted_write)
+    payload = {"detections": [{"box": [0, 0, 10, 10], "score": 0.5}]}
+    with http_server(default=payload, keep_alive=True) as (server, url):
+        config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+        config["pipeline"] = "specialist"
+        config["backends"]["grounder"] = {"kind": "http", "endpoint": url, "concurrency": 2}
+        cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        with pytest.raises(RuntimeError if stop == "worker_raises" else KeyboardInterrupt):
+            runner.cmd_run(load_config(cfg_path))
+        # the calls before the stop kept their connections alive for reuse
+        assert len(server.seen) > stop_at and server.connections >= 1
+    [client] = clients
+    assert client._idle.empty()
+
+
 def test_a_crs_k_beyond_the_option_letters_exits_2_before_any_call(tmp_path, capsys):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=1)
     config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
@@ -1257,7 +1315,9 @@ def test_log_without_identity_hash_must_match_the_full_config(tmp_path, capsys):
     assert "different config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["no meta line", "version 2"])
+@pytest.mark.parametrize(
+    "fault", ["no meta line", "version 2", "meta line after predictions", "second meta line"]
+)
 def test_a_log_without_its_version_1_meta_line_is_refused_and_left_as_it_is(
     tmp_path, capsys, fault
 ):
@@ -1266,11 +1326,17 @@ def test_a_log_without_its_version_1_meta_line_is_refused_and_left_as_it_is(
     log = tmp_path / "out" / LOG_NAME
     lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
     meta = json.loads(lines[0])
-    assert meta["record"] == "meta" and meta["version"] == 1
+    assert meta["record"] == "meta" and meta["version"] == 1 and len(lines) == 5
     if fault == "no meta line":
         lines, message = lines[1:3], "has predictions but no meta line"
-    else:
+    elif fault == "version 2":
         lines[0], message = json.dumps({**meta, "version": 2}) + "\n", "has version 2, not 1"
+    elif fault == "meta line after predictions":
+        # as a resume of a log with no meta line used to write it
+        lines, message = lines[1:3] + lines[:1] + lines[3:], "has predictions but no meta line"
+    else:
+        other = json.dumps({**meta, "identity_hash": "0" * 64}) + "\n"
+        lines, message = lines[:1] + [other] + lines[1:], "line 2 is a second meta line"
     log.write_text("".join(lines), encoding="utf-8")
     written = log.read_bytes()
     for command in ("run", "report"):

@@ -139,7 +139,10 @@ def test_replay_backend_rejects_coordinate_space():
         ),
         ({"expected_counts": [1, 2]}, "expected_counts in config must be a mapping, got [1, 2]"),
         (
-            {"expected_counts": {"test": {"total": 4, "negative_images": 0, "difficulty.L4": 0}}},
+            {
+                "datasets": {"test": "t.jsonl"},
+                "expected_counts": {"test": {"total": 4, "negative_images": 0, "difficulty.L4": 0}},
+            },
             "unknown count key(s) in expected_counts.test: difficulty.L4, negative_images "
             "(known: total, pairs, positive, negative_expression, negative_image, "
             "difficulty.L1, difficulty.L2, difficulty.L3, difficulty.unlabeled)",
@@ -205,6 +208,7 @@ def test_settings_of_their_declared_types_load_as_written():
             "sfa": {"threshold": 1, "focus": False},
             "tuning": {"include_none": False, "negatives": 0},
             "backends": {"mllm": {"kind": "http", "endpoint": "http://m/", "coordinate_space": None}},
+            "datasets": {"test": "t.jsonl"},
             "expected_counts": {"test": {"total": 4}},
         }
     )
@@ -380,11 +384,19 @@ def test_config_hash_ignores_token_value(monkeypatch):
 
 def test_expected_counts_round_trip():
     cfg = config_from_dict(
-        {"expected_counts": {"test": {"positive": 9605, "pairs": 18321}}}
+        {
+            "datasets": {"test": "t.jsonl"},
+            "expected_counts": {"test": {"positive": 9605, "pairs": 18321}},
+        }
     )
     assert cfg.expected_counts["test"]["pairs"] == 18321
     with pytest.raises(ConfigError):
         config_from_dict({"expected_counts": {"dev": {}}})
+    # counts for a split with no dataset would never be checked
+    with pytest.raises(ConfigError, match=r"expected_counts\.val: split 'val' has no dataset"):
+        config_from_dict(
+            {"datasets": {"test": "t.jsonl"}, "expected_counts": {"val": {"total": 999}}}
+        )
 
 
 def test_example_config_hash_is_pinned(monkeypatch):

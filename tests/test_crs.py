@@ -6,7 +6,6 @@ import random
 import pytest
 
 from recollab import BBox, Detection, Pathway, TaskSet, iou
-from recollab.backends import BackendBundle
 from recollab.backends.types import (
     BackendError,
     GroundingResult,
@@ -74,7 +73,7 @@ class ScriptedGrounder:
 
 
 def bundle(grounder, selector):
-    return BackendBundle(grounder=grounder, selector=selector)
+    return {"grounder": grounder, "selector": selector}
 
 
 # ------------------------------------------------------------- candidates
@@ -303,8 +302,11 @@ def test_run_crs_backend_failures_are_misses():
 
 
 def test_run_crs_missing_backend():
-    pred = run_crs(make_positive(0), BackendBundle())
-    assert pred.note.startswith("backend failure")
+    # a library caller's mapping must hold every role the pipeline calls
+    with pytest.raises(KeyError, match="grounder"):
+        run_crs(make_positive(0), {})
+    with pytest.raises(KeyError, match="selector"):
+        run_crs(make_positive(0), {"grounder": ScriptedGrounder([det(0, 0, 1, 1, 0.5)])})
 
 
 # ----------------------------------------------------------------- export

@@ -1,11 +1,16 @@
-"""Every module under src/ and tests/ uses each name it imports.
+"""Every module under src/ and tests/ uses each name it imports, and every
+name the benchmark imports from ``recollab`` exists.
 
 A name counts as used when the module reads it anywhere or lists it in its
 ``__all__``. ``from __future__`` imports and an import whose lines carry
-``# noqa: F401`` (a deliberate re-export) are exempt.
+``# noqa: F401`` (a deliberate re-export) are exempt. No test imports
+``bench/run.py`` or ``bench/corpus.py``, so without the second check a
+renamed program name would break only the benchmark.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,3 +73,54 @@ def test_the_scan_finds_an_unused_import_and_honours_the_exemptions():
         "    os.sep\n"
     )
     assert unused_imports(source) == [(3, "json"), (9, "c")]
+
+
+def recollab_imports(source: str) -> list[tuple[int, str, str]]:
+    """(line, module, name) for each ``from recollab... import name`` in ``source``."""
+    return [
+        (node.lineno, node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and node.module.split(".")[0] == "recollab"
+        for alias in node.names
+    ]
+
+
+def resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` finds an attribute or a submodule."""
+    if hasattr(importlib.import_module(module), name):
+        return True
+    try:
+        return importlib.util.find_spec(f"{module}.{name}") is not None
+    except ModuleNotFoundError:
+        return False
+
+
+def test_every_name_the_benchmark_imports_from_recollab_resolves():
+    found = [
+        (path.name, line, module, name)
+        for path in sorted(ROOT.glob("bench/*.py"))
+        for line, module, name in recollab_imports(path.read_text(encoding="utf-8"))
+    ]
+    names = {(file, f"{module}.{name}") for file, _, module, name in found}
+    assert {
+        ("run.py", "recollab.runner.FAILURE_NOTE_PREFIX"),
+        ("run.py", "recollab.runner.build_backends"),
+        ("corpus.py", "recollab.backends.replay.write_fixture"),
+        ("tracer.py", "recollab.backends.http"),
+    } <= names
+    missing = [
+        f"bench/{file}:{line}: {module}.{name}"
+        for file, line, module, name in found
+        if not resolves(module, name)
+    ]
+    assert missing == []
+
+
+def test_the_benchmark_scan_refuses_a_name_that_is_gone():
+    source = "from recollab.runner import build_backends, no_such_name\nimport recollab\n"
+    found = recollab_imports(source)
+    assert [name for _, _, name in found] == ["build_backends", "no_such_name"]
+    assert [resolves(module, name) for _, module, name in found] == [True, False]
+    assert resolves("recollab.backends", "replay") and not resolves("recollab.backends", "rpc")

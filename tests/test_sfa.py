@@ -5,7 +5,6 @@ import random
 import pytest
 
 from recollab import BBox, Detection, Pathway, TokenSpanScore
-from recollab.backends import BackendBundle
 from recollab.backends.replay import (
     ROLE_DETECT,
     ROLE_EXTRACT,
@@ -233,12 +232,12 @@ def _sfa_fixtures(tmp_path, *, detect_scores, expression, target):
 
 def _bundle(tmp_path):
     store = FixtureStore(root=tmp_path)
-    return BackendBundle(
-        extractor=ReplayTargetExtractor(store=store),
-        detector=ReplayDetector(store=store),
-        grounder=ReplayGrounder(store=store),
-        mllm=ReplayMllm(store=store),
-    )
+    return {
+        "extractor": ReplayTargetExtractor(store=store),
+        "detector": ReplayDetector(store=store),
+        "grounder": ReplayGrounder(store=store),
+        "mllm": ReplayMllm(store=store),
+    }
 
 
 def _task(expression):
@@ -407,18 +406,13 @@ def test_run_mllm_task_failure_is_a_slow_miss(tmp_path):
     assert pred.note.startswith("backend failure")
 
 
-def test_run_sfa_missing_backend_is_a_miss(tmp_path):
+def test_run_sfa_missing_backend_raises_key_error(tmp_path):
     expression = "the dog"
     _sfa_fixtures(tmp_path, detect_scores=[0.9], expression=expression, target="dog")
-    bundle = BackendBundle(
-        extractor=ReplayTargetExtractor(store=FixtureStore(root=tmp_path)),
-        detector=ReplayDetector(store=FixtureStore(root=tmp_path)),
-        grounder=None,
-        mllm=None,
-    )
-    pred = run_sfa(_task(expression), bundle)
-    assert pred.note.startswith("backend failure")
-    assert "grounder" in pred.note
-    # routing finished (one confident detection), so the miss is charged to fast
-    assert pred.pathway is Pathway.FAST
-    assert pred.decision.level is Pathway.FAST
+    handles = {
+        "extractor": ReplayTargetExtractor(store=FixtureStore(root=tmp_path)),
+        "detector": ReplayDetector(store=FixtureStore(root=tmp_path)),
+    }
+    # routing finished (one confident detection), so the fast pathway's grounder is looked up
+    with pytest.raises(KeyError, match="grounder"):
+        run_sfa(_task(expression), handles)
