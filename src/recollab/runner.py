@@ -5,7 +5,8 @@ before any backend call: it checks only the command's split and the
 fixture directories of the roles it calls, and ``report`` calls none.
 Every command creates its outputs through ``_output_dir``. ``run`` and
 ``report`` read a log only through ``_read_own_log``, which refuses one
-written under another identity or version, or not opened by its one meta line.
+written under another identity or version, not opened by its one meta
+line, or naming a task the split lacks.
 
 A run whose backends all replay fixtures executes each task on the calling
 thread. A run that calls any HTTP backend overlaps model calls on a worker
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import threading
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -64,8 +64,9 @@ LOG_NAME = "predictions.jsonl"
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 REPORT_FILES = (REPORT_JSON, REPORT_TEXT)
+VALIDATION_JSON = "validation.json"
+COMMAND_FILES = (LOG_NAME, *REPORT_FILES, VALIDATION_JSON)  # what run, report, validate write
 LOG_VERSION = 1
-CRASH_ENV = "RECOLLAB_CRASH_AFTER"
 # Tasks a pooled run keeps submitted per worker thread: enough that workers
 # stay busy while the head of the window waits on a slow call, few enough
 # that an interrupted run abandons little work.
@@ -316,9 +317,9 @@ def read_log(
 
     Each prediction is checked by ``Prediction.from_dict``, scored against
     its task in ``ts`` and dropped, so no more than one is held at a time.
-    Without ``ts``, or for a task outside it, a row holds only the
-    confidence, pathway and failure: enough to resume a run or count its
-    failures, not to score it.
+    With ``ts``, a prediction for a task ``ts`` lacks is refused. Without
+    ``ts`` a row holds only the confidence, pathway and failure: enough to
+    resume a run or count its failures, not to score it.
 
     The log must open with its one meta line, which says what config wrote
     it. A torn final line (no trailing newline, from a hard crash) is
@@ -362,6 +363,11 @@ def read_log(
                         f"{type(exc).__name__}: {exc}"
                     ) from exc
                 task = ts.get(pred.task_id) if ts is not None else None
+                if task is None and ts is not None:
+                    raise ConfigError(
+                        f"prediction log line {line_no} is for task {pred.task_id!r}, "
+                        f"which the {ts.split.value} split does not hold"
+                    )
                 # keyed by the task's own id string, which the task set already holds
                 rows[pred.task_id if task is None else task.id] = score(pred, task)
             else:
@@ -384,19 +390,6 @@ def _read_own_log(
     ):
         raise ConfigError(f"log {path} is from a different config; move it or restore that config")
     return meta, rows, valid_len
-
-
-def _crash_budget() -> int | None:
-    value = os.environ.get(CRASH_ENV)
-    if value is None:
-        return None
-    try:
-        budget = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{CRASH_ENV} must be an integer, got {value!r}") from exc
-    if budget < 1:
-        raise ConfigError(f"{CRASH_ENV} must be >= 1, got {budget}")
-    return budget
 
 
 def _write_report(
@@ -520,7 +513,7 @@ def _predict(
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    """Evaluate the configured pipeline over the test split.
+    """Evaluate the configured pipeline over the test split, resuming from its log.
 
     Exit status: 0 clean, 1 when task-level backend failures were logged
     (the run still completes), ConfigError propagates for exit 2.
@@ -557,7 +550,6 @@ def _predict_and_log(
     pending = [task for task in ts if task.id not in rows]
     memo = CallMemo(pending) if set(CallMemo.ROLES).intersection(spec.roles) else None
     handles = build_backends(cfg, memo)
-    crash_after = _crash_budget()
     results = _predict(
         lambda task: spec.worker(task, handles, cfg), pending, _pool_size(cfg, spec)
     )
@@ -573,17 +565,12 @@ def _predict_and_log(
                 "seed": cfg.seed,
             }
             _write_record(log_file, meta)
-        written = 0
         # results come in the order of pending
         for pred, task in zip(results, pending):
             _write_record(log_file, {"record": "prediction", **pred.to_dict()})
             if memo is not None:
                 memo.release(task)
             rows[task.id] = score(pred, task)
-            written += 1
-            if crash_after is not None and written >= crash_after:
-                logger.warning("crash hook: exiting after %d records", written)
-                os._exit(3)
     return meta
 
 
@@ -604,7 +591,7 @@ def cmd_report(cfg: RunConfig, log_path: Path | None = None) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     """Load and census every configured dataset split; no backend is read."""
     cfg.check_paths(cfg.datasets, ())
-    out_dir = _output_dir(cfg, ("validation.json",))
+    out_dir = _output_dir(cfg, (VALIDATION_JSON,))
     status = 0
     summaries: dict[str, Any] = {}
     for split in sorted(cfg.datasets):
@@ -619,7 +606,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         print(render_census(census))
         if not census["passed"]:
             status = 1
-    (out_dir / "validation.json").write_text(
+    (out_dir / VALIDATION_JSON).write_text(
         json.dumps(summaries, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
@@ -638,7 +625,10 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
         check_option_letters(cfg.crs.k, cfg.tuning.include_none)
     except ValueError as exc:
         raise ConfigError(f"crs.k and tuning.include_none: {exc}") from exc
-    ts, out_dir = _prepare(cfg, "train", ("grounder",), "export-tuning", (cfg.tuning.output,))
+    out_dir = cfg.resolve(cfg.output_dir)
+    if (out_dir / cfg.tuning.output).resolve() in {(out_dir / f).resolve() for f in COMMAND_FILES}:
+        raise ConfigError(f"tuning.output {cfg.tuning.output!r} is a file other commands write")
+    ts, _ = _prepare(cfg, "train", ("grounder",), "export-tuning", (cfg.tuning.output,))
     failures: list[tuple[str, BackendError]] = []
     with _closing_all(build_backends(cfg)) as handles:
         grounder = handles["grounder"]

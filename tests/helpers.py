@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -591,3 +593,41 @@ def http_server(script=None, default=None, reply=None, keep_alive=False, drop_id
     finally:
         server.shutdown()
         server.server_close()
+
+
+# The CLI, with runner._write_record wrapped so that the process hard-exits
+# with status 3 right after writing (and flushing) its N-th prediction line:
+# a crash at a known point, made from outside the program.
+_CRASH_AFTER = """\
+import os, sys
+from recollab import cli, runner
+
+left = int(sys.argv.pop(1))
+write = runner._write_record
+
+
+def write_then_crash(handle, record):
+    global left
+    write(handle, record)
+    if record["record"] == "prediction":
+        left -= 1
+        if not left:
+            os._exit(3)
+
+
+runner._write_record = write_then_crash
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_cli(*args, crash_after=None):
+    """``recollab *args`` in a subprocess, so a hard exit cannot take the tests down.
+
+    With ``crash_after`` N, the run exits with status 3 right after its N-th
+    prediction line is written.
+    """
+    if crash_after is None:
+        command = [sys.executable, "-m", "recollab"]
+    else:
+        command = [sys.executable, "-c", _CRASH_AFTER, str(crash_after)]
+    return subprocess.run([*command, *map(str, args)], capture_output=True, text=True, timeout=120)

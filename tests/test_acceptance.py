@@ -13,8 +13,6 @@ RECOLLAB_FINECOPS_TEST points at the converted test-split JSONL.
 import os
 import random
 import shutil
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -66,6 +64,7 @@ from helpers import (
     np_iou_matrix,
     rank_pair_hit,
     raster_iou,
+    run_cli,
     scored,
 )
 
@@ -396,19 +395,6 @@ def test_criterion_07_tuning_export_invariants(tmp_path):
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
-def _cli(*args, env=None):
-    merged = {k: v for k, v in os.environ.items() if k != "RECOLLAB_CRASH_AFTER"}
-    if env:
-        merged.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "recollab", *map(str, args)],
-        capture_output=True,
-        text=True,
-        env=merged,
-        timeout=120,
-    )
-
-
 def test_criterion_08_determinism_and_crash_resume(tmp_path):
     with criterion(8, "determinism-and-crash-resume", budget=30.0):
         cfg_a = build_sfa_corpus(tmp_path / "a", n_pairs=50)
@@ -416,20 +402,20 @@ def test_criterion_08_determinism_and_crash_resume(tmp_path):
         log_a = tmp_path / "a" / "out" / "predictions.jsonl"
         log_b = tmp_path / "b" / "out" / "predictions.jsonl"
 
-        proc = _cli("run", "-c", cfg_a)
+        proc = run_cli("run", "-c", cfg_a)
         assert proc.returncode == 0, proc.stderr
         reference = log_a.read_bytes()
         assert reference.count(b"\n") == 1 + 100  # meta plus one line per task
 
         shutil.rmtree(tmp_path / "a" / "out")
-        proc = _cli("run", "-c", cfg_a)
+        proc = run_cli("run", "-c", cfg_a)
         assert proc.returncode == 0, proc.stderr
         assert log_a.read_bytes() == reference
 
-        proc = _cli("run", "-c", cfg_b, env={"RECOLLAB_CRASH_AFTER": "37"})
+        proc = run_cli("run", "-c", cfg_b, crash_after=37)
         assert proc.returncode == 3
         assert log_b.read_bytes().count(b"\n") == 1 + 37
-        proc = _cli("run", "-c", cfg_b)
+        proc = run_cli("run", "-c", cfg_b)
         assert proc.returncode == 0, proc.stderr
         assert log_b.read_bytes() == reference
 

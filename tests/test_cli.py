@@ -1,16 +1,14 @@
 """Command-line behaviour: exit codes, determinism, crash resume.
 
-End-to-end tests run the installed console entry through a subprocess so
-os._exit in the crash hook cannot take the test process down with it.
+End-to-end tests run the CLI through ``helpers.run_cli`` in a subprocess,
+which can also crash a run after a given number of prediction lines.
 """
 
 import gc
 import hashlib
 import json
 import logging
-import os
 import shutil
-import subprocess
 import sys
 import threading
 import time
@@ -37,7 +35,7 @@ from recollab.backends.replay import (
 from recollab.backends.types import BackendError
 from recollab.cli import main
 from recollab.config import PIPELINES, BackendSettings, ConfigError, load_config
-from recollab.datamodel import ImageRef, Split, TaskSet, load_taskset
+from recollab.datamodel import ImageRef, Split, TaskSet, load_taskset, save_taskset
 from recollab.geometry import BBox, Detection
 from recollab.metrics import build_report, precision_at_k
 from recollab.prediction import Pathway, Prediction
@@ -59,25 +57,13 @@ from helpers import (
     build_export_corpus,
     build_sfa_corpus,
     http_server,
+    make_negative,
     make_positive,
     make_slot_positive,
+    run_cli,
     scored,
     write_mllm_fixtures,
 )
-
-
-def run_cli(*args, env=None, cwd=None):
-    merged = {k: v for k, v in os.environ.items() if k != "RECOLLAB_CRASH_AFTER"}
-    if env:
-        merged.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "recollab", *map(str, args)],
-        capture_output=True,
-        text=True,
-        env=merged,
-        cwd=cwd,
-        timeout=120,
-    )
 
 
 def read_records(log_path):
@@ -138,7 +124,7 @@ def test_read_log_defaults_missing_ranked_boxes_to_the_chosen_box(tmp_path):
     path.write_text(
         "\n".join((meta_line, json.dumps(record), _pred_line("t2"))) + "\n", encoding="utf-8"
     )
-    ts = TaskSet(Split.TEST, [task])
+    ts = TaskSet(Split.TEST, [task, make_negative(0, task)._replace(id="t2")])
     _, rows, _ = read_log(path, ts)
     assert (rows[task.id].rank, rows[task.id].rank_confidence) == (0, 0.5)
     assert precision_at_k(rows, ts, k=1) == 1.0
@@ -895,7 +881,7 @@ def test_run_resumes_after_crash(tmp_path):
     crashed = build_sfa_corpus(tmp_path / "a", n_pairs=8)
     clean = build_sfa_corpus(tmp_path / "b", n_pairs=8)
 
-    proc = run_cli("run", "-c", crashed, env={"RECOLLAB_CRASH_AFTER": "5"})
+    proc = run_cli("run", "-c", crashed, crash_after=5)
     assert proc.returncode == 3
     partial = read_records(tmp_path / "a" / "out" / LOG_NAME)
     assert partial[0]["record"] == "meta"
@@ -911,9 +897,19 @@ def test_run_resumes_after_crash(tmp_path):
     assert resumed_bytes == clean_bytes
 
 
+def test_run_reads_no_crash_variable_from_the_environment(tmp_path, monkeypatch):
+    # a crash at a known point is made from outside the program, by run_cli
+    monkeypatch.setenv("RECOLLAB_CRASH_AFTER", "1")
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    proc = run_cli("run", "-c", cfg_path)
+    assert proc.returncode == 0, proc.stderr
+    records = read_records(tmp_path / "out" / LOG_NAME)
+    assert [r["record"] for r in records] == ["meta"] + ["prediction"] * 6
+
+
 def test_run_resume_truncates_torn_tail(tmp_path):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=4)
-    proc = run_cli("run", "-c", cfg_path, env={"RECOLLAB_CRASH_AFTER": "3"})
+    proc = run_cli("run", "-c", cfg_path, crash_after=3)
     assert proc.returncode == 3
     log_path = tmp_path / "out" / LOG_NAME
     with open(log_path, "a", encoding="utf-8") as handle:
@@ -1272,7 +1268,7 @@ def test_run_refuses_log_from_other_config(tmp_path):
 def test_run_resumes_after_a_scheduling_knob_changes(tmp_path, knob, value):
     crashed = build_sfa_corpus(tmp_path / "a", n_pairs=4)
     clean = build_sfa_corpus(tmp_path / "b", n_pairs=4)
-    assert run_cli("run", "-c", crashed, env={"RECOLLAB_CRASH_AFTER": "3"}).returncode == 3
+    assert run_cli("run", "-c", crashed, crash_after=3).returncode == 3
 
     config = yaml.safe_load(crashed.read_text(encoding="utf-8"))
     for settings in config["backends"].values():
@@ -1487,14 +1483,6 @@ def test_run_seed_override_changes_config_hash(tmp_path):
     assert hash_a != hash_b
 
 
-def test_crash_env_must_be_positive_integer(tmp_path):
-    cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
-    proc = run_cli("run", "-c", cfg_path, env={"RECOLLAB_CRASH_AFTER": "zero"})
-    assert proc.returncode == 2
-    proc = run_cli("run", "-c", cfg_path, env={"RECOLLAB_CRASH_AFTER": "0"})
-    assert proc.returncode == 2
-
-
 def test_run_requires_backends_for_pipeline(tmp_path):
     cfg_path = build_sfa_corpus(tmp_path, n_pairs=2)
     config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
@@ -1648,6 +1636,24 @@ def test_report_refuses_log_from_other_config(tmp_path):
     assert "different config" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_a_log_with_a_task_the_split_lacks_is_refused_and_left_as_it_is(
+    tmp_path, capsys, command
+):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3, omit_generate_for="neg-00002")
+    assert main(["run", "-c", str(cfg_path)]) == 1
+    dataset = load_config(cfg_path).dataset_path("test")
+    ts = load_taskset(dataset, "test")
+    gone = ("pos-00002", "neg-00002")
+    save_taskset(TaskSet(ts.split, [task for task in ts if task.id not in gone]), dataset)
+    outputs = {path: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    capsys.readouterr()
+
+    assert main([command, "-c", str(cfg_path)]) == 2
+    assert "is for task 'pos-00002', which the test split does not hold" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in (tmp_path / "out").iterdir()} == outputs
+
+
 def _rewrite_log(log_path, ts, case):
     """Turn the log of a clean run into the log of ``case``; returns its prediction records."""
     meta, *records = read_records(log_path)
@@ -1675,7 +1681,18 @@ def test_the_report_from_score_rows_equals_the_report_from_predictions(tmp_path,
     records = _rewrite_log(log_path, ts, case)
     preds = {r["task_id"]: Prediction.from_dict(r) for r in records}
 
-    _, rows, _ = read_log(log_path, ts)
+    if case == "orphan":
+        # refused with the task set; the rows of the other lines plus the ghost's
+        # unscored row (read without it) still give the library's report
+        with pytest.raises(ConfigError, match=rf"line {len(records) + 1} is for task 'ghost'"):
+            read_log(log_path, ts)
+        logged = log_path.read_bytes()
+        head = tmp_path / "head.jsonl"
+        head.write_bytes(logged[: logged.rindex(b"\n", 0, -1) + 1])
+        _, rows, _ = read_log(head, ts)
+        rows["ghost"] = read_log(log_path)[1]["ghost"]
+    else:
+        _, rows, _ = read_log(log_path, ts)
     assert list(rows) == list(preds)
     want = build_report(scored(preds, ts), ts)
     assert build_report(rows, ts) == want
@@ -1687,7 +1704,13 @@ def test_the_report_from_score_rows_equals_the_report_from_predictions(tmp_path,
 
     failed = sum(pred.failed for pred in preds.values())
     assert failed == (case in ("failed", "orphan"))
-    assert main(["report", "-c", str(cfg_path)]) == (1 if failed else 0)
+    outputs = {path: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    status = main(["report", "-c", str(cfg_path)])
+    if case == "orphan":
+        assert status == 2
+        assert {path: path.read_bytes() for path in (tmp_path / "out").iterdir()} == outputs
+        return
+    assert status == (1 if failed else 0)
     report = json.loads((tmp_path / "out" / REPORT_JSON).read_text(encoding="utf-8"))
     assert report["metadata"]["failed_tasks"] == failed
     assert report["pathways"]["counts"] == want["pathways"]["counts"]
@@ -1737,6 +1760,31 @@ def test_export_tuning_writes_requested_counts(tmp_path):
     assert len(lines) == 13
     sample = json.loads(lines[0])
     assert {"image", "expression", "options", "answer"} <= set(sample)
+
+
+@pytest.mark.parametrize(
+    "output", ["predictions.jsonl", "./report.json", "sub/../report.txt", "validation.json"]
+)
+def test_export_tuning_refuses_an_output_another_command_writes(
+    tmp_path, monkeypatch, capsys, output
+):
+    run_cfg = build_sfa_corpus(tmp_path, n_pairs=3)
+    assert main(["run", "-c", str(run_cfg)]) == 0
+    main(["validate", "-c", str(run_cfg)])
+    cfg_path = build_export_corpus(tmp_path)
+    config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    config["tuning"]["output"] = output
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    outputs = {path: path.read_bytes() for path in (tmp_path / "out").rglob("*")}
+    assert len(outputs) == 4
+    reads = _count_fixture_reads(monkeypatch)
+    capsys.readouterr()
+
+    assert main(["export-tuning", "-c", str(cfg_path)]) == 2
+    assert f"tuning.output {output!r} is a file other commands write" in capsys.readouterr().err
+    assert reads == []
+    assert {path: path.read_bytes() for path in (tmp_path / "out").rglob("*")} == outputs
+    assert main(["report", "-c", str(run_cfg)]) == 0
 
 
 def test_export_tuning_is_deterministic(tmp_path):

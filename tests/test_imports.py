@@ -1,5 +1,6 @@
-"""Every module under src/ and tests/ uses each name it imports, and every
-name the benchmark imports from ``recollab`` exists.
+"""Every module under src/ and tests/ uses each name it imports, every
+name the benchmark imports from ``recollab`` exists, and only the modules
+that read endpoints, tokens and proxies read the process environment.
 
 A name counts as used when the module reads it anywhere or lists it in its
 ``__all__``. ``from __future__`` imports and an import whose lines carry
@@ -124,3 +125,34 @@ def test_the_benchmark_scan_refuses_a_name_that_is_gone():
     assert [name for _, _, name in found] == ["build_backends", "no_such_name"]
     assert [resolves(module, name) for _, module, name in found] == [True, False]
     assert resolves("recollab.backends", "replay") and not resolves("recollab.backends", "rpc")
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[int]:
+    """Lines where ``source`` reads the process environment through ``os``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in _ENVIRONMENT
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "os"
+        and any(alias.name in _ENVIRONMENT for alias in node.names)
+    )
+
+
+def test_the_environment_supplies_only_endpoints_tokens_and_proxies():
+    source = "import os\nfrom os import getenv\nos.environ.get('A')\nos.path.join('b')\n"
+    assert environment_reads(source) == [2, 3]
+    readers = {
+        path.relative_to(ROOT).as_posix()
+        for path in MODULES
+        if path.is_relative_to(ROOT / "src")
+        and environment_reads(path.read_text(encoding="utf-8"))
+    }
+    # config: the RECOLLAB_<ROLE>_ENDPOINT and _TOKEN overrides; backends.http: proxies
+    assert readers == {"src/recollab/config.py", "src/recollab/backends/http.py"}
