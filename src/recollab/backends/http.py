@@ -173,8 +173,8 @@ class HttpClient:
                 raise BackendError(f"HTTP {status} from {self.endpoint}: {text[:200]}")
             try:
                 body = json.loads(data)
-            except ValueError as exc:
-                raise BackendError(f"non-JSON response from {self.endpoint}") from exc
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise BackendError(f"non-JSON response from {self.endpoint}: {exc}") from exc
             if not isinstance(body, dict):
                 raise BackendError(f"response from {self.endpoint} is not a JSON object")
             if "error" in body:
@@ -233,13 +233,20 @@ Reply = TypeVar("Reply", GroundingResult, GenerativeGrounding)
 def _to_pixels(reply: Reply, image: ImageRef, space: int | None) -> Reply:
     """``reply`` with its boxes scaled from a ``space`` x ``space`` grid to ``image``'s pixels.
 
-    Without a grid the reply is in pixels already and comes back as is.
+    Without a grid the reply is in pixels already and comes back as is. A
+    box that cannot be rescaled, say one that overflows, is a ``BackendError``.
     """
     if space is None:
         return reply
 
     def scale(box):
-        return scale_box(box, from_size=(space, space), to_size=(image.width, image.height))
+        try:
+            return scale_box(box, from_size=(space, space), to_size=(image.width, image.height))
+        except ValueError as exc:
+            raise BackendError(
+                f"box {list(box)} cannot be rescaled from the {space} x {space} grid "
+                f"to {image.width} x {image.height} pixels: {exc}"
+            ) from exc
 
     if isinstance(reply, GenerativeGrounding):
         return reply if reply.box is None else replace(reply, box=scale(reply.box))

@@ -95,7 +95,7 @@ class FixtureStore:
             raise BackendError(f"fixture {path} has unsupported header {header!r}")
         try:
             record = json.loads(text[end + 1 :])
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise BackendError(f"fixture {path} is not valid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise BackendError(f"fixture {path} record is not a JSON object")

@@ -12,11 +12,11 @@ Three metrics, all ratios of per-item indicators:
   negative one, ties counted half.
 
 Every metric reads one ``Score`` row per task id, which ``score(pred,
-task)`` makes from a ``prediction.Prediction``: a positive's hit rank and
-the confidence there, a negative's ranked confidences, and the
-confidence, pathway and failure of each. A task with no row counts as a
-miss at confidence 0 (P@k, AUROC) or drops its pair (R@k); a warning
-gives the count of such tasks or pairs.
+task)`` makes from a ``prediction.Prediction`` and its own task: a
+positive's hit rank and the confidence there, a negative's ranked
+confidences, and the confidence, pathway and failure of each. A task
+with no row counts as a miss at confidence 0 (P@k, AUROC) or drops its
+pair (R@k); a warning gives the count of such tasks or pairs.
 
 Each positive and each pair is scored once, as the rank of its first box
 above the fixed IoU bar (``NO_HIT`` if none); a hit at k is ``rank < k``,
@@ -59,7 +59,8 @@ class Score:
 
     A positive's row has its hit ``rank`` and the confidence of its box at
     that rank (0 for ``NO_HIT``); a negative's has the ``confidences`` of
-    its ranked boxes. A prediction scored without a task has neither.
+    its ranked boxes. A hand-built row without the one its task needs is
+    not checked: it raises where the metrics read it.
     """
 
     confidence: float
@@ -70,10 +71,8 @@ class Score:
     confidences: tuple[float, ...] | None = None
 
 
-def score(pred: Prediction, task: RecTask | None) -> Score:
-    """``pred``'s row against ``task``, which is None for a task outside the task set."""
-    if task is None:
-        return Score(pred.confidence, pred.pathway, pred.failed)
+def score(pred: Prediction, task: RecTask) -> Score:
+    """``pred``'s row, scored against ``task``, its own task."""
     if not task.is_positive:
         confidences = tuple(conf for _, conf in pred.ranked_boxes)
         return Score(pred.confidence, pred.pathway, pred.failed, confidences=confidences)
@@ -90,10 +89,6 @@ def _hit_rank(pred: Prediction, gt: BBox) -> float:
     return NO_HIT
 
 
-def _unscored(task: RecTask) -> ValueError:
-    return ValueError(f"the prediction for task {task.id} was not scored against it")
-
-
 def _warn_missing(message: str, ids: Sequence[str]) -> None:
     """Log ``message`` with the count and first of ``ids``, those missing a prediction, if any."""
     if ids:
@@ -105,8 +100,6 @@ def _positive_ranks(rows: Mapping[str, Score], positives: Iterable[RecTask]) -> 
     ranks: dict[str, float] = {}
     for task in positives:
         row = rows.get(task.id)
-        if row is not None and getattr(row, "rank", None) is None:
-            raise _unscored(task)
         ranks[task.id] = NO_HIT if row is None else row.rank
     return ranks
 
@@ -127,8 +120,6 @@ def _pair_ranks(
         if pos_row is None or neg_row is None:
             ranks.append(None)
             continue
-        if getattr(neg_row, "confidences", None) is None:
-            raise _unscored(pair.negative)
         rank = pos_ranks[pair.positive.id]
         if rank != NO_HIT:
             conf = pos_row.rank_confidence
@@ -209,13 +200,9 @@ def _auroc_cell(ordered_pos: Sequence[float], neg_scores: Sequence[float]) -> di
 
 
 def _confidence(rows: Mapping[str, Score], task: RecTask) -> float:
-    """``task``'s confidence, 0 without a row; a negative's row must be scored against it."""
+    """``task``'s confidence, 0 without a row."""
     row = rows.get(task.id)
-    if row is None:
-        return 0.0
-    if not task.is_positive and getattr(row, "confidences", None) is None:
-        raise _unscored(task)
-    return row.confidence
+    return 0.0 if row is None else row.confidence
 
 
 _value = attrgetter("value")

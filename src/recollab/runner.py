@@ -5,8 +5,8 @@ before any backend call: it checks only the command's split and the
 fixture directories of the roles it calls, and ``report`` calls none.
 Every command creates its outputs through ``_output_dir``. ``run`` and
 ``report`` read a log only through ``_read_own_log``, which refuses one
-written under another identity or version, not opened by its one meta
-line, or naming a task the split lacks.
+written under another identity or that breaks a rule of
+``docs/log_format.md``.
 
 A run whose backends all replay fixtures executes each task on the calling
 thread. A run that calls any HTTP backend overlaps model calls on a worker
@@ -315,15 +315,15 @@ def read_log(
 ) -> tuple[dict[str, Any] | None, dict[str, Score], int]:
     """Parse a prediction log; returns (meta, score rows by task id, valid byte length).
 
-    Each prediction is checked by ``Prediction.from_dict``, scored against
-    its task in ``ts`` and dropped, so no more than one is held at a time.
-    With ``ts``, a prediction for a task ``ts`` lacks is refused. Without
-    ``ts`` a row holds only the confidence, pathway and failure: enough to
-    resume a run or count its failures, not to score it.
-
-    The log must open with its one meta line, which says what config wrote
-    it. A torn final line (no trailing newline, from a hard crash) is
-    excluded from the valid length so a resuming run can truncate it away.
+    The log follows the rules of ``docs/log_format.md``; a line that breaks
+    one is refused (``ConfigError``) with its line number. Each prediction
+    is checked by ``Prediction.from_dict``, scored against its own task in
+    ``ts`` and dropped, so no more than one is held at a time. A prediction
+    that cannot be scored, for a task ``ts`` lacks or read without ``ts``,
+    is refused with its task id: ``ts`` may be left out only for a log that
+    may be absent, which reads as ``(None, {}, 0)``. A torn final line (no
+    trailing newline, from a hard crash) is excluded from the valid length
+    so a resuming run can truncate it away.
     """
     if not path.exists():
         return None, {}, 0
@@ -351,6 +351,10 @@ def read_log(
             if kind == "meta":
                 if meta is not None:
                     raise ConfigError(f"prediction log line {line_no} is a second meta line")
+                if record.get("version") != LOG_VERSION:
+                    raise ConfigError(
+                        f"log {path} has version {record.get('version')!r}, not {LOG_VERSION}"
+                    )
                 meta = record
             elif kind == "prediction":
                 if meta is None:
@@ -363,26 +367,43 @@ def read_log(
                         f"{type(exc).__name__}: {exc}"
                     ) from exc
                 task = ts.get(pred.task_id) if ts is not None else None
-                if task is None and ts is not None:
+                if task is None:
+                    why = (
+                        "but no split was given to score it against"
+                        if ts is None
+                        else f"which the {ts.split.value} split does not hold"
+                    )
                     raise ConfigError(
-                        f"prediction log line {line_no} is for task {pred.task_id!r}, "
-                        f"which the {ts.split.value} split does not hold"
+                        f"prediction log line {line_no} is for task {pred.task_id!r}, {why}"
+                    )
+                if task.id in rows:
+                    raise ConfigError(
+                        f"prediction log lines {_first_line_for(path, task.id)} and {line_no} "
+                        f"are both for task {task.id!r}"
                     )
                 # keyed by the task's own id string, which the task set already holds
-                rows[pred.task_id if task is None else task.id] = score(pred, task)
+                rows[task.id] = score(pred, task)
             else:
                 raise ConfigError(f"prediction log line {line_no} has unknown record kind {kind!r}")
     return meta, rows, valid_len
 
 
+def _first_line_for(path: Path, task_id: str) -> int:
+    """The number of the first line of ``path`` for ``task_id``, whose lines all parse."""
+    with open(path, "rb") as handle:
+        return next(
+            line_no
+            for line_no, line in enumerate(handle, start=1)
+            if line.strip() and json.loads(line).get("task_id") == task_id
+        )
+
+
 def _read_own_log(
     cfg: RunConfig, path: Path, ts: TaskSet
 ) -> tuple[dict[str, Any] | None, dict[str, Score], int]:
-    """``read_log(path, ts)``, refused if its meta line is of another version or identity
-    (its ``identity_hash``, else its full ``config_hash``)."""
+    """``read_log(path, ts)``, refused if its meta line is of another identity (its
+    ``identity_hash``, else its full ``config_hash``); see ``docs/log_format.md``."""
     meta, rows, valid_len = read_log(path, ts)
-    if meta is not None and meta.get("version") != LOG_VERSION:
-        raise ConfigError(f"log {path} has version {meta.get('version')!r}, not {LOG_VERSION}")
     if meta is not None and (
         meta["identity_hash"] != identity_hash(cfg)
         if "identity_hash" in meta
@@ -430,7 +451,8 @@ def _write_report(
 
 
 def _output_dir(cfg: RunConfig, outputs: Iterable[str]) -> Path:
-    """The output directory, created with that of each of ``outputs``, a file under it."""
+    """The output directory, created with the resolved directory of each of ``outputs``, a
+    file under it."""
     out_dir = cfg.resolve(cfg.output_dir)
     paths = [out_dir / name for name in outputs]
     for path in paths:
@@ -441,7 +463,7 @@ def _output_dir(cfg: RunConfig, outputs: Iterable[str]) -> Path:
         if path.is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            path.resolve().parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create the directory of {path}: {exc}") from exc
     return out_dir
@@ -626,7 +648,8 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(f"crs.k and tuning.include_none: {exc}") from exc
     out_dir = cfg.resolve(cfg.output_dir)
-    if (out_dir / cfg.tuning.output).resolve() in {(out_dir / f).resolve() for f in COMMAND_FILES}:
+    path = (out_dir / cfg.tuning.output).resolve()
+    if path in {(out_dir / f).resolve() for f in COMMAND_FILES}:
         raise ConfigError(f"tuning.output {cfg.tuning.output!r} is a file other commands write")
     ts, _ = _prepare(cfg, "train", ("grounder",), "export-tuning", (cfg.tuning.output,))
     failures: list[tuple[str, BackendError]] = []
@@ -637,7 +660,6 @@ def cmd_export_tuning(cfg: RunConfig) -> int:
         # nothing was grounded: a wrong endpoint or fixture directory, not an outage
         exc = failures[0][1]
         raise BackendError(f"{exc} (the grounder failed on all {len(ts)} tasks)") from exc
-    path = out_dir / cfg.tuning.output
     save_tuning(samples, path)
     positives = sum(1 for s in samples if s.answer_box() is not None)
     print(f"wrote {len(samples)} samples ({positives} positive) to {path}")

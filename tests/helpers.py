@@ -191,7 +191,8 @@ def paired_taskset(n_pairs: int, split: Split = Split.TEST) -> TaskSet:
 
 
 def scored(preds: Mapping[str, Prediction], ts: TaskSet) -> dict[str, Score]:
-    """The ``metrics.Score`` rows the metrics read: each prediction scored against its task."""
+    """The ``metrics.Score`` rows the metrics read: each prediction scored against its own
+    task, which ``ts`` must hold."""
     return {task_id: score(pred, ts.get(task_id)) for task_id, pred in preds.items()}
 
 

@@ -24,6 +24,7 @@ from recollab.backends.extract import (
 from recollab.backends.http import (
     HttpClient,
     HttpDetector,
+    HttpGrounder,
     HttpMllm,
     HttpSelector,
     HttpTargetExtractor,
@@ -814,6 +815,27 @@ def test_http_detector_rescales_coordinates(make_client):
         detector = HttpDetector(client=make_client(endpoint=url, coordinate_space=1000))
         result = detector.detect(IMG, "dog")
     assert result.detections[0].box == BBox(0, 0, 640, 480)
+
+
+@pytest.mark.parametrize("role", ["grounder", "mllm"])
+def test_a_box_that_overflows_when_rescaled_is_a_backend_error(make_client, role):
+    # 1e308 on a 10 x 10 grid is 6.4e309 pixels wide on a 640 x 480 image: past the floats
+    digits = "1" + "0" * 308
+    if role == "grounder":
+        payload = {"detections": [{"box": [0, 0, float(digits), float(digits)], "score": 0.5}]}
+    else:
+        payload = {"text": f"[[0, 0, {digits}, {digits}]]"}
+    message = (
+        r"box \[0\.0, 0\.0, 1e\+308, 1e\+308\] cannot be rescaled "
+        r"from the 10 x 10 grid to 640 x 480 pixels: x1 must be finite"
+    )
+    with http_server(default=payload) as (_, url):
+        client = make_client(endpoint=url, coordinate_space=10)
+        with pytest.raises(BackendError, match=message):
+            if role == "grounder":
+                HttpGrounder(client=client).ground(IMG, "dog")
+            else:
+                HttpMllm(client=client).ground_generative(IMG, "where is the dog?")
 
 
 def test_http_selector_sends_labels(make_client):

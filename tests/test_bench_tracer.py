@@ -27,6 +27,7 @@ from recollab.backends.replay import (
     FixtureStore,
 )
 from recollab.config import load_config
+from recollab.datamodel import load_taskset
 
 from helpers import SLOT_PAYLOAD, build_crs_corpus, build_sfa_corpus, http_server
 
@@ -120,7 +121,8 @@ def test_the_tracer_nests_each_http_post_in_its_role_call(tmp_path, tracing):
 def test_the_tracer_spans_the_report_seams(tmp_path, tracing):
     cfg = load_config(build_sfa_corpus(tmp_path, n_pairs=3))
     assert runner.cmd_run(cfg) == 0
-    logged = len(runner.read_log(tmp_path / "out" / runner.LOG_NAME)[1])
+    ts = load_taskset(cfg.dataset_path("test"), "test")
+    logged = len(runner.read_log(tmp_path / "out" / runner.LOG_NAME, ts)[1])
     metrics, spans = _traced_run(tracing, cfg, runner.cmd_report)
     names = {span[0]: span[2] for span in spans}
     counts = Counter(names.values())

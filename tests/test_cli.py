@@ -102,11 +102,15 @@ def test_read_log_torn_tail_is_dropped(tmp_path):
     meta_line = json.dumps({"record": "meta", "version": 1, "config_hash": "x"})
     body = meta_line + "\n" + _pred_line("t1") + "\n" + _pred_line("t2") + "\n"
     path.write_text(body + '{"record": "predi', encoding="utf-8")
+    ts = TaskSet(Split.TEST, [make_positive(i)._replace(id=f"t{i + 1}") for i in range(2)])
 
-    meta, preds, valid = read_log(path)
+    meta, preds, valid = read_log(path, ts)
     assert meta is not None and meta["config_hash"] == "x"
     assert set(preds) == {"t1", "t2"}
     assert valid == len(body.encode("utf-8"))
+    # every prediction is scored against its task, so none is read without the split
+    with pytest.raises(ConfigError, match="line 2 is for task 't1', but no split was given"):
+        read_log(path)
 
 
 def test_read_log_defaults_missing_ranked_boxes_to_the_chosen_box(tmp_path):
@@ -139,8 +143,15 @@ def test_read_log_rejects_unknown_record_kind(tmp_path):
 
 def test_read_log_rejects_corrupt_line(tmp_path):
     path = tmp_path / "log.jsonl"
-    path.write_text('{"record": "meta"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(ConfigError, match="line 2"):
+    path.write_text('{"record": "meta", "version": 1}\nnot json\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="line 2 is not valid JSON"):
+        read_log(path)
+
+
+def test_read_log_refuses_another_version_before_reading_its_lines(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"record": "meta", "version": 2}\nnot json\n', encoding="utf-8")
+    with pytest.raises(ConfigError, match="has version 2, not 1"):
         read_log(path)
 
 
@@ -161,7 +172,8 @@ def test_a_reply_holding_other_line_breaks_is_read_back_unchanged(tmp_path, caps
             runner._write_record(handle, record)
 
     # a line split at one of those breaks would not parse, and read_log would refuse it
-    _, rows, valid_len = read_log(log_path)
+    ts = load_taskset(load_config(cfg_path).dataset_path("test"), "test")
+    _, rows, valid_len = read_log(log_path, ts)
     assert list(rows) == [record["task_id"] for record in records]
     assert valid_len == log_path.stat().st_size
     capsys.readouterr()
@@ -1227,6 +1239,34 @@ def test_a_malformed_fixture_file_fails_its_task_not_the_run(tmp_path, tail, mes
     assert message in read_records(tmp_path / "out" / LOG_NAME)[3]["note"]
 
 
+@pytest.mark.parametrize("transport", ["replay", "http"])
+def test_a_reply_nested_too_deep_to_decode_fails_its_task_not_the_run(tmp_path, transport):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    deep = b"[" * 200_000
+    # only pos-00001 looks at img-00001
+    if transport == "replay":
+        path = tmp_path / "fixtures" / f"{fixture_key(ROLE_DETECT, 'img-00001', 'widget')}.json"
+        path.write_bytes(b"recollab-fixture v1\n" + deep)
+        proc = run_cli("run", "-c", cfg_path)
+    else:
+        store = FixtureStore(tmp_path / "fixtures")
+
+        def reply(body):
+            if body["image"] == "img-00001":
+                return deep
+            return store.get(ROLE_DETECT, body["image"], body["query"])
+
+        config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+        with http_server(reply=reply) as (server, url):
+            config["backends"]["detector"] = {"kind": "http", "endpoint": url, "retries": 2}
+            cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+            proc = run_cli("run", "-c", cfg_path)
+        # a reply that cannot be decoded is not asked for again
+        assert [seen["body"]["image"] for seen in server.seen].count("img-00001") == 1
+    _assert_only_task_failed(proc, tmp_path / "out" / LOG_NAME, "pos-00001", 6)
+    assert "maximum recursion depth" in read_records(tmp_path / "out" / LOG_NAME)[3]["note"]
+
+
 def test_fixture_reads_are_counted_by_patching_the_store_after_the_backends_are_built(
     tmp_path, monkeypatch
 ):
@@ -1654,6 +1694,28 @@ def test_a_log_with_a_task_the_split_lacks_is_refused_and_left_as_it_is(
     assert {path: path.read_bytes() for path in (tmp_path / "out").iterdir()} == outputs
 
 
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_a_second_line_for_a_task_is_refused_and_the_log_left_as_it_is(
+    tmp_path, capsys, command
+):
+    cfg_path = build_sfa_corpus(tmp_path, n_pairs=3)
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    log = tmp_path / "out" / LOG_NAME
+    _, *records = read_records(log)
+    first = next(n for n, r in enumerate(records, start=2) if r["task_id"] == "pos-00000")
+    # a boxless copy, which would turn a hit into a miss if the later line won
+    again = {**records[first - 2], "box": None, "confidence": 0.0, "ranked_boxes": []}
+    with open(log, "a", encoding="utf-8") as handle:
+        runner._write_record(handle, {**again, "note": "no box"})
+    outputs = {path: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    capsys.readouterr()
+
+    assert main([command, "-c", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"lines {first} and {len(records) + 2} are both for task 'pos-00000'" in err
+    assert {path: path.read_bytes() for path in (tmp_path / "out").iterdir()} == outputs
+
+
 def _rewrite_log(log_path, ts, case):
     """Turn the log of a clean run into the log of ``case``; returns its prediction records."""
     meta, *records = read_records(log_path)
@@ -1682,15 +1744,14 @@ def test_the_report_from_score_rows_equals_the_report_from_predictions(tmp_path,
     preds = {r["task_id"]: Prediction.from_dict(r) for r in records}
 
     if case == "orphan":
-        # refused with the task set; the rows of the other lines plus the ghost's
-        # unscored row (read without it) still give the library's report
+        # refused with its line and task id; the lines before it give the other tasks' rows
         with pytest.raises(ConfigError, match=rf"line {len(records) + 1} is for task 'ghost'"):
             read_log(log_path, ts)
         logged = log_path.read_bytes()
         head = tmp_path / "head.jsonl"
         head.write_bytes(logged[: logged.rindex(b"\n", 0, -1) + 1])
+        del preds["ghost"]
         _, rows, _ = read_log(head, ts)
-        rows["ghost"] = read_log(log_path)[1]["ghost"]
     else:
         _, rows, _ = read_log(log_path, ts)
     assert list(rows) == list(preds)
@@ -1698,12 +1759,9 @@ def test_the_report_from_score_rows_equals_the_report_from_predictions(tmp_path,
     assert build_report(rows, ts) == want
     pairs = want["recall_at_k"]["1"]["overall"]["denominator"]
     assert pairs == len(ts.negatives()) - (case == "missing")
-    # rows read without the task set cannot be scored against it
-    with pytest.raises(ValueError, match="not scored against it"):
-        build_report(read_log(log_path)[1], ts)
 
     failed = sum(pred.failed for pred in preds.values())
-    assert failed == (case in ("failed", "orphan"))
+    assert failed == (case == "failed")
     outputs = {path: path.read_bytes() for path in (tmp_path / "out").iterdir()}
     status = main(["report", "-c", str(cfg_path)])
     if case == "orphan":
@@ -1827,6 +1885,12 @@ def test_export_tuning_skips_a_failed_grounder_call(tmp_path, capsys, caplog):
 def test_export_tuning_creates_the_directory_of_its_output(tmp_path):
     cfg_path = build_export_corpus(tmp_path, n_pos=12, n_neg=4, positives=10, negatives=3)
     config = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
+    # only the directory the output resolves to is created
+    config["tuning"]["output"] = "sub/../tuning2.jsonl"
+    cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main(["export-tuning", "-c", str(cfg_path)]) == 0
+    assert len(read_records(tmp_path / "out" / "tuning2.jsonl")) == 13
+    assert not (tmp_path / "out" / "sub").exists()
     config["tuning"]["output"] = "sub/tuning.jsonl"
     cfg_path.write_text(yaml.safe_dump(config), encoding="utf-8")
     assert main(["export-tuning", "-c", str(cfg_path)]) == 0

@@ -1,5 +1,6 @@
-"""The Python examples in the README and docs/ run as written, and their
-``recollab`` command lines parse."""
+"""The Python examples in the README and docs/ run as written, their
+``recollab`` command lines parse, and each refusal the log format lists is
+tested."""
 
 import re
 import shlex
@@ -19,6 +20,8 @@ EXAMPLES = [
     for page in PAGES
     for n, code in enumerate(PYTHON_BLOCK.findall(page.read_text(encoding="utf-8")), start=1)
 ]
+
+LOG_REFUSAL = re.compile(r"^- `([^`]+)`", re.MULTILINE)
 
 COMMANDS = [
     pytest.param(line, id=f"{page.relative_to(ROOT)}:{line}")
@@ -49,3 +52,15 @@ def test_documented_command_line_parses(line):
         build_parser().parse_args(shlex.split(line)[1:])
     except SystemExit as exc:
         pytest.fail(f"{line!r} does not parse (exit {exc.code})")
+
+
+def test_each_refusal_of_the_log_format_is_matched_in_a_test():
+    page = (ROOT / "docs" / "log_format.md").read_text(encoding="utf-8")
+    refusals = LOG_REFUSAL.findall(page.partition("\n## Refusals\n")[2])
+    tests = "".join(
+        path.read_text(encoding="utf-8")
+        for path in (ROOT / "tests").glob("test_*.py")
+        if path.name != Path(__file__).name
+    )
+    assert len(refusals) >= 12
+    assert [message for message in refusals if message not in tests] == []
